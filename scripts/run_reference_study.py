@@ -5,8 +5,9 @@ Mirrors the reference setup (8 columns x 12 rows, 0.5/0.7 wavelength
 spacing, 3.5 GHz, 43 dBm, 16 users = 16 sub-arrays, -120 dBm floor) with
 the deterministic line-of-sight channel. The P alphabet enumerates 85926
 tilings; expect minutes to hours depending on --drops and cores. The
-ledger checkpoints after every tiling, so an interrupted run continues
-with --resume.
+ledger is appended row by row but not flushed after each row, so an
+interrupted run continues with --resume from the rows that reached the
+file.
 """
 
 import argparse

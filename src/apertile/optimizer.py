@@ -25,8 +25,7 @@ from .precoding import PrecodingMatrix, normalize_beams, zero_forcing
 from .scenario import UEDrop, drops_fingerprint, sample_drops
 from .tiling import (
     AggregationVector,
-    IncidenceMatrix,
-    _cover_stream,
+    _CoverSearch,
     baseline_tiling,
     build_incidence_matrix,
     generate_placements,
@@ -312,6 +311,8 @@ def _eval_task(task):
 
 # --- optimization ----------------------------------------------------------
 
+PROGRESS_EVERY = 10000  # evaluated tilings between progress lines
+
 @dataclass
 class OptimizationResult:
     config_hash: str
@@ -335,12 +336,24 @@ class OptimizationResult:
     elapsed_s: float
 
 
-def _cover_by_index(L: IncidenceMatrix, target: int) -> AggregationVector:
-    cells = [np.array(p, dtype=np.intp) - 1 for p in L.rows]
-    for t, rows in enumerate(_cover_stream(L), start=1):
-        if t == target:
-            return _cover_from_ids(tuple(k + 1 for k in rows), cells, L.aperture.size)
+def _cover_by_index(
+    search: _CoverSearch, target: int, cells, element_count
+) -> AggregationVector:
+    for _t, rows in search.stream(start=target):
+        return _cover_from_ids(tuple(k + 1 for k in rows), cells, element_count)
     raise ValueError(f"tiling index {target} beyond enumeration")
+
+
+def _resume_point(rows: list[LedgerRow], stride: int) -> int:
+    """Index of the next tiling after a ledger's rows t = 1, 1+s, 1+2s, ..."""
+    expected = range(1, 1 + stride * len(rows), stride)
+    for row, t in zip(rows, expected):
+        if row.tiling_index != t:
+            raise ValueError(
+                f"cannot resume: ledger row t={row.tiling_index} where t={t} was "
+                f"expected (rows must be t = 1, 1+{stride}, 1+{2 * stride}, ...)"
+            )
+    return 1 + stride * len(rows)
 
 
 def optimize(
@@ -366,6 +379,7 @@ def optimize(
     budget = cfg.link_budget()
     placements = generate_placements(aperture, cfg.shapes())
     L = build_incidence_matrix(placements, aperture)
+    search = _CoverSearch(L)
     cells = [np.array(p, dtype=np.intp) - 1 for p in L.rows]
 
     drops = sample_drops(cfg.scenario)
@@ -391,15 +405,16 @@ def optimize(
             drops_key=drops_key,
         )
 
-    # Resumed rows are skipped, not recomputed. Our writer emits rows in
-    # enumeration order, so an interrupted ledger is always a prefix and
-    # appending keeps the file ordered.
+    # Resumed rows are trusted, not recomputed. Our writer emits rows in
+    # enumeration order, so an interrupted ledger is a prefix of the strided
+    # sequence, and the stream restarts right after its last row.
+    stride = cfg.tiling_stride
     existing_rows: list[LedgerRow] = []
     if resume and ledger_path and os.path.exists(ledger_path):
         meta, existing_rows = read_ledger(ledger_path)
         if meta.get("config_hash") not in (None, cfg.config_hash()):
             raise ValueError("existing ledger was written by a different config")
-    skip = {row.tiling_index for row in existing_rows}
+    first_t = _resume_point(existing_rows, stride)
 
     ledger_fh = None
     if ledger_path:
@@ -424,16 +439,13 @@ def optimize(
                 },
             )
 
-    stream_total = 0
-
-    def task_gen():
-        nonlocal stream_total
-        t = 0
-        for t, rows in enumerate(_cover_stream(L), start=1):
-            if (t - 1) % cfg.tiling_stride != 0 or t in skip:
-                continue
-            yield t, tuple(k + 1 for k in rows)
-        stream_total = t
+    total = search.count()
+    tasks = len(range(first_t, total + 1, stride))
+    resumed = f"; resuming at t={first_t}" if existing_rows else ""
+    info(f"{total} tilings, {tasks} to evaluate (stride {stride}){resumed}")
+    task_iter = (
+        (t, tuple(k + 1 for k in rows)) for t, rows in search.stream(first_t, stride)
+    )
 
     # best trackers; processing is in ascending t with strict improvement,
     # which realizes the lowest-index tie-break
@@ -461,23 +473,30 @@ def optimize(
 
     def consume(result_iter):
         nonlocal done
+        started = time.perf_counter()
         for _t, ids, row in result_iter:
             track(row, ids)
             if ledger_fh:
                 ledger_fh.write(_format_row(row) + "\n")
             done += 1
-            if done % 10000 == 0:
-                info(f"evaluated {done} tilings")
+            if done % PROGRESS_EVERY == 0:
+                rate = done / (time.perf_counter() - started)
+                info(
+                    f"evaluated {done} of {tasks} tilings "
+                    f"({rate:.4g} tilings/s, ETA {(tasks - done) / rate:.0f} s)"
+                )
 
     workers = cfg.workers or os.cpu_count() or 1
     init_args = (G, budget, cfg.zf_condition_cap, beams, cells, aperture.size, drops_key)
     if workers > 1:
+        # small enough that every worker gets about four chunks
+        chunksize = max(1, min(64, math.ceil(tasks / (4 * workers))))
         ctx = get_context("fork")
         with ctx.Pool(workers, _init_worker, init_args) as pool:
-            consume(pool.imap(_eval_task, task_gen(), chunksize=64))
+            consume(pool.imap(_eval_task, task_iter, chunksize=chunksize))
     else:
         _init_worker(*init_args)
-        consume(map(_eval_task, task_gen()))
+        consume(map(_eval_task, task_iter))
 
     if ledger_fh:
         ledger_fh.close()
@@ -486,7 +505,7 @@ def optimize(
         if row is None:
             return None, None, None
         cover = (
-            _cover_by_index(L, row.tiling_index)
+            _cover_by_index(search, row.tiling_index, cells, aperture.size)
             if ids is None
             else _cover_from_ids(ids, cells, aperture.size)
         )
@@ -515,7 +534,7 @@ def optimize(
         config_hash=cfg.config_hash(),
         seed=cfg.scenario.seed,
         channel_mode=cfg.channel.tag,
-        total_tilings=stream_total,
+        total_tilings=total,
         evaluated_tilings=len(all_rows),
         exhaustive=cfg.tiling_stride == 1,
         feasible=best_row is not None,

@@ -7,14 +7,16 @@ matrix links placements (rows) to the pixels they cover (columns). Complete
 tilings are exactly the exact covers of that matrix and are streamed lazily
 by a backtracking enumerator that always branches on the uncovered pixel
 with the fewest remaining candidate placements (lowest pixel index on ties,
-candidate placements tried in increasing placement id).
+candidate placements tried in increasing placement id). Cover counts of
+subtrees let a strided or resumed stream jump straight to the covers it
+wants.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -172,63 +174,166 @@ def build_incidence_matrix(
     )
 
 
-def _cover_stream(L: IncidenceMatrix) -> Iterator[tuple[int, ...]]:
-    """Yield every exact cover as a tuple of 0-based row indices, in order.
+class _CoverSearch:
+    """Exact-cover search over one incidence matrix, with counted subtrees.
 
     Rows and pixels live in integer bitmasks, so backtracking restores state
-    exactly by construction (the masks passed down are immutable).
+    exactly by construction (the masks passed down are immutable). The rows
+    still active at a node are the rows disjoint from its covered pixels,
+    and the branching pixel depends only on those, so the number of covers
+    below a node is a function of the covered mask. Counting memoizes it
+    for subtrees holding at least two covers (dead ends and single paths are
+    cheap to recount), and `stream` uses the counts to step over subtrees
+    that hold no wanted cover index.
     """
-    I = L.aperture.size
-    K = len(L.rows)
-    cand = [0] * I  # per pixel: bitmask of rows covering it
-    for k, pixels in enumerate(L.rows):
-        for i in pixels:
-            cand[i - 1] |= 1 << k
-    # per row: rows that overlap it (share at least one pixel; includes itself)
-    conflict = [0] * K
-    cell_bits = [0] * K
-    for k, pixels in enumerate(L.rows):
-        cmask = 0
-        bits = 0
-        for i in pixels:
-            cmask |= cand[i - 1]
-            bits |= 1 << (i - 1)
-        conflict[k] = cmask
-        cell_bits[k] = bits
 
-    full = (1 << I) - 1
-    chosen: list[int] = []
+    def __init__(self, L: IncidenceMatrix):
+        I = L.aperture.size
+        K = len(L.rows)
+        cand = [0] * I  # per pixel: bitmask of rows covering it
+        for k, pixels in enumerate(L.rows):
+            for i in pixels:
+                cand[i - 1] |= 1 << k
+        # per row: rows that overlap it (share at least one pixel; includes itself)
+        conflict = [0] * K
+        cell_bits = [0] * K
+        for k, pixels in enumerate(L.rows):
+            cmask = 0
+            bits = 0
+            for i in pixels:
+                cmask |= cand[i - 1]
+                bits |= 1 << (i - 1)
+            conflict[k] = cmask
+            cell_bits[k] = bits
+        self.rows_all = (1 << K) - 1
+        self.full = (1 << I) - 1
+        self.cand = cand
+        self.conflict = conflict
+        self.cell_bits = cell_bits
+        self.memo: dict[int, int] = {}
 
-    def search(active: int, covered: int) -> Iterator[tuple[int, ...]]:
-        if covered == full:
-            yield tuple(chosen)
-            return
-        # uncovered pixel with fewest active candidates, lowest index on ties
-        free = full & ~covered
-        best_rows = 0
-        best_n = K + 1
-        while free:
-            low = free & -free
-            free ^= low
-            rows_i = cand[low.bit_length() - 1] & active
-            n = rows_i.bit_count()
-            if n < best_n:
-                if n == 0:
-                    return
-                best_n = n
-                best_rows = rows_i
-                if n == 1:
-                    break
-        m = best_rows
-        while m:
-            low = m & -m
-            m ^= low
-            k = low.bit_length() - 1
-            chosen.append(k)
-            yield from search(active & ~conflict[k], covered | cell_bits[k])
-            chosen.pop()
+    def _counter(self) -> Callable[[int, int], int]:
+        """Return below(active, covered), the number of covers under a node."""
+        K = len(self.conflict)
+        full = self.full
+        cand = self.cand
+        conflict = self.conflict
+        cell_bits = self.cell_bits
+        memo = self.memo
 
-    yield from search((1 << K) - 1, 0)
+        def below(active: int, covered: int) -> int:
+            if covered == full:
+                return 1
+            total = memo.get(covered)
+            if total is not None:
+                return total
+            # the branching rule of `stream`
+            free = full & ~covered
+            best_rows = 0
+            best_n = K + 1
+            while free:
+                low = free & -free
+                free ^= low
+                rows_i = cand[low.bit_length() - 1] & active
+                n = rows_i.bit_count()
+                if n < best_n:
+                    if n == 0:
+                        return 0
+                    best_n = n
+                    best_rows = rows_i
+                    if n == 1:
+                        break
+            total = 0
+            m = best_rows
+            while m:
+                low = m & -m
+                m ^= low
+                k = low.bit_length() - 1
+                total += below(active & ~conflict[k], covered | cell_bits[k])
+            if total >= 2:
+                memo[covered] = total
+            return total
+
+        return below
+
+    def count(self) -> int:
+        """Number of exact covers of the whole matrix."""
+        return self._counter()(self.rows_all, 0)
+
+    def stream(
+        self, start: int = 1, step: int = 1
+    ) -> Iterator[tuple[int, tuple[int, ...]]]:
+        """Yield (t, rows) for covers t = start, start + step, ... in order.
+
+        t is the 1-based position in the full depth-first order and rows
+        are the cover's 0-based row indices. While covers remain to be
+        passed before the next wanted one, the search counts each child
+        before descending and steps over it if it holds no more than that.
+        For start = step = 1 nothing is ever counted.
+        """
+        if start < 1 or step < 1:
+            raise ValueError(f"start and step must be >= 1, got {start}, {step}")
+        K = len(self.conflict)
+        full = self.full
+        cand = self.cand
+        conflict = self.conflict
+        cell_bits = self.cell_bits
+        count = self._counter()
+        chosen: list[int] = []
+        want = start  # index of the next cover to yield
+        skip = start - 1  # covers to pass before it
+
+        def search(active: int, covered: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+            nonlocal want, skip
+            if covered == full:
+                # only reached with skip == 0, so this is cover `want`
+                yield want, tuple(chosen)
+                want += step
+                skip = step - 1
+                return
+            # uncovered pixel with fewest active candidates, lowest index on
+            # ties; `_counter` inlines the same rule, and the two must agree
+            free = full & ~covered
+            best_rows = 0
+            best_n = K + 1
+            while free:
+                low = free & -free
+                free ^= low
+                rows_i = cand[low.bit_length() - 1] & active
+                n = rows_i.bit_count()
+                if n < best_n:
+                    if n == 0:
+                        return
+                    best_n = n
+                    best_rows = rows_i
+                    if n == 1:
+                        break
+            m = best_rows
+            while m:
+                low = m & -m
+                m ^= low
+                k = low.bit_length() - 1
+                # the only test on the path of a full enumeration (skip == 0)
+                if skip:
+                    covers = count(active & ~conflict[k], covered | cell_bits[k])
+                    if covers <= skip:
+                        skip -= covers
+                        continue
+                chosen.append(k)
+                yield from search(active & ~conflict[k], covered | cell_bits[k])
+                chosen.pop()
+
+        yield from search(self.rows_all, 0)
+
+
+def _cover_stream(
+    L: IncidenceMatrix, start: int = 1, step: int = 1
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Yield (t, rows) for exact covers t = start, start + step, ...
+
+    Rows are 0-based row indices; t counts every cover in enumeration order.
+    """
+    return _CoverSearch(L).stream(start, step)
 
 
 def enumerate_exact_covers(L: IncidenceMatrix) -> Iterator[AggregationVector]:
@@ -240,7 +345,7 @@ def enumerate_exact_covers(L: IncidenceMatrix) -> Iterator[AggregationVector]:
     """
     cells = [np.array(pixels, dtype=np.intp) - 1 for pixels in L.rows]
     I = L.aperture.size
-    for rows in _cover_stream(L):
+    for _t, rows in _cover_stream(L):
         values = np.empty(I, dtype=np.int32)
         for q, k in enumerate(rows, start=1):
             values[cells[k]] = q

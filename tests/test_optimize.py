@@ -236,27 +236,72 @@ def test_channels_assembled_once_per_drop(monkeypatch):
     assert result.channel_assemblies == cfg.scenario.drops
 
 
-def test_resume_reproduces_full_ledger(tmp_path):
-    cfg = toy_config(aperture=ApertureConfig(4, 3), scenario=ScenarioParams(
-        kind="uma", isd_m=500.0, bs_height_m=25.0, drops=2, users=4, seed=8
-    ))
-    full_path = tmp_path / "full.csv"
-    full = optimize(cfg, ledger_path=full_path)
-    assert len(full.ledger) >= 4
+def resume_config(**overrides):
+    # 4x3 dominoes: 11 tilings, the best covered one at t = 7
+    return toy_config(
+        aperture=ApertureConfig(4, 3),
+        scenario=ScenarioParams(
+            kind="uma", isd_m=500.0, bs_height_m=25.0, drops=2, users=4, seed=8
+        ),
+        **overrides,
+    )
 
-    # simulate an interrupted run: keep the header and first two rows
+
+def write_partial_ledger(full_path, path, keep):
+    """Copy the header and the first `keep` rows of a ledger."""
     lines = full_path.read_text().splitlines(keepends=True)
     header_end = next(i for i, l in enumerate(lines) if l.startswith("t,")) + 1
-    partial_path = tmp_path / "partial.csv"
-    partial_path.write_text("".join(lines[: header_end + 2]))
+    path.write_text("".join(lines[: header_end + keep]))
+
+
+def assert_resume_matches(cfg, tmp_path, keep):
+    full_path = tmp_path / "full.csv"
+    full = optimize(cfg, ledger_path=full_path)
+    partial_path = tmp_path / f"partial{keep}.csv"
+    write_partial_ledger(full_path, partial_path, keep)
 
     resumed = optimize(cfg, ledger_path=partial_path, resume=True)
     assert resumed.ledger == full.ledger
+    assert resumed.total_tilings == full.total_tilings
     assert partial_path.read_bytes() == full_path.read_bytes()
     assert resumed.best.tiling_index == full.best.tiling_index
     assert resumed.best.average_sum_rate == pytest.approx(
         full.best.average_sum_rate, rel=1e-12
     )
+    np.testing.assert_array_equal(resumed.best_cover.values, full.best_cover.values)
+    assert resumed.best_cover.placements == full.best_cover.placements
+    np.testing.assert_array_equal(
+        resumed.best_unconstrained_cover.values, full.best_unconstrained_cover.values
+    )
+
+
+def test_resume_reproduces_full_ledger(tmp_path):
+    cfg = resume_config()
+    # interrupted before the best tiling (found again by evaluation) and
+    # after it (its cover is looked up by index)
+    for keep in (2, 8):
+        assert_resume_matches(cfg, tmp_path, keep)
+
+
+def test_resume_of_strided_ledger_continues_by_position(tmp_path):
+    cfg = resume_config(tiling_stride=2)  # rows t = 1, 3, ..., 11
+    for keep in (2, 4):
+        assert_resume_matches(cfg, tmp_path, keep)
+
+
+def test_resume_refuses_ledger_with_gap(tmp_path):
+    for stride in (1, 2):
+        cfg = resume_config(tiling_stride=stride)
+        path = tmp_path / f"gap{stride}.csv"
+        optimize(cfg, ledger_path=path)
+        lines = path.read_text().splitlines(keepends=True)
+        header_end = next(i for i, l in enumerate(lines) if l.startswith("t,")) + 1
+        del lines[header_end + 1]  # the second row
+        path.write_text("".join(lines[: header_end + 3]))
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="cannot resume"):
+            optimize(cfg, ledger_path=path, resume=True)
+        assert path.read_bytes() == before
 
 
 def test_resume_rejects_foreign_ledger(tmp_path):
@@ -295,11 +340,22 @@ def test_unreachable_coverage_reports_infeasible_with_diagnostic():
     assert result.comparison is None
 
 
-def test_optimize_logs_progress():
+def test_optimize_logs_progress(monkeypatch):
+    monkeypatch.setattr(opt, "PROGRESS_EVERY", 2)
     messages = []
-    optimize(toy_config(), log=messages.append)
-    assert any("placements" in m for m in messages)
-    assert any("done:" in m for m in messages)
+    optimize(resume_config(tiling_stride=2), log=messages.append)
+    # set-up first, then the total from the counted search
+    assert "placements" in messages[0]
+    assert messages[1] == "11 tilings, 6 to evaluate (stride 2)"
+    progress = [m for m in messages if m.startswith("evaluated ")]
+    assert [m.split(" (")[0] for m in progress] == [
+        "evaluated 2 of 6 tilings",
+        "evaluated 4 of 6 tilings",
+        "evaluated 6 of 6 tilings",
+    ]
+    assert all("tilings/s, ETA" in m for m in progress)
+    assert progress[-1].endswith("ETA 0 s)")
+    assert messages[-1].startswith("done:")
 
 
 # --- baseline comparison ----------------------------------------------------------

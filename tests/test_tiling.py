@@ -8,6 +8,8 @@ from apertile.tiling import (
     AggregationVector,
     Aperture,
     Placement,
+    _cover_stream,
+    _CoverSearch,
     baseline_tiling,
     build_incidence_matrix,
     count_exact_covers,
@@ -173,6 +175,31 @@ def test_infeasible_instance_yields_empty_stream():
     matrix, _ = matrix_for(3, 3, "domino")  # odd pixel count
     assert list(enumerate_exact_covers(matrix)) == []
     assert count_exact_covers(matrix) == 0
+
+
+@pytest.mark.parametrize(
+    "columns,rows,selector,total",
+    [(4, 6, "P", 8), (4, 6, "P+L", 16), (6, 6, "P", 48), (6, 6, "P+L", 64)],
+)
+def test_strided_stream_equals_filtered_full_stream(columns, rows, selector, total):
+    matrix, _ = matrix_for(columns, rows, selector)
+    full = list(_cover_stream(matrix))
+    assert [t for t, _ in full] == list(range(1, total + 1))
+    search = _CoverSearch(matrix)  # its memo persists across the streams below
+    assert search.count() == total
+    for step in (1, 2, 3, 7, total - 1, total):
+        for start in range(1, total + 2):
+            expected = full[start - 1 :: step]
+            assert list(_cover_stream(matrix, start, step)) == expected
+            assert list(search.stream(start, step)) == expected
+
+
+def test_stream_rejects_nonpositive_start_or_step():
+    matrix, _ = matrix_for(3, 2, "domino")
+    with pytest.raises(ValueError):
+        next(_cover_stream(matrix, start=0))
+    with pytest.raises(ValueError):
+        next(_cover_stream(matrix, step=0))
 
 
 @pytest.mark.parametrize(
