@@ -9,6 +9,7 @@ to a per-port received-power floor.
 from .channel import (
     ChannelMatrix,
     ChannelModel,
+    ChannelStack,
     LinkBudget,
     aggregate_channel,
     assemble_channel,

@@ -156,25 +156,115 @@ def assemble_channel(
     return ChannelMatrix(matrix=matrix, drop_index=getattr(drop, "index", 0), mode_tag=model.tag)
 
 
+@dataclass(frozen=True)
+class ChannelStack:
+    """Every drop's channel, stored column-major: shape (2MN, P, A).
+
+    columns[c, p, a] = G_p[a, c]. Each TX column is one contiguous (P, A)
+    block, so aggregating a tile gathers whole blocks instead of striding
+    through every row of every drop.
+    """
+
+    columns: np.ndarray
+
+    @classmethod
+    def fill(cls, channels, drops: int) -> "ChannelStack":
+        """Stack `drops` channels (ChannelMatrix or (2U, 2MN) arrays) taken
+        one at a time from an iterable, so a generator of assemblies never
+        holds more than one matrix."""
+        columns = None
+        for p, channel in enumerate(channels):
+            matrix = channel.matrix if isinstance(channel, ChannelMatrix) else channel
+            if columns is None:
+                columns = np.empty((matrix.shape[1], drops, matrix.shape[0]), complex)
+            columns[:, p, :] = matrix.T
+        if columns is None or p != drops - 1:
+            raise ValueError(f"expected {drops} channels")
+        return cls(columns)
+
+
+def _pairwise_sum(items: list, floats: int) -> np.ndarray:
+    """Sum equally shaped arrays in place, in the order of numpy's pairwise
+    summation; returns the item that holds the sum and overwrites others.
+
+    That order, in terms of the element count times `floats` (2 per complex
+    value, 1 per real), is sequential below 8, eight float lanes up to 128,
+    and a halving recursion above; it is what `np.add.reduce` and
+    `np.add.reduceat` use along a reduced axis.
+    """
+    m = len(items)
+    n = floats * m
+    if n < 8:
+        acc = items[0]
+        for x in items[1:]:
+            acc += x
+        return acc
+    if n <= 128:
+        width = 8 // floats
+        end = m - m % width
+        lanes = items[:width]
+        for i in range(width, end, width):
+            for lane, x in zip(lanes, items[i : i + width]):
+                lane += x
+        while len(lanes) > 1:
+            for a, b in zip(lanes[::2], lanes[1::2]):
+                a += b
+            lanes = lanes[::2]
+        acc = lanes[0]
+        for x in items[end:]:
+            acc += x
+        return acc
+    half = n // 2
+    half = (half - half % 8) // floats
+    acc = _pairwise_sum(items[:half], floats)
+    acc += _pairwise_sum(items[half:], floats)
+    return acc
+
+
 def aggregate_channel(G, s: AggregationVector) -> np.ndarray:
     """Per-tile column sums of a channel matrix under an aggregation vector.
 
-    Accepts a ChannelMatrix, a (2U, 2MN) array, or any (..., 2U, 2MN) stack;
-    returns (..., 2U, 2Q) with columns ordered V tiles 1..Q then H tiles.
+    Accepts a ChannelMatrix, a (2U, 2MN) array, any (..., 2U, 2MN) stack, or
+    a ChannelStack; returns a C-contiguous (..., 2U, 2Q) array (P drops
+    first for a ChannelStack) with columns ordered V tiles 1..Q then H
+    tiles. Tiles of one size take one gather; each sum is the tile's first
+    column plus the pairwise sum of the rest, the order `np.add.reduceat`
+    uses, so the result is bit-identical to that reduction.
     """
-    mat = G.matrix if isinstance(G, ChannelMatrix) else np.asarray(G)
+    if isinstance(G, ChannelStack):
+        by_column = G.columns
+    else:
+        mat = G.matrix if isinstance(G, ChannelMatrix) else np.asarray(G)
+        by_column = np.moveaxis(mat, -1, 0)
     values = np.asarray(s.values)
     mn = values.size
-    if mat.shape[-1] != 2 * mn:
+    if by_column.shape[0] != 2 * mn:
         raise ValueError(
-            f"channel has {mat.shape[-1]} TX columns, tiling covers {mn} elements"
+            f"channel has {by_column.shape[0]} TX columns, tiling covers {mn} elements"
         )
+    q = s.tile_count
+    floats = 2 if np.iscomplexobj(by_column) else 1
     order = np.argsort(values, kind="stable")
     sizes = s.tile_sizes()
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    cols = np.concatenate((order, mn + order))
-    grouped = mat[..., cols]
-    return np.add.reduceat(grouped, np.concatenate((starts, mn + starts)), axis=-1)
+    by_tile = None
+    for n in sorted(set(sizes.tolist())):
+        tiles = np.flatnonzero(sizes == n)
+        cells = order[starts[tiles, None] + np.arange(n)]
+        # (n, 2Q_n, ...): a new array, so the sums may overwrite it; g[j]
+        # are disjoint blocks, so in-place adds need no overlap copies
+        g = by_column[np.concatenate((cells, mn + cells)).T]
+        sums = g[0]
+        if n > 1:
+            sums = _pairwise_sum(list(g[1:]), floats)
+            sums += g[0]
+        if tiles.size == q:
+            by_tile = sums
+        else:
+            if by_tile is None:
+                by_tile = np.empty((2 * q,) + g.shape[2:], dtype=g.dtype)
+            by_tile[np.concatenate((tiles, q + tiles))] = sums
+    return np.ascontiguousarray(np.moveaxis(by_tile, 0, -1))
 
 
 # --- export / import -----------------------------------------------------

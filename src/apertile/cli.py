@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .channel import assemble_channel
+from .channel import ChannelStack, assemble_channel
 from .config import RunConfig
 from .metrics import distribution, eta_statistics
 from .optimizer import (
@@ -164,10 +164,11 @@ def cmd_evaluate(args) -> int:
     cover, _aperture = _resolve_cover(cfg, args.tiling)
     geometry = cfg.geometry()
     drops = sample_drops(cfg.scenario)
-    channels = [assemble_channel(geometry, cfg.pattern, d, cfg.channel) for d in drops]
     record = evaluate_tiling(
         cover,
-        channels,
+        ChannelStack.fill(
+            (assemble_channel(geometry, cfg.pattern, d, cfg.channel) for d in drops), len(drops)
+        ),
         cfg.link_budget(),
         beams=cfg.scenario.users,
         condition_cap=cfg.zf_condition_cap,

@@ -18,10 +18,16 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import ChannelMatrix, LinkBudget, aggregate_channel, assemble_channel
+from .channel import (
+    ChannelMatrix,
+    ChannelStack,
+    LinkBudget,
+    aggregate_channel,
+    assemble_channel,
+)
 from .config import RunConfig
 from .metrics import EvaluationRecord, eta_statistics
-from .precoding import PrecodingMatrix, normalize_beams, zero_forcing
+from .precoding import ChannelRankError, PrecodingMatrix, _precoders, _zero_force
 from .scenario import UEDrop, drops_fingerprint, sample_drops
 from .tiling import (
     AggregationVector,
@@ -33,7 +39,10 @@ from .tiling import (
 from .units import watts_to_dbm
 
 
-def _stack_channels(channels) -> np.ndarray:
+def _stack_channels(channels):
+    """A ChannelStack as it is; anything else as a (P, 2U, 2MN) array."""
+    if isinstance(channels, ChannelStack):
+        return channels
     if isinstance(channels, np.ndarray):
         stacked = channels
     else:
@@ -60,21 +69,21 @@ def evaluate_tiling(
     A rank-deficient or too-ill-conditioned drop makes the whole record
     infeasible (capacity NaN) instead of contributing numerical noise.
     """
-    G = _stack_channels(channels)
-    drops, ports, _ = G.shape
+    return _evaluate(cover, channels, budget, beams, condition_cap, tiling_index, drops_key)[0]
+
+
+def _evaluate(cover, channels, budget, beams, condition_cap, tiling_index, drops_key):
+    """evaluate_tiling's record, plus the normalized precoders when feasible."""
+    H = aggregate_channel(_stack_channels(channels), cover)  # (P, A, 2Q)
+    drops, ports, _ = H.shape
     users = ports // 2
     if beams is None:
         beams = users
 
-    H = aggregate_channel(G, cover)  # (P, A, 2Q)
-    gram = H @ np.conj(np.swapaxes(H, -1, -2))
-    lam = np.linalg.eigvalsh(gram)
-    ok = lam[:, 0] > 0.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cond = np.sqrt(lam[:, -1] / np.where(ok, lam[:, 0], 1.0))
-    ok &= cond <= condition_cap
+    sizes = np.concatenate([cover.tile_sizes()] * 2).astype(float)
+    ok, V_normalized, norms, power = _zero_force(H, sizes, condition_cap)
     if not bool(ok.all()):
-        return EvaluationRecord(
+        record = EvaluationRecord(
             tiling_index=tiling_index,
             tile_count=cover.tile_count,
             per_drop_sum_rates=np.full(drops, np.nan),
@@ -85,14 +94,8 @@ def evaluate_tiling(
             feasible=False,
             drops_fingerprint=drops_key,
         )
+        return record, None
 
-    V = np.conj(np.swapaxes(np.linalg.solve(gram, H), -1, -2))  # (P, 2Q, A)
-    sizes = np.concatenate([cover.tile_sizes()] * 2).astype(float)
-    norms = np.sqrt(np.einsum("q,pqa->pa", sizes, V.real**2 + V.imag**2))
-    V_normalized = V / norms[:, None, :]
-
-    product = H @ V_normalized  # (P, A, A)
-    power = product.real**2 + product.imag**2
     diagonal = np.einsum("paa->pa", power)
     per_beam_power = budget.tx_power_w / beams
     p_des = per_beam_power * diagonal
@@ -103,7 +106,7 @@ def evaluate_tiling(
     per_drop = port_capacity.sum(axis=1)
     eta = p_des.min(axis=0)
     min_power = float(eta.min())
-    return EvaluationRecord(
+    record = EvaluationRecord(
         tiling_index=tiling_index,
         tile_count=cover.tile_count,
         per_drop_sum_rates=per_drop,
@@ -115,6 +118,7 @@ def evaluate_tiling(
         per_ue_capacities=port_capacity.reshape(drops, users, 2).sum(axis=2),
         drops_fingerprint=drops_key,
     )
+    return record, (V_normalized, norms)
 
 
 def tiling_precoders(
@@ -122,13 +126,19 @@ def tiling_precoders(
     channels,
     condition_cap: float = 1e8,
 ) -> list[PrecodingMatrix]:
-    """Normalized per-drop precoders for one tiling (replay/debug export)."""
-    G = _stack_channels(channels)
-    out = []
-    for p in range(G.shape[0]):
-        H = aggregate_channel(G[p], cover)
-        out.append(normalize_beams(zero_forcing(H, condition_cap), cover))
-    return out
+    """Normalized per-drop precoders for one tiling (replay/debug export).
+
+    Raises ChannelRankError when a drop is rank deficient or over the cap.
+    """
+    H = aggregate_channel(_stack_channels(channels), cover)
+    sizes = np.concatenate([cover.tile_sizes()] * 2).astype(float)
+    ok, V_normalized, norms, _ = _zero_force(H, sizes, condition_cap)
+    if not ok.all():
+        raise ChannelRankError(
+            f"drop {int(np.argmin(ok))} is rank deficient or over the condition "
+            f"cap {condition_cap:.3e}"
+        )
+    return _precoders(V_normalized, norms)
 
 
 # --- ledger ---------------------------------------------------------------
@@ -191,8 +201,11 @@ def read_ledger(path) -> tuple[dict, list[LedgerRow]]:
                 continue
             if line == LEDGER_COLUMNS:
                 continue
+            fields = line.split(",")
+            if len(fields) != 5 or fields[3] not in ("0", "1") or fields[4] not in ("0", "1"):
+                raise ValueError(f"malformed ledger line: {line!r}")
+            t, cap, minp, cov, feas = fields
             try:
-                t, cap, minp, cov, feas = line.split(",")
                 rows.append(
                     LedgerRow(int(t), float(cap), float(minp), cov == "1", feas == "1")
                 )
@@ -383,8 +396,9 @@ def optimize(
     cells = [np.array(p, dtype=np.intp) - 1 for p in L.rows]
 
     drops = sample_drops(cfg.scenario)
-    channels = [assemble_channel(geometry, cfg.pattern, d, cfg.channel) for d in drops]
-    G = np.stack([c.matrix for c in channels])
+    stack = ChannelStack.fill(
+        (assemble_channel(geometry, cfg.pattern, d, cfg.channel) for d in drops), len(drops)
+    )
     drops_key = drops_fingerprint(drops)
     beams = cfg.scenario.users
     info(
@@ -398,7 +412,7 @@ def optimize(
         baseline_cover = baseline_tiling(aperture)
         baseline_record = evaluate_tiling(
             baseline_cover,
-            G,
+            stack,
             budget,
             beams=beams,
             condition_cap=cfg.zf_condition_cap,
@@ -487,7 +501,7 @@ def optimize(
                 )
 
     workers = cfg.workers or os.cpu_count() or 1
-    init_args = (G, budget, cfg.zf_condition_cap, beams, cells, aperture.size, drops_key)
+    init_args = (stack, budget, cfg.zf_condition_cap, beams, cells, aperture.size, drops_key)
     if workers > 1:
         # small enough that every worker gets about four chunks
         chunksize = max(1, min(64, math.ceil(tasks / (4 * workers))))
@@ -501,28 +515,28 @@ def optimize(
     if ledger_fh:
         ledger_fh.close()
 
-    def materialize(row: LedgerRow | None, ids: tuple[int, ...] | None):
-        if row is None:
-            return None, None, None
+    def materialize(row: LedgerRow, ids: tuple[int, ...] | None):
         cover = (
             _cover_by_index(search, row.tiling_index, cells, aperture.size)
             if ids is None
             else _cover_from_ids(ids, cells, aperture.size)
         )
-        record = evaluate_tiling(
-            cover,
-            G,
-            budget,
-            beams=beams,
-            condition_cap=cfg.zf_condition_cap,
-            tiling_index=row.tiling_index,
-            drops_key=drops_key,
+        record, zf = _evaluate(
+            cover, stack, budget, beams, cfg.zf_condition_cap, row.tiling_index, drops_key
         )
-        precoders = tiling_precoders(cover, G, cfg.zf_condition_cap) if record.feasible else None
-        return cover, record, precoders
+        return cover, record, zf
 
-    best_cover, best_record, best_precoders = materialize(best_row, best_ids)
-    best_any_cover, best_any_record, _ = materialize(best_any_row, best_any_ids)
+    # each distinct best tiling is evaluated once; its precoders come from
+    # the same pass
+    best_cover = best_record = best_precoders = None
+    best_any_cover = best_any_record = None
+    if best_row is not None:
+        best_cover, best_record, zf = materialize(best_row, best_ids)
+        best_precoders = None if zf is None else _precoders(*zf)
+    if best_any_row is best_row:
+        best_any_cover, best_any_record = best_cover, best_record
+    elif best_any_row is not None:
+        best_any_cover, best_any_record, _ = materialize(best_any_row, best_any_ids)
 
     comparison = None
     if best_record is not None and baseline_record is not None:
@@ -548,7 +562,7 @@ def optimize(
         comparison=comparison,
         ledger=all_rows,
         drops=drops,
-        channel_assemblies=len(channels),
+        channel_assemblies=len(drops),
         elapsed_s=time.perf_counter() - start,
     )
 

@@ -79,6 +79,74 @@ def element_weight_norms(V: PrecodingMatrix, s: AggregationVector) -> np.ndarray
     return np.linalg.norm(w, axis=-1)
 
 
+# --- batched zero forcing with a certified cap decision -------------------
+
+# Largest condition number the certificate in `_zero_force` may settle. Up to
+# cond(H) = 1e6 the Gram matrix has cond <= 1e12, where eigvalsh's computed
+# condition number is accurate to far better than the certificate's margin.
+CERTIFIED_COND_LIMIT = 1e6
+
+
+def _cap_decision(gram: np.ndarray, condition_cap: float) -> np.ndarray:
+    """Per-drop cap test from the eigenvalues of the (P, A, A) Gram matrices."""
+    lam = np.linalg.eigvalsh(gram)
+    ok = lam[:, 0] > 0.0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cond = np.sqrt(lam[:, -1] / np.where(ok, lam[:, 0], 1.0))
+    return ok & (cond <= condition_cap)
+
+
+def _zero_force(H: np.ndarray, sizes: np.ndarray, condition_cap: float):
+    """Zero-force a (P, A, 2Q) batch of effective channels and decide the cap.
+
+    Returns (ok, V_normalized, norms, power): ok[p] is the decision of
+    `_cap_decision` for drop p; V_normalized (P, 2Q, A) holds the beams
+    scaled to unit element-weight norm, norms (P, A) the norms they were
+    divided by, and power (P, A, A) = |H @ V_normalized|^2. The last three
+    are None when `solve` meets an exactly singular Gram matrix.
+
+    eigvalsh runs only on the drops that a norm certificate leaves open.
+    If ||HV - I||_F <= 1/2, then sigma_min(H) >= 1 / (2 ||V||_2), so
+    cond(H) <= 2 ||H||_F ||V||_F; when that is at most
+    tau = min(cap / 100, CERTIFIED_COND_LIMIT), eigvalsh would pass the
+    drop too. Both norms come from arrays the scoring forms anyway.
+    """
+    gram = H @ np.conj(np.swapaxes(H, -1, -2))
+    try:
+        V = np.conj(np.swapaxes(np.linalg.solve(gram, H), -1, -2))  # (P, 2Q, A)
+    except np.linalg.LinAlgError:
+        ok = _cap_decision(gram, condition_cap)
+        if ok.all():
+            raise
+        return ok, None, None, None
+    # drops over the cap may overflow here; they fail the certificate
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        magnitude = V.real**2 + V.imag**2
+        norms = np.sqrt(np.einsum("q,pqa->pa", sizes, magnitude))
+        V_normalized = V / norms[:, None, :]
+        product = H @ V_normalized  # (P, A, A)
+        power = product.real**2 + product.imag**2
+        # ||HV - I||_F^2, where column a of HV is norms[a] * product[:, a]
+        residual_f2 = (
+            np.einsum("pa,pa->p", norms**2, power.sum(axis=1))
+            - 2.0 * np.einsum("pa,pa->p", norms, np.einsum("paa->pa", product).real)
+            + H.shape[1]
+        )
+        h_f2 = np.einsum("paa->p", gram).real
+        v_f2 = magnitude.sum(axis=(1, 2))
+        tau = min(condition_cap / 100.0, CERTIFIED_COND_LIMIT)
+        ok = (residual_f2 <= 0.25) & (2.0 * np.sqrt(h_f2 * v_f2) <= tau)
+    if not ok.all():
+        open_drops = ~ok
+        ok[open_drops] = _cap_decision(gram[open_drops], condition_cap)
+    return ok, V_normalized, norms, power
+
+
+def _precoders(V_normalized: np.ndarray, norms: np.ndarray) -> list[PrecodingMatrix]:
+    """One PrecodingMatrix per drop from `_zero_force`'s beams and norms."""
+    return [PrecodingMatrix(coefficients=v, scale=1.0 / n) for v, n in zip(V_normalized, norms)]
+
+
 # --- export / import (same tensor conventions as channel matrices) --------
 
 _ORDERING_NOTE = (

@@ -100,6 +100,47 @@ def elementwise_port_powers(G_full, cover, coefficients, tx_power_w, beams, port
     return desired, interference
 
 
+def reduceat_aggregate(G, s):
+    """Per-tile column sums of a (..., 2U, 2MN) array by one gather and
+    `np.add.reduceat`, the reference `aggregate_channel` must match bit for
+    bit."""
+    mat = np.asarray(G)
+    values = np.asarray(s.values)
+    mn = values.size
+    order = np.argsort(values, kind="stable")
+    sizes = s.tile_sizes()
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    cols = np.concatenate((order, mn + order))
+    return np.add.reduceat(mat[..., cols], np.concatenate((starts, mn + starts)), axis=-1)
+
+
+def eigvalsh_cap_decision(H, condition_cap):
+    """Per-drop cap test on (P, A, 2Q) channels from the eigenvalues of H H^H:
+    full rank and sqrt(lambda_max / lambda_min) <= cap."""
+    gram = H @ np.conj(np.swapaxes(H, -1, -2))
+    lam = np.linalg.eigvalsh(gram)
+    ok = lam[:, 0] > 0.0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cond = np.sqrt(lam[:, -1] / np.where(ok, lam[:, 0], 1.0))
+    return ok & (cond <= condition_cap)
+
+
+def eigvalsh_first_capacities(H, sizes, condition_cap, budget, beams):
+    """(P, A) port capacities and desired powers by deciding the cap with
+    eigvalsh before solving; None when a drop fails the cap."""
+    if not eigvalsh_cap_decision(H, condition_cap).all():
+        return None
+    gram = H @ np.conj(np.swapaxes(H, -1, -2))
+    V = np.conj(np.swapaxes(np.linalg.solve(gram, H), -1, -2))
+    norms = np.sqrt(np.einsum("q,pqa->pa", sizes, V.real**2 + V.imag**2))
+    product = H @ (V / norms[:, None, :])
+    power = product.real**2 + product.imag**2
+    diagonal = np.einsum("paa->pa", power)
+    p_des = budget.tx_power_w / beams * diagonal
+    p_mui = budget.tx_power_w / beams * (power.sum(axis=2) - diagonal)
+    return np.log2(1.0 + p_des / (p_mui + budget.noise_power_w)), p_des
+
+
 def hexagon_vertices(center, edge):
     return np.array(
         [

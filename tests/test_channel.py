@@ -3,6 +3,7 @@ import pytest
 
 from apertile.channel import (
     ChannelModel,
+    ChannelStack,
     LinkBudget,
     aggregate_channel,
     assemble_channel,
@@ -14,9 +15,17 @@ from apertile.channel import (
 )
 from apertile.geometry import ElementPattern, expand_weights_dual
 from apertile.scenario import UEDrop
-from apertile.tiling import AggregationVector, Aperture, baseline_tiling
+from apertile.shapes import alphabet
+from apertile.tiling import (
+    AggregationVector,
+    Aperture,
+    baseline_tiling,
+    build_incidence_matrix,
+    generate_placements,
+)
 from apertile.units import linear_to_db
 
+from oracles import reduceat_aggregate
 from test_geometry import reference_geometry
 
 
@@ -222,6 +231,71 @@ def test_aggregation_rejects_mismatched_width(rng):
     cover = baseline_tiling(Aperture(4, 6))
     with pytest.raises(ValueError, match="TX columns"):
         aggregate_channel(np.zeros((2, 50)), cover)
+
+
+def complex_stack(rng, drops, ports, columns):
+    shape = (drops, ports, columns)
+    scale = 10.0 ** rng.integers(-9, -3, size=shape)
+    return scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+
+def assert_bit_identical(G, cover):
+    """Row-major and column-major inputs both give the reduceat bytes."""
+    expected = reduceat_aggregate(G, cover)
+    for channels in (G, ChannelStack.fill(G, len(G))):
+        got = aggregate_channel(channels, cover)
+        assert got.flags.c_contiguous
+        assert got.shape == expected.shape
+        assert np.array_equal(got.view(float), expected.view(float))
+
+
+def labels_from_sizes(rng, sizes):
+    """A random pixel-to-tile assignment with the given tile sizes."""
+    values = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+    return AggregationVector(values=rng.permutation(values), tile_count=len(sizes))
+
+
+def test_aggregation_is_bit_identical_to_reduceat_for_tile_sizes_1_to_20(rng):
+    for n in range(1, 21):
+        cover = labels_from_sizes(rng, [n] * 3)
+        assert_bit_identical(complex_stack(rng, 3, 4, 2 * 3 * n), cover)
+
+
+def test_aggregation_is_bit_identical_to_reduceat_for_mixed_sizes(rng):
+    for sizes in ([1, 2, 3, 4, 5, 6, 7, 8], [20, 1, 13, 6, 6, 9], [64, 65, 1, 130]):
+        cover = labels_from_sizes(rng, sizes)
+        G = complex_stack(rng, 2, 6, 2 * sum(sizes))
+        assert_bit_identical(G, cover)
+        # real channels follow numpy's real pairwise order, which differs
+        real = np.ascontiguousarray(G.real)
+        assert np.array_equal(aggregate_channel(real, cover), reduceat_aggregate(real, cover))
+
+
+@pytest.mark.parametrize("shapes", ["P", "P+L"])
+def test_aggregation_is_bit_identical_for_every_placement(rng, shapes):
+    # each placement as one tile among single-pixel tiles, on the 8x12 panel
+    aperture = Aperture(8, 12)
+    G = complex_stack(rng, 2, 4, 2 * aperture.size)
+    matrix = build_incidence_matrix(generate_placements(aperture, alphabet(shapes)), aperture)
+    for pixels in matrix.rows:
+        tile = np.zeros(aperture.size, dtype=bool)
+        tile[np.asarray(pixels) - 1] = True
+        first = np.flatnonzero(tile)[0]
+        # tiles numbered by first pixel, like enumerated covers
+        keys = np.where(tile, first, np.arange(aperture.size))
+        _, values = np.unique(keys, return_inverse=True)
+        cover = AggregationVector(values=values + 1, tile_count=int(values.max()) + 1)
+        assert_bit_identical(G, cover)
+    assert_bit_identical(G, baseline_tiling(aperture))
+
+
+def test_channel_stack_fill_checks_the_drop_count(rng):
+    G = complex_stack(rng, 3, 2, 8)
+    stack = ChannelStack.fill(G, 3)
+    assert stack.columns.shape == (8, 3, 2)
+    np.testing.assert_array_equal(stack.columns[5, 1], G[1, :, 5])
+    with pytest.raises(ValueError, match="expected 4 channels"):
+        ChannelStack.fill(G, 4)
 
 
 # --- serialization ------------------------------------------------------------------------

@@ -442,6 +442,57 @@ def test_read_ledger_rejects_malformed(tmp_path):
         read_ledger(path)
 
 
+def test_read_ledger_rejects_row_cut_after_its_last_comma(tmp_path):
+    # a row cut just before its feasible flag once read as an infeasible row
+    header = "# apertile ledger v1\nt,capacity_bps_hz,min_power_dbm,coverage,feasible\n"
+    good = "2,117.73010402125845,-58.96120553044186,1,1\n"
+    for bad in (
+        "3,117.73010402125845,-58.96120553044186,1,",
+        "3,117.73010402125845,-58.96120553044186,1,1,",
+        "3,117.73010402125845,-58.96120553044186,1,2",
+        "3,117.73010402125845,-58.96120553044186,,1",
+    ):
+        path = tmp_path / "cut.csv"
+        path.write_text(header + good + bad + "\n")
+        with pytest.raises(ValueError, match="malformed ledger line"):
+            read_ledger(path)
+    path.write_text(header + good)
+    assert read_ledger(path)[1] == [
+        LedgerRow(2, 117.73010402125845, -58.96120553044186, True, True)
+    ]
+
+
+def test_each_best_tiling_is_evaluated_once(monkeypatch):
+    calls = []
+    real = opt._evaluate
+
+    def counting(cover, *args):
+        calls.append(args[-2])  # tiling_index
+        return real(cover, *args)
+
+    def no_precoders(*args, **kwargs):
+        raise AssertionError("optimize takes the precoders from its evaluation")
+
+    monkeypatch.setattr(opt, "_evaluate", counting)
+    monkeypatch.setattr(opt, "tiling_precoders", no_precoders)
+    cfg = toy_config()
+    result = optimize(cfg)
+    # three ledger rows, then the best tiling once (it is also the
+    # unconstrained best)
+    assert result.best.tiling_index == result.best_unconstrained.tiling_index
+    assert sorted(calls) == sorted([1, 2, 3, result.best.tiling_index])
+    geometry = cfg.geometry()
+    channels = [
+        assemble_channel(geometry, cfg.pattern, d, cfg.channel)
+        for d in sample_drops(cfg.scenario)
+    ]
+    expected = tiling_precoders(result.best_cover, channels)
+    assert len(result.best_precoders) == len(expected) == cfg.scenario.drops
+    for got, want in zip(result.best_precoders, expected):
+        np.testing.assert_array_equal(got.coefficients, want.coefficients)
+        np.testing.assert_array_equal(got.scale, want.scale)
+
+
 def test_result_to_json_shape(tmp_path):
     # 6-row aperture so the baseline layout exists
     cfg = toy_config(
