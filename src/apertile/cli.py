@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 
 import numpy as np
 
@@ -27,10 +28,11 @@ from .precoding import save_precoders
 from .reports import render_ascii, render_svg, write_distribution_csv
 from .scenario import drops_fingerprint, sample_drops, save_drops
 from .tiling import (
+    _cover_from_ids,
+    _cover_json_line,
+    _CoverSearch,
     baseline_tiling,
     build_incidence_matrix,
-    cover_to_json,
-    enumerate_exact_covers,
     generate_placements,
     load_cover,
 )
@@ -71,6 +73,7 @@ def cmd_enumerate(args) -> int:
     placements = generate_placements(aperture, cfg.shapes())
     matrix = build_incidence_matrix(placements, aperture)
 
+    search = _CoverSearch(matrix)
     dump_json = open(args.dump_json, "w") if args.dump_json else None
     dump_ascii = open(args.dump_ascii, "w") if args.dump_ascii else None
     if dump_json:
@@ -78,21 +81,24 @@ def cmd_enumerate(args) -> int:
             json.dumps({"config_hash": cfg.config_hash(), "seed": cfg.scenario.seed})
             + "\n"
         )
+        json_line = _cover_json_line(matrix)
     if dump_ascii:
         dump_ascii.write(f"# config_hash={cfg.config_hash()} seed={cfg.scenario.seed}\n")
+        cells = [np.array(pixels, dtype=np.intp) - 1 for pixels in matrix.rows]
 
-    count = 0
-    for cover in enumerate_exact_covers(matrix):
-        count += 1
-        if count <= args.limit:
+    # the first line is written before anything is counted; the count then
+    # reads the memo the stream left behind (complete subtrees only)
+    if dump_json or dump_ascii:
+        for _t, rows in islice(search.stream(), max(args.limit, 0)):
             if dump_json:
-                dump_json.write(json.dumps(cover_to_json(cover, aperture)) + "\n")
+                dump_json.write(json_line(rows))
             if dump_ascii:
+                cover = _cover_from_ids(tuple(k + 1 for k in rows), cells, aperture.size)
                 dump_ascii.write(render_ascii(cover, aperture) + "\n\n")
     for fh in (dump_json, dump_ascii):
         if fh:
             fh.close()
-    print(count)
+    print(search.count())
     return EXIT_OK
 
 

@@ -31,6 +31,7 @@ from .precoding import ChannelRankError, PrecodingMatrix, _precoders, _zero_forc
 from .scenario import UEDrop, drops_fingerprint, sample_drops
 from .tiling import (
     AggregationVector,
+    _cover_from_ids,
     _CoverSearch,
     baseline_tiling,
     build_incidence_matrix,
@@ -298,13 +299,6 @@ def _init_worker(G, budget, condition_cap, beams, cells, element_count, drops_ke
         element_count=element_count,
         drops_key=drops_key,
     )
-
-
-def _cover_from_ids(ids: tuple[int, ...], cells, element_count) -> AggregationVector:
-    values = np.empty(element_count, dtype=np.int32)
-    for q, k in enumerate(ids, start=1):
-        values[cells[k - 1]] = q
-    return AggregationVector(values=values, tile_count=len(ids), placements=ids)
 
 
 def _eval_task(task):

@@ -7,9 +7,10 @@ matrix links placements (rows) to the pixels they cover (columns). Complete
 tilings are exactly the exact covers of that matrix and are streamed lazily
 by a backtracking enumerator that always branches on the uncovered pixel
 with the fewest remaining candidate placements (lowest pixel index on ties,
-candidate placements tried in increasing placement id). Cover counts of
-subtrees let a strided or resumed stream jump straight to the covers it
-wants.
+candidate placements tried in increasing placement id). A memo of every
+node with a cover below it (its cover count and its live branches) lets a
+stream pass a subtree it has met before without searching it again, and a
+strided or resumed stream jump straight to the covers it wants.
 """
 
 from __future__ import annotations
@@ -96,11 +97,17 @@ class AggregationVector:
     placements: tuple[int, ...] | None = None
 
     def validate(self) -> None:
-        vals = np.asarray(self.values)
-        ids = np.unique(vals)
-        if ids.size != self.tile_count or ids[0] != 1 or ids[-1] != self.tile_count:
+        vals = np.asarray(self.values).ravel()
+        q = self.tile_count
+        # every id in 1..q occurs and nothing else does; bincount, because the
+        # first call of np.unique imports numpy.ma (about 0.6 MB resident)
+        exact = vals.size > 0 and vals.min() == 1 and vals.max() == q
+        if exact:
+            ids = vals.astype(np.intp)
+            exact = np.array_equal(ids, vals) and np.count_nonzero(np.bincount(ids)) == q
+        if not exact:
             raise ValueError(
-                f"tile ids must be exactly 1..{self.tile_count}, got {ids.tolist()}"
+                f"tile ids must be exactly 1..{q}, got {sorted(set(vals.tolist()))}"
             )
         if self.placements is not None and len(self.placements) != self.tile_count:
             raise ValueError("placement list length disagrees with tile count")
@@ -175,16 +182,25 @@ def build_incidence_matrix(
 
 
 class _CoverSearch:
-    """Exact-cover search over one incidence matrix, with counted subtrees.
+    """Exact-cover search over one incidence matrix, with a memo of live nodes.
 
     Rows and pixels live in integer bitmasks, so backtracking restores state
     exactly by construction (the masks passed down are immutable). The rows
     still active at a node are the rows disjoint from its covered pixels,
-    and the branching pixel depends only on those, so the number of covers
-    below a node is a function of the covered mask. Counting memoizes it
-    for subtrees holding at least two covers (dead ends and single paths are
-    cheap to recount), and `stream` uses the counts to step over subtrees
-    that hold no wanted cover index.
+    and the branching pixel depends only on those, so everything below a
+    node is a function of its covered mask.
+
+    `memo` maps the covered mask of every node with at least one cover below
+    it, once that subtree has been counted or walked in full, to the tuple
+    (covers below, *live rows): the live rows are the rows tried at the
+    node, in search order, whose child holds a cover (one tuple per entry,
+    which keeps the memo small: three quarters of the live nodes on 8x12 P
+    have a single live row). The entries form a shared graph of the cover
+    set. A stream that reaches a stored node loops over its live rows only,
+    so it never visits a dead end again, and steps over children by their
+    stored counts. Dead ends are not stored: on 8x12 P they are three
+    quarters of the distinct masks, and they are met only below the first
+    expansion of a live node.
     """
 
     def __init__(self, L: IncidenceMatrix):
@@ -207,27 +223,20 @@ class _CoverSearch:
             cell_bits[k] = bits
         self.rows_all = (1 << K) - 1
         self.full = (1 << I) - 1
-        self.cand = cand
         self.conflict = conflict
         self.cell_bits = cell_bits
-        self.memo: dict[int, int] = {}
+        self.memo: dict[int, tuple[int, ...]] = {}
+        self._branch = self._branch_rule(cand, K)
+        self._below = self._counter()
 
-    def _counter(self) -> Callable[[int, int], int]:
-        """Return below(active, covered), the number of covers under a node."""
-        K = len(self.conflict)
+    def _branch_rule(self, cand: list[int], K: int) -> Callable[[int, int], list[int]]:
+        """Return branch(active, covered): the active rows that cover the
+        uncovered pixel with fewest of them (lowest pixel index on ties), in
+        increasing row id; empty when some uncovered pixel has none."""
         full = self.full
-        cand = self.cand
-        conflict = self.conflict
-        cell_bits = self.cell_bits
-        memo = self.memo
+        ids = list(range(K))  # one int object per row id, shared by the memo
 
-        def below(active: int, covered: int) -> int:
-            if covered == full:
-                return 1
-            total = memo.get(covered)
-            if total is not None:
-                return total
-            # the branching rule of `stream`
+        def branch(active: int, covered: int) -> list[int]:
             free = full & ~covered
             best_rows = 0
             best_n = K + 1
@@ -238,27 +247,50 @@ class _CoverSearch:
                 n = rows_i.bit_count()
                 if n < best_n:
                     if n == 0:
-                        return 0
+                        return []
                     best_n = n
                     best_rows = rows_i
                     if n == 1:
                         break
+            rows = []
+            while best_rows:
+                low = best_rows & -best_rows
+                best_rows ^= low
+                rows.append(ids[low.bit_length() - 1])
+            return rows
+
+        return branch
+
+    def _counter(self) -> Callable[[int, int], int]:
+        """Return below(active, covered), the number of covers under a node."""
+        full = self.full
+        conflict = self.conflict
+        cell_bits = self.cell_bits
+        memo = self.memo
+        branch = self._branch
+
+        def below(active: int, covered: int) -> int:
+            if covered == full:
+                return 1
+            entry = memo.get(covered)
+            if entry is not None:
+                return entry[0]
             total = 0
-            m = best_rows
-            while m:
-                low = m & -m
-                m ^= low
-                k = low.bit_length() - 1
-                total += below(active & ~conflict[k], covered | cell_bits[k])
-            if total >= 2:
-                memo[covered] = total
+            live = []
+            for k in branch(active, covered):
+                covers = below(active & ~conflict[k], covered | cell_bits[k])
+                if covers:
+                    total += covers
+                    live.append(k)
+            if total:
+                memo[covered] = (total, *live)
             return total
 
         return below
 
     def count(self) -> int:
         """Number of exact covers of the whole matrix."""
-        return self._counter()(self.rows_all, 0)
+        return self._below(self.rows_all, 0)
 
     def stream(
         self, start: int = 1, step: int = 1
@@ -269,19 +301,51 @@ class _CoverSearch:
         are the cover's 0-based row indices. While covers remain to be
         passed before the next wanted one, the search counts each child
         before descending and steps over it if it holds no more than that.
-        For start = step = 1 nothing is ever counted.
+        A node met for the first time is stored in the memo once all its
+        children have been walked, so a stream stopped early leaves only
+        complete entries behind.
         """
         if start < 1 or step < 1:
             raise ValueError(f"start and step must be >= 1, got {start}, {step}")
-        K = len(self.conflict)
         full = self.full
-        cand = self.cand
         conflict = self.conflict
         cell_bits = self.cell_bits
-        count = self._counter()
+        memo = self.memo
+        branch = self._branch
+        below = self._below
         chosen: list[int] = []
         want = start  # index of the next cover to yield
-        skip = start - 1  # covers to pass before it
+        skip = start - 1  # covers to pass before it; want - skip - 1 are passed
+
+        def stored(covered: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+            # walk a stored node's subtree through live rows alone, with one
+            # iterator per depth instead of one generator per node
+            nonlocal want, skip
+            masks = [covered]
+            todo = [iter(memo[covered][1:])]
+            while todo:
+                for k in todo[-1]:
+                    child = masks[-1] | cell_bits[k]
+                    if skip:
+                        covers = 1 if child == full else memo[child][0]
+                        if covers <= skip:
+                            skip -= covers
+                            continue
+                    chosen.append(k)
+                    if child == full:
+                        yield want, tuple(chosen)
+                        want += step
+                        skip = step - 1
+                        chosen.pop()
+                        continue
+                    masks.append(child)
+                    todo.append(iter(memo[child][1:]))
+                    break
+                else:
+                    masks.pop()
+                    todo.pop()
+                    if todo:
+                        chosen.pop()
 
         def search(active: int, covered: int) -> Iterator[tuple[int, tuple[int, ...]]]:
             nonlocal want, skip
@@ -291,37 +355,29 @@ class _CoverSearch:
                 want += step
                 skip = step - 1
                 return
-            # uncovered pixel with fewest active candidates, lowest index on
-            # ties; `_counter` inlines the same rule, and the two must agree
-            free = full & ~covered
-            best_rows = 0
-            best_n = K + 1
-            while free:
-                low = free & -free
-                free ^= low
-                rows_i = cand[low.bit_length() - 1] & active
-                n = rows_i.bit_count()
-                if n < best_n:
-                    if n == 0:
-                        return
-                    best_n = n
-                    best_rows = rows_i
-                    if n == 1:
-                        break
-            m = best_rows
-            while m:
-                low = m & -m
-                m ^= low
-                k = low.bit_length() - 1
+            if covered in memo:
+                yield from stored(covered)
+                return
+            first = want - skip
+            live = []
+            for k in branch(active, covered):
+                child = covered | cell_bits[k]
+                before = want - skip
                 # the only test on the path of a full enumeration (skip == 0)
                 if skip:
-                    covers = count(active & ~conflict[k], covered | cell_bits[k])
+                    covers = below(active & ~conflict[k], child)
                     if covers <= skip:
                         skip -= covers
+                        if covers:
+                            live.append(k)
                         continue
                 chosen.append(k)
-                yield from search(active & ~conflict[k], covered | cell_bits[k])
+                yield from search(active & ~conflict[k], child)
                 chosen.pop()
+                if want - skip != before:
+                    live.append(k)
+            if live:
+                memo[covered] = (want - skip - first, *live)
 
         yield from search(self.rows_all, 0)
 
@@ -336,6 +392,15 @@ def _cover_stream(
     return _CoverSearch(L).stream(start, step)
 
 
+def _cover_from_ids(ids: tuple[int, ...], cells, element_count) -> AggregationVector:
+    """The cover with placement ids `ids` (1-based, in tile-id order), given
+    each placement's 0-based pixel indices."""
+    values = np.empty(element_count, dtype=np.int32)
+    for q, k in enumerate(ids, start=1):
+        values[cells[k - 1]] = q
+    return AggregationVector(values=values, tile_count=len(ids), placements=ids)
+
+
 def enumerate_exact_covers(L: IncidenceMatrix) -> Iterator[AggregationVector]:
     """Stream every complete tiling encoded in the incidence matrix.
 
@@ -344,21 +409,13 @@ def enumerate_exact_covers(L: IncidenceMatrix) -> Iterator[AggregationVector]:
     deterministic; infeasible instances yield nothing.
     """
     cells = [np.array(pixels, dtype=np.intp) - 1 for pixels in L.rows]
-    I = L.aperture.size
     for _t, rows in _cover_stream(L):
-        values = np.empty(I, dtype=np.int32)
-        for q, k in enumerate(rows, start=1):
-            values[cells[k]] = q
-        yield AggregationVector(
-            values=values,
-            tile_count=len(rows),
-            placements=tuple(k + 1 for k in rows),
-        )
+        yield _cover_from_ids(tuple(k + 1 for k in rows), cells, L.aperture.size)
 
 
 def count_exact_covers(L: IncidenceMatrix) -> int:
     """Number of exact covers, without materializing the tilings."""
-    return sum(1 for _ in _cover_stream(L))
+    return _CoverSearch(L).count()
 
 
 def baseline_tiling(aperture: Aperture) -> AggregationVector:
@@ -392,6 +449,30 @@ def cover_to_json(cover: AggregationVector, aperture: Aperture) -> dict:
         "values_row_major": np.asarray(cover.values).tolist(),
         "placements": list(cover.placements) if cover.placements else None,
     }
+
+
+def _cover_json_line(L: IncidenceMatrix) -> Callable[[tuple[int, ...]], str]:
+    """Return line(rows): the JSON line (with its newline) of the cover with
+    these 0-based rows of L, byte for byte `json.dumps(cover_to_json(...))`
+    of that cover, filled into a template without building the cover."""
+    aperture = L.aperture
+    cells = [[i - 1 for i in pixels] for pixels in L.rows]
+    text = [str(i) for i in range(max(len(L.rows), aperture.size) + 1)]
+    head = f'{{"columns": {aperture.columns}, "rows": {aperture.rows}, "tile_count": '
+    values = [""] * aperture.size  # refilled completely by every exact cover
+
+    def line(rows: tuple[int, ...]) -> str:
+        for q, k in enumerate(rows, start=1):
+            tile = text[q]
+            for i in cells[k]:
+                values[i] = tile
+        placements = ", ".join([text[k + 1] for k in rows])
+        return (
+            f'{head}{len(rows)}, "values_row_major": [{", ".join(values)}], '
+            f'"placements": [{placements}]}}\n'
+        )
+
+    return line
 
 
 def cover_from_json(doc: dict) -> tuple[AggregationVector, Aperture]:

@@ -57,6 +57,33 @@ def brute_force_covers(rows: list[frozenset[int]], pixel_count: int) -> set[froz
     return out
 
 
+def reference_covers(L) -> list[tuple[int, ...]]:
+    """Every exact cover of the incidence matrix L as a tuple of 0-based row
+    indices, in the library's depth-first order, by an unmemoized search:
+    branch on the uncovered pixel with the fewest candidate rows disjoint
+    from the covered pixels (lowest pixel index on ties), and try those
+    rows in increasing index."""
+    rows = [frozenset(pixels) for pixels in L.rows]
+    pixels = range(1, L.aperture.size + 1)
+    out: list[tuple[int, ...]] = []
+
+    def recurse(covered: frozenset[int], chosen: tuple[int, ...]):
+        free = [i for i in pixels if i not in covered]
+        if not free:
+            out.append(chosen)
+            return
+        candidates = {
+            i: [k for k, cells in enumerate(rows) if i in cells and not (cells & covered)]
+            for i in free
+        }
+        pixel = min(free, key=lambda i: (len(candidates[i]), i))
+        for k in candidates[pixel]:
+            recurse(covered | rows[k], chosen + (k,))
+
+    recurse(frozenset(), ())
+    return out
+
+
 def naive_far_field(geometry, pattern, element_weights, theta, phi, pol):
     """Direct double loop over (m, n) for the radiated field."""
     from apertile.geometry import element_field

@@ -18,7 +18,14 @@ from apertile.reports import (
 )
 from apertile.scenario import ScenarioParams
 from apertile.shapes import alphabet
-from apertile.tiling import Aperture, baseline_tiling
+from apertile.tiling import (
+    Aperture,
+    baseline_tiling,
+    build_incidence_matrix,
+    cover_to_json,
+    enumerate_exact_covers,
+    generate_placements,
+)
 
 from test_geometry import reference_geometry
 
@@ -183,6 +190,33 @@ def test_cli_enumerate_dumps_covers(tmp_path, capsys):
     doc = json.loads(lines[1])
     assert doc["values_row_major"] == [1, 1, 2, 3, 3, 2]
     assert art.read_text().count("\n\n") == 2
+
+
+def test_cli_enumerate_limit_stops_the_dump_but_not_the_count(tmp_path, capsys):
+    cfg = tiny_config(aperture=ApertureConfig(6, 6), alphabet="P+L")
+    path = write_config(tmp_path, cfg)
+    assert main(["enumerate", "--config", path]) == 0
+    count = capsys.readouterr().out.strip()
+    assert count == "64"
+    aperture = Aperture(6, 6)
+    matrix = build_incidence_matrix(generate_placements(aperture, cfg.shapes()), aperture)
+    expected = [json.dumps(cover_to_json(c, aperture)) for c in enumerate_exact_covers(matrix)]
+    for limit in (1, 5, 63, 64, 65, 0):
+        dump = tmp_path / f"covers_{limit}.jsonl"
+        art = tmp_path / f"covers_{limit}.txt"
+        assert main([
+            "enumerate", "--config", path,
+            "--dump-json", str(dump), "--dump-ascii", str(art), "--limit", str(limit),
+        ]) == 0
+        assert capsys.readouterr().out.strip() == count
+        lines = dump.read_text().splitlines()
+        assert len(lines) == 1 + min(limit, 64)
+        assert lines[1:] == expected[:limit]
+        assert art.read_text().count("\n\n") == min(limit, 64)
+    dump = tmp_path / "covers.jsonl"
+    assert main(["enumerate", "--config", path, "--dump-json", str(dump)]) == 0
+    assert capsys.readouterr().out.strip() == count
+    assert dump.read_text().splitlines()[1:] == expected
 
 
 def test_cli_optimize_writes_outputs_and_is_deterministic(tmp_path, capsys):

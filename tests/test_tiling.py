@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,6 +14,7 @@ from apertile.tiling import (
     AggregationVector,
     Aperture,
     Placement,
+    _cover_json_line,
     _cover_stream,
     _CoverSearch,
     baseline_tiling,
@@ -20,7 +27,7 @@ from apertile.tiling import (
     generate_placements,
 )
 
-from oracles import brute_force_covers, brute_force_placements
+from oracles import brute_force_covers, brute_force_placements, reference_covers
 
 
 def matrix_for(columns, rows, selector):
@@ -194,6 +201,96 @@ def test_strided_stream_equals_filtered_full_stream(columns, rows, selector, tot
             assert list(search.stream(start, step)) == expected
 
 
+def warm_memo(search, state, total):
+    """Bring a fresh search's memo into one of MEMO_STATES."""
+    if state == "count":
+        assert search.count() == total
+    elif state == "stream":
+        assert sum(1 for _ in search.stream()) == total
+    elif state == "half":
+        stream = search.stream()
+        for _ in range(total // 2):
+            next(stream)
+        stream.close()
+
+
+MEMO_STATES = ("cold", "count", "stream", "half")
+
+
+@pytest.mark.parametrize("state", MEMO_STATES)
+@pytest.mark.parametrize(
+    "columns,rows,selector",
+    [(4, 6, "P"), (4, 6, "P+L"), (6, 6, "P"), (6, 6, "P+L"), (6, 8, "P"), (6, 8, "P+L")],
+)
+def test_memoized_search_equals_the_unmemoized_reference(columns, rows, selector, state):
+    matrix, _ = matrix_for(columns, rows, selector)
+    reference = reference_covers(matrix)
+    total = len(reference)
+    starts = {1, 2, total // 2, total - 1, total, total + 1} | set(
+        range(1, total + 2, max(1, total // 12))
+    )
+    for step in sorted({1, 2, 3, 7, total - 1, total}):
+        for start in sorted(starts - {0}):
+            search = _CoverSearch(matrix)
+            warm_memo(search, state, total)
+            expected = [(t, reference[t - 1]) for t in range(start, total + 1, step)]
+            assert list(search.stream(start, step)) == expected
+            assert search.count() == total
+            # what the memo holds now still streams every cover in order
+            assert [r for _, r in search.stream()] == reference
+
+
+@pytest.mark.parametrize("columns,rows,selector", [(6, 6, "P"), (6, 8, "P")])
+def test_count_in_the_middle_of_a_stream(columns, rows, selector):
+    # the count stores nodes the suspended stream is still walking
+    matrix, _ = matrix_for(columns, rows, selector)
+    reference = reference_covers(matrix)
+    total = len(reference)
+    for start, step in ((1, 1), (2, 3)):
+        search = _CoverSearch(matrix)
+        stream = search.stream(start, step)
+        head = [next(stream) for _ in range(len(range(start, total + 1, step)) // 2)]
+        assert search.count() == total
+        expected = [(t, reference[t - 1]) for t in range(start, total + 1, step)]
+        assert head + list(stream) == expected
+
+
+def test_stream_of_a_stored_node_expands_nothing():
+    matrix, _ = matrix_for(6, 8, "P")
+    search = _CoverSearch(matrix)
+    covers = list(search.stream())  # a cold step-1 stream never counts
+    assert search.count() == len(covers) == 202
+    expanded = []
+    search._branch = lambda active, covered: expanded.append(covered)
+    assert list(search.stream()) == covers
+    assert list(search.stream(5, 7)) == covers[4::7]
+    assert expanded == []
+
+
+def test_cold_step_one_stream_counts_nothing():
+    matrix, _ = matrix_for(6, 6, "P+L")
+    search = _CoverSearch(matrix)
+
+    def below(active, covered):
+        raise AssertionError("counted a subtree")
+
+    search._below = below
+    assert [r for _, r in search.stream()] == reference_covers(matrix)
+
+
+@pytest.mark.parametrize(
+    "columns,rows,selector", [(6, 6, "P"), (6, 6, "P+L"), (6, 4, "domino")]
+)
+def test_cover_json_lines_equal_json_dumps(columns, rows, selector):
+    matrix, aperture = matrix_for(columns, rows, selector)
+    line = _cover_json_line(matrix)
+    covers = list(enumerate_exact_covers(matrix))
+    assert len(covers) > 1
+    assert [line(r) for _, r in _cover_stream(matrix)] == [
+        json.dumps(cover_to_json(cover, aperture)) + "\n" for cover in covers
+    ]
+
+
 def test_stream_rejects_nonpositive_start_or_step():
     matrix, _ = matrix_for(3, 2, "domino")
     with pytest.raises(ValueError):
@@ -297,6 +394,37 @@ def test_baseline_matches_exact_cover_of_vertical_bars():
 def test_baseline_rejects_indivisible_rows():
     with pytest.raises(ValueError, match="divisible by 6"):
         baseline_tiling(Aperture(8, 10))
+
+
+@pytest.mark.parametrize(
+    "values,tile_count",
+    [([1, 2, 4], 3), ([0, 1, 2], 2), ([2, 2], 1), ([1, 1.5, 2], 2), ([], 0), ([1, 1, 1], 2)],
+)
+def test_validate_rejects_tile_ids_other_than_one_to_q(values, tile_count):
+    with pytest.raises(ValueError, match=f"tile ids must be exactly 1..{tile_count}"):
+        AggregationVector(np.array(values), tile_count).validate()
+
+
+def test_validate_accepts_every_id_once_or_more():
+    AggregationVector(np.array([[1, 3], [2, 3]]), 3).validate()
+    AggregationVector(np.array([2.0, 1.0, 1.0]), 2).validate()
+
+
+def test_validate_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma (about 0.6 MB resident) on its first call
+    code = (
+        "import sys, numpy as np\n"
+        "from apertile.tiling import AggregationVector\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+        "AggregationVector(np.array([1, 2, 2, 3], dtype=np.int32), 3).validate()\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 # --- serialization -------------------------------------------------------------

@@ -139,6 +139,39 @@ def test_study_sample_records_equal_the_eigvalsh_first_evaluation(study200):
         assert same.per_drop_sum_rates.tobytes() == record.per_drop_sum_rates.tobytes()
 
 
+def test_low_cap_decides_every_drop_before_solving(study200, monkeypatch):
+    # at cap 1e3, tau = 10 < 2 sqrt(32) - 1, so no drop can be certified: a
+    # tiling with a failing drop must cost eigvalsh only, never a solve
+    cfg, G, _, covers = study200
+    budget = cfg.link_budget()
+    cap = 1e3
+    solved = []
+    real_solve = np.linalg.solve
+
+    def counting_solve(a, b):
+        solved.append(len(a))
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    outcomes = set()
+    for p in range(0, 60, 2):
+        pair = ChannelStack.fill(G[p : p + 2], 2)
+        for cover in covers[:4]:
+            H = aggregate_channel(pair, cover)
+            passes = bool(eigvalsh_cap_decision(H, cap).all())
+            solved.clear()
+            record = evaluate_tiling(cover, pair, budget, beams=16, condition_cap=cap)
+            assert record.feasible == passes
+            assert bool(solved) == passes
+            outcomes.add(passes)
+            if passes:
+                sizes = np.concatenate([cover.tile_sizes()] * 2).astype(float)
+                capacity, p_des = eigvalsh_first_capacities(H, sizes, cap, budget, 16)
+                assert record.per_drop_sum_rates.tobytes() == capacity.sum(axis=1).tobytes()
+                assert record.eta_desired_w.tobytes() == p_des.min(axis=0).tobytes()
+    assert outcomes == {True, False}
+
+
 def test_batched_precoders_match_per_drop_zero_forcing(study200):
     cfg, G, stack, covers = study200
     cover = covers[1]
