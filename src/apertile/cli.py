@@ -28,7 +28,7 @@ from .precoding import save_precoders
 from .reports import render_ascii, render_svg, write_distribution_csv
 from .scenario import drops_fingerprint, sample_drops, save_drops
 from .tiling import (
-    _cover_from_ids,
+    _cover_from_rows,
     _cover_json_line,
     _CoverSearch,
     baseline_tiling,
@@ -93,7 +93,7 @@ def cmd_enumerate(args) -> int:
             if dump_json:
                 dump_json.write(json_line(rows))
             if dump_ascii:
-                cover = _cover_from_ids(tuple(k + 1 for k in rows), cells, aperture.size)
+                cover = _cover_from_rows(rows, cells, aperture.size)
                 dump_ascii.write(render_ascii(cover, aperture) + "\n\n")
     for fh in (dump_json, dump_ascii):
         if fh:

@@ -31,7 +31,7 @@ from .precoding import ChannelRankError, PrecodingMatrix, _precoders, _zero_forc
 from .scenario import UEDrop, drops_fingerprint, sample_drops
 from .tiling import (
     AggregationVector,
-    _cover_from_ids,
+    _cover_from_rows,
     _CoverSearch,
     baseline_tiling,
     build_incidence_matrix,
@@ -302,8 +302,8 @@ def _init_worker(G, budget, condition_cap, beams, cells, element_count, drops_ke
 
 
 def _eval_task(task):
-    t, ids = task
-    cover = _cover_from_ids(ids, _SHARED["cells"], _SHARED["element_count"])
+    t, rows = task
+    cover = _cover_from_rows(rows, _SHARED["cells"], _SHARED["element_count"])
     record = evaluate_tiling(
         cover,
         _SHARED["G"],
@@ -313,7 +313,7 @@ def _eval_task(task):
         tiling_index=t,
         drops_key=_SHARED["drops_key"],
     )
-    return t, ids, _record_to_row(t, record)
+    return t, rows, _record_to_row(t, record)
 
 
 # --- optimization ----------------------------------------------------------
@@ -347,7 +347,7 @@ def _cover_by_index(
     search: _CoverSearch, target: int, cells, element_count
 ) -> AggregationVector:
     for _t, rows in search.stream(start=target):
-        return _cover_from_ids(tuple(k + 1 for k in rows), cells, element_count)
+        return _cover_from_rows(rows, cells, element_count)
     raise ValueError(f"tiling index {target} beyond enumeration")
 
 
@@ -451,30 +451,28 @@ def optimize(
     tasks = len(range(first_t, total + 1, stride))
     resumed = f"; resuming at t={first_t}" if existing_rows else ""
     info(f"{total} tilings, {tasks} to evaluate (stride {stride}){resumed}")
-    task_iter = (
-        (t, tuple(k + 1 for k in rows)) for t, rows in search.stream(first_t, stride)
-    )
+    task_iter = search.stream(first_t, stride)
 
     # best trackers; processing is in ascending t with strict improvement,
     # which realizes the lowest-index tie-break
     best_row: LedgerRow | None = None
-    best_ids: tuple[int, ...] | None = None
+    best_rows: tuple[int, ...] | None = None
     best_any_row: LedgerRow | None = None
-    best_any_ids: tuple[int, ...] | None = None
+    best_any_rows: tuple[int, ...] | None = None
     all_rows: list[LedgerRow] = []
     done = 0
 
-    def track(row: LedgerRow, ids: tuple[int, ...] | None):
-        nonlocal best_row, best_ids, best_any_row, best_any_ids
+    def track(row: LedgerRow, rows: tuple[int, ...] | None):
+        nonlocal best_row, best_rows, best_any_row, best_any_rows
         all_rows.append(row)
         if not (row.feasible and math.isfinite(row.capacity_bps_hz)):
             return
         if best_any_row is None or row.capacity_bps_hz > best_any_row.capacity_bps_hz:
-            best_any_row, best_any_ids = row, ids
+            best_any_row, best_any_rows = row, rows
         if row.covered and (
             best_row is None or row.capacity_bps_hz > best_row.capacity_bps_hz
         ):
-            best_row, best_ids = row, ids
+            best_row, best_rows = row, rows
 
     for row in existing_rows:
         track(row, None)
@@ -482,8 +480,8 @@ def optimize(
     def consume(result_iter):
         nonlocal done
         started = time.perf_counter()
-        for _t, ids, row in result_iter:
-            track(row, ids)
+        for _t, rows, row in result_iter:
+            track(row, rows)
             if ledger_fh:
                 ledger_fh.write(_format_row(row) + "\n")
             done += 1
@@ -509,11 +507,11 @@ def optimize(
     if ledger_fh:
         ledger_fh.close()
 
-    def materialize(row: LedgerRow, ids: tuple[int, ...] | None):
+    def materialize(row: LedgerRow, rows: tuple[int, ...] | None):
         cover = (
             _cover_by_index(search, row.tiling_index, cells, aperture.size)
-            if ids is None
-            else _cover_from_ids(ids, cells, aperture.size)
+            if rows is None
+            else _cover_from_rows(rows, cells, aperture.size)
         )
         record, zf = _evaluate(
             cover, stack, budget, beams, cfg.zf_condition_cap, row.tiling_index, drops_key
@@ -525,12 +523,12 @@ def optimize(
     best_cover = best_record = best_precoders = None
     best_any_cover = best_any_record = None
     if best_row is not None:
-        best_cover, best_record, zf = materialize(best_row, best_ids)
+        best_cover, best_record, zf = materialize(best_row, best_rows)
         best_precoders = None if zf is None else _precoders(*zf)
     if best_any_row is best_row:
         best_any_cover, best_any_record = best_cover, best_record
     elif best_any_row is not None:
-        best_any_cover, best_any_record, _ = materialize(best_any_row, best_any_ids)
+        best_any_cover, best_any_record, _ = materialize(best_any_row, best_any_rows)
 
     comparison = None
     if best_record is not None and baseline_record is not None:

@@ -317,36 +317,6 @@ class _CoverSearch:
         want = start  # index of the next cover to yield
         skip = start - 1  # covers to pass before it; want - skip - 1 are passed
 
-        def stored(covered: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-            # walk a stored node's subtree through live rows alone, with one
-            # iterator per depth instead of one generator per node
-            nonlocal want, skip
-            masks = [covered]
-            todo = [iter(memo[covered][1:])]
-            while todo:
-                for k in todo[-1]:
-                    child = masks[-1] | cell_bits[k]
-                    if skip:
-                        covers = 1 if child == full else memo[child][0]
-                        if covers <= skip:
-                            skip -= covers
-                            continue
-                    chosen.append(k)
-                    if child == full:
-                        yield want, tuple(chosen)
-                        want += step
-                        skip = step - 1
-                        chosen.pop()
-                        continue
-                    masks.append(child)
-                    todo.append(iter(memo[child][1:]))
-                    break
-                else:
-                    masks.pop()
-                    todo.pop()
-                    if todo:
-                        chosen.pop()
-
         def search(active: int, covered: int) -> Iterator[tuple[int, tuple[int, ...]]]:
             nonlocal want, skip
             if covered == full:
@@ -355,15 +325,16 @@ class _CoverSearch:
                 want += step
                 skip = step - 1
                 return
-            if covered in memo:
-                yield from stored(covered)
-                return
+            # a stored node is walked through its live rows alone, and all
+            # its children are stored too, so `below` only reads the memo
+            entry = memo.get(covered)
+            rows = entry[1:] if entry else branch(active, covered)
             first = want - skip
             live = []
-            for k in branch(active, covered):
+            for k in rows:
                 child = covered | cell_bits[k]
                 before = want - skip
-                # the only test on the path of a full enumeration (skip == 0)
+                # a child is counted only while covers remain to be passed
                 if skip:
                     covers = below(active & ~conflict[k], child)
                     if covers <= skip:
@@ -376,7 +347,7 @@ class _CoverSearch:
                 chosen.pop()
                 if want - skip != before:
                     live.append(k)
-            if live:
+            if live and not entry:
                 memo[covered] = (want - skip - first, *live)
 
         yield from search(self.rows_all, 0)
@@ -392,13 +363,15 @@ def _cover_stream(
     return _CoverSearch(L).stream(start, step)
 
 
-def _cover_from_ids(ids: tuple[int, ...], cells, element_count) -> AggregationVector:
-    """The cover with placement ids `ids` (1-based, in tile-id order), given
-    each placement's 0-based pixel indices."""
+def _cover_from_rows(rows: tuple[int, ...], cells, element_count) -> AggregationVector:
+    """The cover made of incidence rows `rows` (0-based, in tile-id order),
+    given each row's 0-based pixel indices."""
     values = np.empty(element_count, dtype=np.int32)
-    for q, k in enumerate(ids, start=1):
-        values[cells[k - 1]] = q
-    return AggregationVector(values=values, tile_count=len(ids), placements=ids)
+    for q, k in enumerate(rows, start=1):
+        values[cells[k]] = q
+    return AggregationVector(
+        values=values, tile_count=len(rows), placements=tuple(k + 1 for k in rows)
+    )
 
 
 def enumerate_exact_covers(L: IncidenceMatrix) -> Iterator[AggregationVector]:
@@ -410,7 +383,7 @@ def enumerate_exact_covers(L: IncidenceMatrix) -> Iterator[AggregationVector]:
     """
     cells = [np.array(pixels, dtype=np.intp) - 1 for pixels in L.rows]
     for _t, rows in _cover_stream(L):
-        yield _cover_from_ids(tuple(k + 1 for k in rows), cells, L.aperture.size)
+        yield _cover_from_rows(rows, cells, L.aperture.size)
 
 
 def count_exact_covers(L: IncidenceMatrix) -> int:

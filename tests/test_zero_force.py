@@ -10,7 +10,7 @@ import pytest
 import apertile.precoding as precoding
 from apertile.channel import ChannelStack, aggregate_channel, assemble_channel
 from apertile.config import ApertureConfig, RunConfig
-from apertile.optimizer import _cover_from_ids, evaluate_tiling, tiling_precoders
+from apertile.optimizer import _cover_from_rows, evaluate_tiling, tiling_precoders
 from apertile.precoding import ChannelRankError, _zero_force, normalize_beams, zero_forcing
 from apertile.scenario import ScenarioParams, sample_drops
 from apertile.tiling import _CoverSearch, build_incidence_matrix, generate_placements
@@ -111,7 +111,7 @@ def study200():
     L = build_incidence_matrix(generate_placements(aperture, cfg.shapes()), aperture)
     cells = [np.array(p, dtype=np.intp) - 1 for p in L.rows]
     covers = [
-        _cover_from_ids(tuple(k + 1 for k in rows), cells, aperture.size)
+        _cover_from_rows(rows, cells, aperture.size)
         for _, rows in _CoverSearch(L).stream(1, 3000)
     ]
     return cfg, G, ChannelStack.fill(G, len(G)), covers
