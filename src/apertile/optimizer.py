@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+import signal
 import time
 from dataclasses import dataclass
 from multiprocessing import get_context
@@ -301,6 +302,15 @@ def _init_worker(G, budget, condition_cap, beams, cells, element_count, drops_ke
     )
 
 
+def _init_pool_worker(*init_args):
+    # A fork worker inherits its parent's SIGTERM handler, and Pool.terminate
+    # stops workers with SIGTERM. A Python handler that is still pending when
+    # the worker blocks on the task-queue lock (which terminate holds) never
+    # runs, so the worker never exits and the pool's join hangs.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    _init_worker(*init_args)
+
+
 def _eval_task(task):
     t, rows = task
     cover = _cover_from_rows(rows, _SHARED["cells"], _SHARED["element_count"])
@@ -498,7 +508,7 @@ def optimize(
         # small enough that every worker gets about four chunks
         chunksize = max(1, min(64, math.ceil(tasks / (4 * workers))))
         ctx = get_context("fork")
-        with ctx.Pool(workers, _init_worker, init_args) as pool:
+        with ctx.Pool(workers, _init_pool_worker, init_args) as pool:
             consume(pool.imap(_eval_task, task_iter, chunksize=chunksize))
     else:
         _init_worker(*init_args)

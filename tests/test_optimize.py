@@ -1,4 +1,6 @@
 import os
+import signal
+import sys
 
 import numpy as np
 import pytest
@@ -219,6 +221,36 @@ def test_worker_count_does_not_change_results(tmp_path):
     body1 = [l for l in (tmp_path / "w1.csv").read_text().splitlines() if not l.startswith("#")]
     body2 = [l for l in (tmp_path / "w2.csv").read_text().splitlines() if not l.startswith("#")]
     assert body1 == body2
+
+
+def test_pool_workers_take_the_default_sigterm_action(tmp_path, monkeypatch):
+    # a Python SIGTERM handler in the caller must not reach the fork workers,
+    # which Pool.terminate stops with SIGTERM, and the serial path must leave
+    # the caller's handler in place
+    log = tmp_path / "handlers.txt"
+    real_init = opt._init_worker
+
+    def recording_init(*args):
+        default = signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {'default' if default else 'python'}\n")
+        real_init(*args)
+
+    def handler(*_):
+        sys.exit(143)  # as a harness that reaps its children on SIGTERM does
+
+    monkeypatch.setattr(opt, "_init_worker", recording_init)
+    previous = signal.signal(signal.SIGTERM, handler)
+    try:
+        optimize(toy_config(workers=2), ledger_path=tmp_path / "w2.csv")
+        pool_lines = log.read_text().split()
+        optimize(toy_config(workers=1), ledger_path=tmp_path / "w1.csv")
+        assert signal.getsignal(signal.SIGTERM) is handler
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert pool_lines[1::2] == ["default", "default"]
+    assert str(os.getpid()) not in pool_lines[0::2]
+    assert log.read_text().split()[4:] == [str(os.getpid()), "python"]
 
 
 def test_channels_assembled_once_per_drop(monkeypatch):
