@@ -13,7 +13,6 @@ from .channel import (
     LinkBudget,
     aggregate_channel,
     assemble_channel,
-    los_green,
 )
 from .config import RunConfig
 from .geometry import (
@@ -22,20 +21,9 @@ from .geometry import (
     ElementPattern,
     element_field,
     expand_weights,
-    expand_weights_dual,
     far_field,
 )
-from .metrics import (
-    CapacityDistribution,
-    EvaluationRecord,
-    PortPowerReport,
-    average_capacity,
-    coverage_check,
-    distribution,
-    eta_statistics,
-    port_powers,
-    sum_rate,
-)
+from .metrics import CapacityDistribution, EvaluationRecord, distribution, eta_statistics
 from .optimizer import (
     OptimizationResult,
     compare_to_baseline,
@@ -43,7 +31,7 @@ from .optimizer import (
     optimize,
     tiling_precoders,
 )
-from .precoding import ChannelRankError, PrecodingMatrix, normalize_beams, zero_forcing
+from .precoding import ChannelRankError, PrecodingMatrix, zero_forcing
 from .scenario import (
     ScenarioParams,
     UEDrop,
@@ -51,7 +39,6 @@ from .scenario import (
     point_in_hexagon,
     sample_drop,
     sample_drops,
-    scenario_defaults,
 )
 from .shapes import PolyominoShape, alphabet, builtin_shape, load_alphabet
 from .tiling import (

@@ -12,7 +12,6 @@ distance.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,43 +87,12 @@ class ChannelMatrix:
     """(2U, 2MN) complex port-to-port couplings for one drop."""
 
     matrix: np.ndarray
-    drop_index: int
-    mode_tag: str
-
-    @property
-    def users(self) -> int:
-        return self.matrix.shape[0] // 2
 
 
 def _polarization_coupling(pattern: ElementPattern) -> np.ndarray:
     """coupling[chi, psi] = cos(slant_psi - slant_chi) under aligned bases."""
     slants = np.radians([pattern.slant_deg(p) for p in POLARIZATIONS])
     return np.cos(slants[None, :] - slants[:, None])
-
-
-def los_green(
-    geometry: ArrayGeometry,
-    pattern: ElementPattern,
-    tx: tuple[int, int, str],
-    rx_position: np.ndarray,
-    rx_polarization: str,
-    model: ChannelModel = ChannelModel(),
-) -> complex:
-    """Single coupling between one TX element port and one RX port."""
-    m, n, psi = tx
-    delta = np.asarray(rx_position, dtype=float) - geometry.element_position(m, n)
-    d = float(np.linalg.norm(delta))
-    if d == 0.0:
-        raise ValueError(f"RX position coincides with element ({m}, {n})")
-    theta = np.arccos(delta[2] / d)
-    phi = np.arctan2(delta[1], delta[0])
-    gain = np.sqrt(pattern.power_gain(theta, phi))
-    coupling = np.cos(
-        np.radians(pattern.slant_deg(psi)) - np.radians(pattern.slant_deg(rx_polarization))
-    )
-    amp = model.amplitude(d, geometry.wavelength_m)
-    phase = np.exp(-2j * np.pi * d / geometry.wavelength_m)
-    return complex(gain * coupling * amp * phase)
 
 
 def assemble_channel(
@@ -153,7 +121,7 @@ def assemble_channel(
     u_count, mn = base.shape
     full = base[:, None, None, :] * coupling[None, :, :, None]  # (U, chi, psi, MN)
     matrix = full.reshape(2 * u_count, 2 * mn)
-    return ChannelMatrix(matrix=matrix, drop_index=getattr(drop, "index", 0), mode_tag=model.tag)
+    return ChannelMatrix(matrix=matrix)
 
 
 @dataclass(frozen=True)
@@ -266,60 +234,3 @@ def aggregate_channel(G, s: AggregationVector) -> np.ndarray:
             by_tile[np.concatenate((tiles, q + tiles))] = sums
     return np.ascontiguousarray(np.moveaxis(by_tile, 0, -1))
 
-
-# --- export / import -----------------------------------------------------
-
-_ORDERING_NOTE = (
-    "rows: a = 2*(u-1)+O(chi), O(V)=1, O(H)=2; "
-    "cols: psi blocks V then H, each in pixel order i = m + (n-1)*M"
-)
-
-
-def channel_to_json(channel: ChannelMatrix) -> dict:
-    return {
-        "kind": "channel_matrix",
-        "drop_index": channel.drop_index,
-        "mode": channel.mode_tag,
-        "shape": list(channel.matrix.shape),
-        "ordering": _ORDERING_NOTE,
-        "real": channel.matrix.real.tolist(),
-        "imag": channel.matrix.imag.tolist(),
-    }
-
-
-def channel_from_json(doc: dict) -> ChannelMatrix:
-    matrix = np.array(doc["real"]) + 1j * np.array(doc["imag"])
-    if list(matrix.shape) != list(doc["shape"]):
-        raise ValueError("channel tensor shape disagrees with metadata")
-    return ChannelMatrix(
-        matrix=matrix, drop_index=int(doc["drop_index"]), mode_tag=str(doc["mode"])
-    )
-
-
-def save_channel(channel: ChannelMatrix, path) -> None:
-    path = str(path)
-    if path.endswith(".npz"):
-        np.savez_compressed(
-            path,
-            matrix=channel.matrix,
-            drop_index=channel.drop_index,
-            mode=channel.mode_tag,
-            ordering=_ORDERING_NOTE,
-        )
-    else:
-        with open(path, "w") as fh:
-            json.dump(channel_to_json(channel), fh)
-            fh.write("\n")
-
-
-def load_channel(path) -> ChannelMatrix:
-    path = str(path)
-    if path.endswith(".npz"):
-        data = np.load(path, allow_pickle=False)
-        return ChannelMatrix(
-            matrix=data["matrix"],
-            drop_index=int(data["drop_index"]),
-            mode_tag=str(data["mode"]),
-        )
-    with open(path) as fh:
-        return channel_from_json(json.load(fh))

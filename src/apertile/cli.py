@@ -193,13 +193,7 @@ def cmd_evaluate(args) -> int:
     if record.feasible:
         with np.errstate(divide="ignore"):
             doc["min_power_dbm"] = float(watts_to_dbm(record.min_desired_power_w))
-            stats = eta_statistics(record.eta_desired_dbm())
-        doc["eta_dbm"] = {
-            "min": stats.min_dbm,
-            "max": stats.max_dbm,
-            "avg": stats.avg_dbm,
-            "var_db2": stats.var_db2,
-        }
+            doc["eta_dbm"] = eta_statistics(record.eta_desired_dbm())
     if args.output:
         with open(args.output, "w") as fh:
             json.dump(doc, fh, indent=2)

@@ -137,7 +137,11 @@ class RunConfig:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def config_hash(self) -> str:
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        """Hash of every field that can change a result; `workers` and
+        `output_dir` only say how and where a run goes."""
+        doc = self.to_dict()
+        del doc["workers"], doc["output_dir"]
+        canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
     def save(self, path) -> None:

@@ -9,7 +9,7 @@ effective channel with the normalized precoder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,22 +67,6 @@ def port_powers(
     )
 
 
-def sinr(report: PortPowerReport) -> float:
-    return report.sinr
-
-
-def sum_rate(reports) -> float:
-    """Total capacity over all RX ports of one drop, bps/Hz."""
-    return float(sum(np.log2(1.0 + r.sinr) for r in reports))
-
-
-def average_capacity(per_drop_sums) -> float:
-    values = np.asarray(per_drop_sums, dtype=float)
-    if values.size == 0:
-        raise ValueError("no drops to average over")
-    return float(values.mean())
-
-
 @dataclass
 class EvaluationRecord:
     """Everything measured for one tiling against one drop set."""
@@ -102,12 +86,6 @@ class EvaluationRecord:
         return watts_to_dbm(self.eta_desired_w)
 
 
-def coverage_check(record: EvaluationRecord, threshold_w: float) -> bool:
-    """True iff the minimum desired power over all ports and drops meets
-    the floor (boundary inclusive)."""
-    return bool(record.min_desired_power_w >= threshold_w)
-
-
 @dataclass
 class CapacityDistribution:
     """Histogram PDF over equal-width bins and its running-sum CDF."""
@@ -115,10 +93,6 @@ class CapacityDistribution:
     bin_edges: np.ndarray  # (bins + 1,)
     pdf: np.ndarray  # (bins,) masses summing to 1
     cdf: np.ndarray  # (bins,) nondecreasing, last entry 1
-
-    @property
-    def bin_width(self) -> float:
-        return float(self.bin_edges[1] - self.bin_edges[0]) if len(self.bin_edges) > 1 else 0.0
 
 
 def distribution(values, bins: int = 20) -> CapacityDistribution:
@@ -139,24 +113,15 @@ def distribution(values, bins: int = 20) -> CapacityDistribution:
     return CapacityDistribution(bin_edges=edges, pdf=pdf, cdf=np.cumsum(pdf))
 
 
-@dataclass(frozen=True)
-class EtaStatistics:
+def eta_statistics(eta_desired_dbm) -> dict:
     """min/max/mean/variance of the per-port minimum desired powers, in dBm
     (variance therefore in dB^2)."""
-
-    min_dbm: float
-    max_dbm: float
-    avg_dbm: float
-    var_db2: float
-
-
-def eta_statistics(eta_desired_dbm) -> EtaStatistics:
     eta = np.asarray(eta_desired_dbm, dtype=float)
     if eta.size == 0:
         raise ValueError("no ports")
-    return EtaStatistics(
-        min_dbm=float(eta.min()),
-        max_dbm=float(eta.max()),
-        avg_dbm=float(eta.mean()),
-        var_db2=float(eta.var()),
-    )
+    return {
+        "min": float(eta.min()),
+        "max": float(eta.max()),
+        "avg": float(eta.mean()),
+        "var_db2": float(eta.var()),
+    }

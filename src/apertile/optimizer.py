@@ -19,13 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import (
-    ChannelMatrix,
-    ChannelStack,
-    LinkBudget,
-    aggregate_channel,
-    assemble_channel,
-)
+from .channel import ChannelStack, LinkBudget, aggregate_channel, assemble_channel
 from .config import RunConfig
 from .metrics import EvaluationRecord, eta_statistics
 from .precoding import ChannelRankError, PrecodingMatrix, _precoders, _zero_force
@@ -41,19 +35,10 @@ from .tiling import (
 from .units import watts_to_dbm
 
 
-def _stack_channels(channels):
-    """A ChannelStack as it is; anything else as a (P, 2U, 2MN) array."""
-    if isinstance(channels, ChannelStack):
-        return channels
-    if isinstance(channels, np.ndarray):
-        stacked = channels
-    else:
-        stacked = np.stack(
-            [c.matrix if isinstance(c, ChannelMatrix) else np.asarray(c) for c in channels]
-        )
-    if stacked.ndim == 2:
-        stacked = stacked[None]
-    return stacked
+def _check_channels(channels) -> None:
+    """Refuse channels that are neither a ChannelStack nor a (P, 2U, 2MN) array."""
+    if not isinstance(channels, ChannelStack) and np.ndim(channels) != 3:
+        raise ValueError("channels must be a ChannelStack or a (P, 2U, 2MN) array")
 
 
 def evaluate_tiling(
@@ -68,15 +53,17 @@ def evaluate_tiling(
 ) -> EvaluationRecord:
     """Aggregate, zero-force, normalize, and score one tiling on all drops.
 
-    A rank-deficient or too-ill-conditioned drop makes the whole record
-    infeasible (capacity NaN) instead of contributing numerical noise.
+    `channels` is a ChannelStack or a (P, 2U, 2MN) array. A rank-deficient
+    or too-ill-conditioned drop makes the whole record infeasible (capacity
+    NaN) instead of contributing numerical noise.
     """
+    _check_channels(channels)
     return _evaluate(cover, channels, budget, beams, condition_cap, tiling_index, drops_key)[0]
 
 
 def _evaluate(cover, channels, budget, beams, condition_cap, tiling_index, drops_key):
     """evaluate_tiling's record, plus the normalized precoders when feasible."""
-    H = aggregate_channel(_stack_channels(channels), cover)  # (P, A, 2Q)
+    H = aggregate_channel(channels, cover)  # (P, A, 2Q)
     drops, ports, _ = H.shape
     users = ports // 2
     if beams is None:
@@ -130,9 +117,11 @@ def tiling_precoders(
 ) -> list[PrecodingMatrix]:
     """Normalized per-drop precoders for one tiling (replay/debug export).
 
-    Raises ChannelRankError when a drop is rank deficient or over the cap.
+    `channels` is a ChannelStack or a (P, 2U, 2MN) array. Raises
+    ChannelRankError when a drop is rank deficient or over the cap.
     """
-    H = aggregate_channel(_stack_channels(channels), cover)
+    _check_channels(channels)
+    H = aggregate_channel(channels, cover)
     sizes = np.concatenate([cover.tile_sizes()] * 2).astype(float)
     ok, V_normalized, norms, _ = _zero_force(H, sizes, condition_cap)
     if not ok.all():
@@ -586,13 +575,7 @@ def result_to_json(result: OptimizationResult, cfg: RunConfig) -> dict:
                 "feasible": record.feasible,
             }
             if record.feasible:
-                stats = eta_statistics(record.eta_desired_dbm())
-                doc["eta_dbm"] = {
-                    "min": stats.min_dbm,
-                    "max": stats.max_dbm,
-                    "avg": stats.avg_dbm,
-                    "var_db2": stats.var_db2,
-                }
+                doc["eta_dbm"] = eta_statistics(record.eta_desired_dbm())
         if cover is not None:
             doc["tile_count"] = cover.tile_count
             doc["values_row_major"] = np.asarray(cover.values).tolist()

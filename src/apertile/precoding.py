@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import expand_weights_dual
 from .tiling import AggregationVector
 
 
@@ -71,12 +69,6 @@ def normalize_beams(V: PrecodingMatrix, s: AggregationVector) -> PrecodingMatrix
     if np.any(norms == 0.0):
         raise ValueError("cannot normalize an all-zero beam column")
     return PrecodingMatrix(coefficients=coeffs / norms, scale=1.0 / norms)
-
-
-def element_weight_norms(V: PrecodingMatrix, s: AggregationVector) -> np.ndarray:
-    """Per-beam L2 norm of the expanded element weights (oracle helper)."""
-    w = expand_weights_dual(s, np.asarray(V.coefficients).T)
-    return np.linalg.norm(w, axis=-1)
 
 
 # --- batched zero forcing with a certified cap decision -------------------
@@ -159,7 +151,7 @@ def _precoders(V_normalized: np.ndarray, norms: np.ndarray) -> list[PrecodingMat
     return [PrecodingMatrix(coefficients=v, scale=1.0 / n) for v, n in zip(V_normalized, norms)]
 
 
-# --- export / import (same tensor conventions as channel matrices) --------
+# --- export ----------------------------------------------------------------
 
 _ORDERING_NOTE = (
     "rows: psi blocks V then H, each tile q = 1..Q; cols: served RX port "
@@ -168,48 +160,13 @@ _ORDERING_NOTE = (
 
 
 def save_precoders(precoders: list[PrecodingMatrix], path, meta: dict | None = None) -> None:
-    """Persist per-drop precoders for replay/debug, as .npz or JSON."""
-    path = str(path)
-    stacked = np.stack([np.asarray(p.coefficients) for p in precoders])
-    scales = [None if p.scale is None else np.asarray(p.scale) for p in precoders]
-    has_scales = all(s is not None for s in scales)
-    if path.endswith(".npz"):
-        payload = {"coefficients": stacked, "ordering": _ORDERING_NOTE}
-        for key, value in (meta or {}).items():
-            payload[f"meta_{key}"] = np.asarray(str(value))
-        if has_scales:
-            payload["scales"] = np.stack(scales)
-        np.savez_compressed(path, **payload)
-        return
-    doc = {
-        "kind": "precoding_matrices",
-        **{f"meta_{k}": str(v) for k, v in (meta or {}).items()},
-        "shape": list(stacked.shape),
+    """Persist per-drop precoders for replay/debug as a compressed .npz."""
+    payload = {
+        "coefficients": np.stack([np.asarray(p.coefficients) for p in precoders]),
         "ordering": _ORDERING_NOTE,
-        "real": stacked.real.tolist(),
-        "imag": stacked.imag.tolist(),
-        "scales": np.stack(scales).tolist() if has_scales else None,
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
-
-
-def load_precoders(path) -> list[PrecodingMatrix]:
-    path = str(path)
-    if path.endswith(".npz"):
-        data = np.load(path, allow_pickle=False)
-        stacked = data["coefficients"]
-        scales = data["scales"] if "scales" in data else None
-    else:
-        with open(path) as fh:
-            doc = json.load(fh)
-        stacked = np.array(doc["real"]) + 1j * np.array(doc["imag"])
-        scales = None if doc.get("scales") is None else np.array(doc["scales"])
-    return [
-        PrecodingMatrix(
-            coefficients=stacked[p],
-            scale=None if scales is None else scales[p],
-        )
-        for p in range(stacked.shape[0])
-    ]
+    for key, value in (meta or {}).items():
+        payload[f"meta_{key}"] = np.asarray(str(value))
+    if all(p.scale is not None for p in precoders):
+        payload["scales"] = np.stack([np.asarray(p.scale) for p in precoders])
+    np.savez_compressed(str(path), **payload)

@@ -75,24 +75,18 @@ class PolyominoShape:
 OrientationTag = tuple[int, bool]
 
 
-def orientations(
-    shape: PolyominoShape,
-    allow_rotations: bool = True,
-    allow_flips: bool = True,
-) -> list[tuple[OrientationTag, tuple[Cell, ...]]]:
-    """Distinct cell sets of a shape under the permitted transforms.
+def orientations(shape: PolyominoShape) -> list[tuple[OrientationTag, tuple[Cell, ...]]]:
+    """Distinct cell sets of a shape under the transforms it permits.
 
     Variants are generated in a fixed order (no flip then flip, rotations
     0/90/180/270 within each) and deduplicated keeping the first tag, so
     symmetric shapes contribute each geometry once.
     """
-    rotations = allow_rotations and shape.allow_rotations
-    flips = allow_flips and shape.allow_flips
     out: list[tuple[OrientationTag, tuple[Cell, ...]]] = []
     seen: set[tuple[Cell, ...]] = set()
-    for flipped in (False, True) if flips else (False,):
+    for flipped in (False, True) if shape.allow_flips else (False,):
         cells = list(_flip(shape.cells)) if flipped else list(shape.cells)
-        for quarter in range(4) if rotations else range(1):
+        for quarter in range(4) if shape.allow_rotations else range(1):
             variant = normalize_cells(cells)
             if variant not in seen:
                 seen.add(variant)

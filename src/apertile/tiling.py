@@ -75,13 +75,6 @@ class IncidenceMatrix:
     def shape(self) -> tuple[int, int]:
         return (len(self.rows), self.aperture.size)
 
-    def dense(self) -> np.ndarray:
-        """Materialize as a (K, I) boolean array."""
-        out = np.zeros(self.shape, dtype=bool)
-        for k, pixels in enumerate(self.rows):
-            out[k, [i - 1 for i in pixels]] = True
-        return out
-
 
 @dataclass
 class AggregationVector:
@@ -117,12 +110,7 @@ class AggregationVector:
         return np.bincount(np.asarray(self.values), minlength=self.tile_count + 1)[1:]
 
 
-def generate_placements(
-    aperture: Aperture,
-    shapes: list[PolyominoShape],
-    allow_rotations: bool = True,
-    allow_flips: bool = True,
-) -> list[Placement]:
+def generate_placements(aperture: Aperture, shapes: list[PolyominoShape]) -> list[Placement]:
     """All distinct placements of the shapes fully inside the aperture.
 
     Ordering is deterministic: shape id, then orientation variant, then
@@ -138,7 +126,7 @@ def generate_placements(
     out: list[Placement] = []
     seen: set[tuple[int, tuple[int, ...]]] = set()
     for shape in shapes:
-        for tag, cells in orientations(shape, allow_rotations, allow_flips):
+        for tag, cells in orientations(shape):
             height = 1 + max(r for r, _ in cells)
             width = 1 + max(c for _, c in cells)
             for n0 in range(1, aperture.rows - height + 2):
@@ -353,16 +341,6 @@ class _CoverSearch:
         yield from search(self.rows_all, 0)
 
 
-def _cover_stream(
-    L: IncidenceMatrix, start: int = 1, step: int = 1
-) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Yield (t, rows) for exact covers t = start, start + step, ...
-
-    Rows are 0-based row indices; t counts every cover in enumeration order.
-    """
-    return _CoverSearch(L).stream(start, step)
-
-
 def _cover_from_rows(rows: tuple[int, ...], cells, element_count) -> AggregationVector:
     """The cover made of incidence rows `rows` (0-based, in tile-id order),
     given each row's 0-based pixel indices."""
@@ -382,7 +360,7 @@ def enumerate_exact_covers(L: IncidenceMatrix) -> Iterator[AggregationVector]:
     deterministic; infeasible instances yield nothing.
     """
     cells = [np.array(pixels, dtype=np.intp) - 1 for pixels in L.rows]
-    for _t, rows in _cover_stream(L):
+    for _t, rows in _CoverSearch(L).stream():
         yield _cover_from_rows(rows, cells, L.aperture.size)
 
 
@@ -461,12 +439,6 @@ def cover_from_json(doc: dict) -> tuple[AggregationVector, Aperture]:
     )
     cover.validate()
     return cover, aperture
-
-
-def save_cover(cover: AggregationVector, aperture: Aperture, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(cover_to_json(cover, aperture), fh, indent=2)
-        fh.write("\n")
 
 
 def load_cover(path) -> tuple[AggregationVector, Aperture]:

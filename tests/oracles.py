@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from apertile.channel import ChannelModel
+from apertile.geometry import expand_weights_dual
 from apertile.shapes import PolyominoShape, normalize_cells
 
 
@@ -101,6 +103,29 @@ def naive_far_field(geometry, pattern, element_weights, theta, phi, pol):
                 * np.exp(1j * phase)
             )
     return total
+
+
+def los_green(geometry, pattern, tx, rx_position, rx_polarization, model=ChannelModel()):
+    """Single coupling between one TX element port (m, n, psi) and one RX
+    port, the per-element reference for `assemble_channel`."""
+    m, n, psi = tx
+    delta = np.asarray(rx_position, dtype=float) - geometry.element_position(m, n)
+    d = float(np.linalg.norm(delta))
+    theta = np.arccos(delta[2] / d)
+    phi = np.arctan2(delta[1], delta[0])
+    gain = np.sqrt(pattern.power_gain(theta, phi))
+    coupling = np.cos(
+        np.radians(pattern.slant_deg(psi)) - np.radians(pattern.slant_deg(rx_polarization))
+    )
+    amp = model.amplitude(d, geometry.wavelength_m)
+    phase = np.exp(-2j * np.pi * d / geometry.wavelength_m)
+    return complex(gain * coupling * amp * phase)
+
+
+def element_weight_norms(V, s):
+    """Per-beam L2 norm of a precoder's expanded element weights."""
+    w = expand_weights_dual(s, np.asarray(V.coefficients).T)
+    return np.linalg.norm(w, axis=-1)
 
 
 def elementwise_port_powers(G_full, cover, coefficients, tx_power_w, beams, port):

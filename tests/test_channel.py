@@ -7,11 +7,6 @@ from apertile.channel import (
     LinkBudget,
     aggregate_channel,
     assemble_channel,
-    channel_from_json,
-    channel_to_json,
-    load_channel,
-    los_green,
-    save_channel,
 )
 from apertile.geometry import ElementPattern, expand_weights_dual
 from apertile.scenario import UEDrop
@@ -25,7 +20,7 @@ from apertile.tiling import (
 )
 from apertile.units import linear_to_db
 
-from oracles import reduceat_aggregate
+from oracles import los_green, reduceat_aggregate
 from test_geometry import reference_geometry
 
 
@@ -109,7 +104,7 @@ def test_zero_distance_raises():
     geom = reference_geometry(columns=1, rows=1, h=0.0)
     position = geom.element_position(1, 1)
     with pytest.raises(ValueError, match="coincides"):
-        los_green(geom, ElementPattern(), (1, 1, "V"), position, "V")
+        assemble_channel(geom, ElementPattern(), simple_drop([position]))
 
 
 def test_channel_model_validation():
@@ -297,22 +292,3 @@ def test_channel_stack_fill_checks_the_drop_count(rng):
     with pytest.raises(ValueError, match="expected 4 channels"):
         ChannelStack.fill(G, 4)
 
-
-# --- serialization ------------------------------------------------------------------------
-
-def test_channel_json_round_trip(rng, tmp_path):
-    geom = reference_geometry(columns=2, rows=2)
-    pattern = ElementPattern()
-    positions = rng.uniform([40, -30, 1.5], [200, 30, 10], size=(2, 3))
-    channel = assemble_channel(geom, pattern, simple_drop(positions, index=7))
-    restored = channel_from_json(channel_to_json(channel))
-    np.testing.assert_allclose(restored.matrix, channel.matrix)
-    assert restored.drop_index == 7
-    assert restored.mode_tag == "fspl"
-
-    for name in ("chan.json", "chan.npz"):
-        path = tmp_path / name
-        save_channel(channel, path)
-        loaded = load_channel(path)
-        np.testing.assert_allclose(loaded.matrix, channel.matrix)
-        assert loaded.drop_index == 7

@@ -66,6 +66,8 @@ def test_config_hash_tracks_content():
     assert a.config_hash() == b.config_hash()
     c = tiny_config(frequency_ghz=2.6)
     assert a.config_hash() != c.config_hash()
+    # how and where a run goes does not change its results
+    assert tiny_config(workers=3, output_dir="elsewhere").config_hash() == a.config_hash()
 
 
 def test_unknown_keys_rejected():

@@ -3,35 +3,27 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from apertile.channel import LinkBudget
-from apertile.metrics import (
-    EvaluationRecord,
-    PortPowerReport,
-    average_capacity,
-    coverage_check,
-    distribution,
-    eta_statistics,
-    port_powers,
-    sinr,
-    sum_rate,
-)
-from apertile.precoding import PrecodingMatrix
+from apertile.channel import LinkBudget, aggregate_channel
+from apertile.metrics import PortPowerReport, distribution, eta_statistics, port_powers
+from apertile.optimizer import evaluate_tiling
+from apertile.precoding import PrecodingMatrix, normalize_beams, zero_forcing
+from apertile.tiling import AggregationVector, Aperture, baseline_tiling
 
 
 def flat_budget(tx_w=4.0, noise_w=1.0, threshold_w=1e-15):
     return LinkBudget(tx_power_w=tx_w, noise_power_w=noise_w, coverage_threshold_w=threshold_w)
 
 
-def record_with(min_power_w, covered=True):
-    return EvaluationRecord(
-        tiling_index=1,
-        tile_count=4,
-        per_drop_sum_rates=np.array([1.0]),
-        average_sum_rate=1.0,
-        eta_desired_w=np.array([min_power_w]),
-        min_desired_power_w=min_power_w,
-        covered=covered,
-    )
+def random_evaluation(rng):
+    """A tiling, random 2-drop channels for it, and evaluate(floor_w), which
+    scores that tiling on them under the given coverage floor."""
+    cover = baseline_tiling(Aperture(4, 6))  # Q = 4, 8 RX ports
+    G = rng.normal(size=(2, 8, 48)) + 1j * rng.normal(size=(2, 8, 48))
+
+    def evaluate(floor_w):
+        return evaluate_tiling(cover, G, flat_budget(threshold_w=floor_w), beams=4)
+
+    return cover, G, evaluate
 
 
 # --- port powers -----------------------------------------------------------
@@ -83,51 +75,25 @@ def test_port_powers_rejects_bad_port():
 # --- sinr / capacity ----------------------------------------------------------
 
 def test_sinr_examples():
-    assert sinr(PortPowerReport(1.0, 0.0, 1.0)) == pytest.approx(1.0)
-    assert sinr(PortPowerReport(1.0, 1e12, 1.0)) == pytest.approx(0.0, abs=1e-12)
+    assert PortPowerReport(1.0, 0.0, 1.0).sinr == pytest.approx(1.0)
+    assert PortPowerReport(1.0, 1e12, 1.0).sinr == pytest.approx(0.0, abs=1e-12)
 
 
 def test_sinr_random_ratio(rng):
     for _ in range(20):
         d, i, n = rng.uniform(0.01, 10.0, size=3)
-        assert sinr(PortPowerReport(d, i, n)) == pytest.approx(d / (i + n), rel=1e-15)
-
-
-def test_sum_rate_all_unit_sinr():
-    reports = [PortPowerReport(1.0, 0.0, 1.0)] * 32
-    assert sum_rate(reports) == pytest.approx(32.0)
-
-
-def test_sum_rate_zero_sinr():
-    reports = [PortPowerReport(0.0, 0.0, 1.0)] * 8
-    assert sum_rate(reports) == 0.0
-
-
-def test_sum_rate_random_scalar_oracle(rng):
-    reports = [
-        PortPowerReport(*rng.uniform(0.01, 5.0, size=3)) for _ in range(10)
-    ]
-    expected = sum(np.log2(1 + r.desired_w / (r.interference_w + r.noise_w)) for r in reports)
-    assert sum_rate(reports) == pytest.approx(expected, rel=1e-14)
-
-
-def test_average_capacity():
-    assert average_capacity([5.0, 5.0, 5.0]) == 5.0
-    assert average_capacity([100.0, 200.0]) == 150.0
-    with pytest.raises(ValueError):
-        average_capacity([])
-
-
-def test_average_capacity_random_oracle(rng):
-    values = rng.uniform(0, 100, size=37)
-    assert average_capacity(values) == pytest.approx(values.sum() / 37, rel=1e-14)
+        assert PortPowerReport(d, i, n).sinr == pytest.approx(d / (i + n), rel=1e-15)
 
 
 # --- coverage ------------------------------------------------------------------
 
-def test_coverage_boundary_is_inclusive():
-    assert coverage_check(record_with(1e-15), 1e-15)
-    assert not coverage_check(record_with(0.999e-15), 1e-15)
+def test_coverage_boundary_is_inclusive(rng):
+    # the floor is decided in evaluate_tiling: covered iff the minimum
+    # desired power over all ports and drops is >= the floor
+    _, _, evaluate = random_evaluation(rng)
+    floor = evaluate(1e-300).min_desired_power_w
+    assert evaluate(floor).covered
+    assert not evaluate(np.nextafter(floor, np.inf)).covered
 
 
 def test_capacity_monotone_in_tx_power(rng):
@@ -145,11 +111,16 @@ def test_capacity_monotone_in_tx_power(rng):
 
 
 def test_coverage_random_min_oracle(rng):
-    for _ in range(20):
-        powers = rng.uniform(1e-16, 1e-12, size=8)
-        threshold = rng.uniform(1e-16, 1e-12)
-        record = record_with(float(powers.min()))
-        assert coverage_check(record, threshold) == (powers.min() >= threshold)
+    cover, G, evaluate = random_evaluation(rng)
+    desired = [
+        port_powers(H[a], normalize_beams(zero_forcing(H), cover), flat_budget(), a, 4).desired_w
+        for H in aggregate_channel(G, cover)
+        for a in range(8)
+    ]
+    floor = min(desired)
+    assert evaluate(1e-300).min_desired_power_w == pytest.approx(floor, rel=1e-9)
+    for threshold in floor * rng.uniform(0.5, 2.0, size=20):
+        assert evaluate(threshold).covered == (floor >= threshold)
 
 
 # --- distributions ----------------------------------------------------------------
@@ -195,34 +166,32 @@ def test_distribution_rejects_empty():
 
 def test_eta_constant_vector_has_zero_variance():
     stats = eta_statistics([-70.0, -70.0, -70.0])
-    assert stats.min_dbm == stats.max_dbm == stats.avg_dbm == -70.0
-    assert stats.var_db2 == 0.0
+    assert stats["min"] == stats["max"] == stats["avg"] == -70.0
+    assert stats["var_db2"] == 0.0
 
 
 def test_eta_two_value_hand_stats():
-    stats = eta_statistics([-80.0, -60.0])
-    assert stats.min_dbm == -80.0
-    assert stats.max_dbm == -60.0
-    assert stats.avg_dbm == -70.0
-    assert stats.var_db2 == pytest.approx(100.0)
+    assert eta_statistics([-80.0, -60.0]) == {
+        "min": -80.0,
+        "max": -60.0,
+        "avg": -70.0,
+        "var_db2": pytest.approx(100.0),
+    }
 
 
 def test_eta_random_oracle(rng):
     eta = rng.uniform(-100, -50, size=32)
     stats = eta_statistics(eta)
-    assert stats.min_dbm == pytest.approx(eta.min())
-    assert stats.max_dbm == pytest.approx(eta.max())
-    assert stats.avg_dbm == pytest.approx(eta.mean())
-    assert stats.var_db2 == pytest.approx(np.mean((eta - eta.mean()) ** 2))
+    assert stats["min"] == pytest.approx(eta.min())
+    assert stats["max"] == pytest.approx(eta.max())
+    assert stats["avg"] == pytest.approx(eta.mean())
+    assert stats["var_db2"] == pytest.approx(np.mean((eta - eta.mean()) ** 2))
 
 
 def test_zero_forcing_interference_negligible_on_well_conditioned_drops(rng):
     # with equal port counts and a well-conditioned channel, the residual
     # interference after normalization is numerically zero relative to the
     # desired power (the ratio degrades only near rank deficiency)
-    from apertile.precoding import normalize_beams, zero_forcing
-    from apertile.tiling import AggregationVector
-
     for users in (4, 8, 16):
         cover = AggregationVector(values=np.arange(1, users + 1), tile_count=users)
         for _ in range(10):

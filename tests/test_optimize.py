@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 import apertile.optimizer as opt
-from apertile.channel import LinkBudget, aggregate_channel, assemble_channel
+from apertile.channel import (
+    ChannelMatrix,
+    ChannelStack,
+    LinkBudget,
+    aggregate_channel,
+    assemble_channel,
+)
 from apertile.config import ApertureConfig, RunConfig
 from apertile.metrics import EvaluationRecord, port_powers
 from apertile.optimizer import (
@@ -149,13 +155,26 @@ def test_posterior_precoders_zero_force_each_drop():
         generate_placements(cfg.aperture_grid(), cfg.shapes()), cfg.aperture_grid()
     )
     cover = next(enumerate_exact_covers(matrix))
-    precoders = tiling_precoders(cover, channels)
+    precoders = tiling_precoders(cover, ChannelStack.fill(channels, len(drops)))
     assert len(precoders) == len(drops)
     for channel, precoder in zip(channels, precoders):
         H = aggregate_channel(channel, cover)
         product = H @ precoder.coefficients
         off = product - np.diag(np.diag(product))
         assert np.max(np.abs(off)) / np.min(np.abs(np.diag(product))) < 1e-9
+
+
+def test_channels_must_be_a_stack_or_a_3d_array(rng):
+    cover = baseline_tiling(Aperture(4, 6))
+    G = rng.normal(size=(8, 48)) + 1j * rng.normal(size=(8, 48))
+    budget = LinkBudget(1.0, 1e-6, 1e-18)
+    for channels in (G, ChannelMatrix(G), [ChannelMatrix(G)] * 2):
+        with pytest.raises(ValueError, match=r"ChannelStack or a \(P, 2U, 2MN\) array"):
+            evaluate_tiling(cover, channels, budget, beams=4)
+        with pytest.raises(ValueError, match=r"ChannelStack or a \(P, 2U, 2MN\) array"):
+            tiling_precoders(cover, channels)
+    assert evaluate_tiling(cover, G[None], budget, beams=4).feasible
+    assert len(tiling_precoders(cover, ChannelStack.fill([G], 1))) == 1
 
 
 # --- optimize ------------------------------------------------------------------
@@ -217,10 +236,8 @@ def test_worker_count_does_not_change_results(tmp_path):
     res2 = optimize(cfg2, ledger_path=tmp_path / "w2.csv")
     assert res1.ledger == res2.ledger
     assert res1.best.tiling_index == res2.best.tiling_index
-    # ledger bodies agree; headers differ only in the config hash (workers field)
-    body1 = [l for l in (tmp_path / "w1.csv").read_text().splitlines() if not l.startswith("#")]
-    body2 = [l for l in (tmp_path / "w2.csv").read_text().splitlines() if not l.startswith("#")]
-    assert body1 == body2
+    # the config hash leaves the worker count out, so whole files agree
+    assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
 
 
 def test_pool_workers_take_the_default_sigterm_action(tmp_path, monkeypatch):
@@ -286,13 +303,13 @@ def write_partial_ledger(full_path, path, keep):
     path.write_text("".join(lines[: header_end + keep]))
 
 
-def assert_resume_matches(cfg, tmp_path, keep):
+def assert_resume_matches(cfg, tmp_path, keep, resume_cfg=None):
     full_path = tmp_path / "full.csv"
     full = optimize(cfg, ledger_path=full_path)
     partial_path = tmp_path / f"partial{keep}.csv"
     write_partial_ledger(full_path, partial_path, keep)
 
-    resumed = optimize(cfg, ledger_path=partial_path, resume=True)
+    resumed = optimize(resume_cfg or cfg, ledger_path=partial_path, resume=True)
     assert resumed.ledger == full.ledger
     assert resumed.total_tilings == full.total_tilings
     assert partial_path.read_bytes() == full_path.read_bytes()
@@ -313,6 +330,8 @@ def test_resume_reproduces_full_ledger(tmp_path):
     # after it (its cover is looked up by index)
     for keep in (2, 8):
         assert_resume_matches(cfg, tmp_path, keep)
+        # the config hash leaves the worker count out, so another may resume
+        assert_resume_matches(cfg, tmp_path, keep, resume_config(workers=2))
 
 
 def test_resume_of_strided_ledger_continues_by_position(tmp_path):
@@ -518,7 +537,7 @@ def test_each_best_tiling_is_evaluated_once(monkeypatch):
         assemble_channel(geometry, cfg.pattern, d, cfg.channel)
         for d in sample_drops(cfg.scenario)
     ]
-    expected = tiling_precoders(result.best_cover, channels)
+    expected = tiling_precoders(result.best_cover, ChannelStack.fill(channels, len(channels)))
     assert len(result.best_precoders) == len(expected) == cfg.scenario.drops
     for got, want in zip(result.best_precoders, expected):
         np.testing.assert_array_equal(got.coefficients, want.coefficients)

@@ -15,7 +15,6 @@ from apertile.tiling import (
     Aperture,
     Placement,
     _cover_json_line,
-    _cover_stream,
     _CoverSearch,
     baseline_tiling,
     build_incidence_matrix,
@@ -113,27 +112,26 @@ def test_empty_shape_list_rejected():
 
 def test_incidence_matrix_matches_reference_figure():
     matrix, _ = matrix_for(3, 2, "domino")
-    dense = matrix.dense()
-    assert dense.shape == (7, 6)
-    assert dense.sum() == 14  # two ones per row
-    assert list(np.flatnonzero(dense[0]) + 1) == [1, 2]
-    assert list(np.flatnonzero(dense[2]) + 1) == [4, 5]
-    assert list(np.flatnonzero(dense[6]) + 1) == [3, 6]
+    assert matrix.shape == (7, 6)
+    assert sum(len(pixels) for pixels in matrix.rows) == 14  # two ones per row
+    assert matrix.rows[0] == (1, 2)
+    assert matrix.rows[2] == (4, 5)
+    assert matrix.rows[6] == (3, 6)
 
 
 def test_incidence_entries_equal_membership():
     matrix, aperture = matrix_for(4, 3, "tromino_l")
-    dense = matrix.dense()
-    for k, placement in enumerate(matrix.placements):
+    for pixels, placement in zip(matrix.rows, matrix.placements, strict=True):
         for i in range(1, aperture.size + 1):
-            assert dense[k, i - 1] == (i in placement.covered)
+            assert (i in pixels) == (i in placement.covered)
 
 
 def test_single_full_cover_placement_gives_all_ones_row():
     aperture = Aperture(2, 1)
     placements = generate_placements(aperture, alphabet("domino"))
     matrix = build_incidence_matrix(placements, aperture)
-    assert matrix.dense().tolist() == [[True, True]]
+    assert matrix.shape == (1, 2)
+    assert matrix.rows == ((1, 2),)
 
 
 def test_incidence_rejects_out_of_aperture_pixels():
@@ -190,14 +188,14 @@ def test_infeasible_instance_yields_empty_stream():
 )
 def test_strided_stream_equals_filtered_full_stream(columns, rows, selector, total):
     matrix, _ = matrix_for(columns, rows, selector)
-    full = list(_cover_stream(matrix))
+    full = list(_CoverSearch(matrix).stream())
     assert [t for t, _ in full] == list(range(1, total + 1))
     search = _CoverSearch(matrix)  # its memo persists across the streams below
     assert search.count() == total
     for step in (1, 2, 3, 7, total - 1, total):
         for start in range(1, total + 2):
             expected = full[start - 1 :: step]
-            assert list(_cover_stream(matrix, start, step)) == expected
+            assert list(_CoverSearch(matrix).stream(start, step)) == expected
             assert list(search.stream(start, step)) == expected
 
 
@@ -286,7 +284,7 @@ def test_cover_json_lines_equal_json_dumps(columns, rows, selector):
     line = _cover_json_line(matrix)
     covers = list(enumerate_exact_covers(matrix))
     assert len(covers) > 1
-    assert [line(r) for _, r in _cover_stream(matrix)] == [
+    assert [line(r) for _, r in _CoverSearch(matrix).stream()] == [
         json.dumps(cover_to_json(cover, aperture)) + "\n" for cover in covers
     ]
 
@@ -294,9 +292,9 @@ def test_cover_json_lines_equal_json_dumps(columns, rows, selector):
 def test_stream_rejects_nonpositive_start_or_step():
     matrix, _ = matrix_for(3, 2, "domino")
     with pytest.raises(ValueError):
-        next(_cover_stream(matrix, start=0))
+        next(_CoverSearch(matrix).stream(start=0))
     with pytest.raises(ValueError):
-        next(_cover_stream(matrix, step=0))
+        next(_CoverSearch(matrix).stream(step=0))
 
 
 @pytest.mark.parametrize(
