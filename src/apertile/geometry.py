@@ -37,10 +37,6 @@ class ArrayGeometry:
         return SPEED_OF_LIGHT_M_S / self.frequency_hz
 
     @property
-    def angular_frequency(self) -> float:
-        return 2.0 * np.pi * self.frequency_hz
-
-    @property
     def element_count(self) -> int:
         return self.columns * self.rows
 

@@ -27,10 +27,6 @@ class PortPowerReport:
     noise_w: float
 
     @property
-    def total_w(self) -> float:
-        return self.desired_w + self.interference_w + self.noise_w
-
-    @property
     def sinr(self) -> float:
         return self.desired_w / (self.interference_w + self.noise_w)
 

@@ -4,7 +4,10 @@ The enumerator streams tilings while a worker pool evaluates each one
 against the pre-assembled per-drop channels (assembled exactly once per
 drop, never per tiling). Results merge in enumeration order, so the ledger
 is deterministic regardless of worker count, and every row is appended to
-disk as soon as it exists so long runs can resume.
+disk as soon as it exists so long runs can resume. The pool also evaluates
+the baseline and the best tilings: the parent only counts, streams, merges
+and writes, so no process holds more than the channel stack and the
+temporaries of one evaluation.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import math
 import os
 import signal
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from multiprocessing import get_context
 from typing import Callable
@@ -177,31 +181,33 @@ def write_ledger_header(fh, meta: dict) -> None:
 
 
 def read_ledger(path) -> tuple[dict, list[LedgerRow]]:
+    with open(path) as fh:
+        return _parse_ledger(fh)
+
+
+def _parse_ledger(lines) -> tuple[dict, list[LedgerRow]]:
     meta: dict[str, str] = {}
     rows: list[LedgerRow] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, value = body.split("=", 1)
-                    meta[key.strip()] = value.strip()
-                continue
-            if line == LEDGER_COLUMNS:
-                continue
-            fields = line.split(",")
-            if len(fields) != 5 or fields[3] not in ("0", "1") or fields[4] not in ("0", "1"):
-                raise ValueError(f"malformed ledger line: {line!r}")
-            t, cap, minp, cov, feas = fields
-            try:
-                rows.append(
-                    LedgerRow(int(t), float(cap), float(minp), cov == "1", feas == "1")
-                )
-            except ValueError as err:
-                raise ValueError(f"malformed ledger line: {line!r}") from err
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if "=" in body:
+                key, value = body.split("=", 1)
+                meta[key.strip()] = value.strip()
+            continue
+        if line == LEDGER_COLUMNS:
+            continue
+        fields = line.split(",")
+        if len(fields) != 5 or fields[3] not in ("0", "1") or fields[4] not in ("0", "1"):
+            raise ValueError(f"malformed ledger line: {line!r}")
+        t, cap, minp, cov, feas = fields
+        try:
+            rows.append(LedgerRow(int(t), float(cap), float(minp), cov == "1", feas == "1"))
+        except ValueError as err:
+            raise ValueError(f"malformed ledger line: {line!r}") from err
     return meta, rows
 
 
@@ -303,16 +309,24 @@ def _init_pool_worker(*init_args):
 def _eval_task(task):
     t, rows = task
     cover = _cover_from_rows(rows, _SHARED["cells"], _SHARED["element_count"])
-    record = evaluate_tiling(
+    record, _ = _record_task((cover, t, False))
+    return t, rows, _record_to_row(t, record)
+
+
+def _record_task(task):
+    """Evaluate one tiling: its record, plus its normalized precoders (or
+    None) when `keep_precoders` is set."""
+    cover, t, keep_precoders = task
+    record, zf = _evaluate(
         cover,
         _SHARED["G"],
         _SHARED["budget"],
-        beams=_SHARED["beams"],
-        condition_cap=_SHARED["condition_cap"],
-        tiling_index=t,
-        drops_key=_SHARED["drops_key"],
+        _SHARED["beams"],
+        _SHARED["condition_cap"],
+        t,
+        _SHARED["drops_key"],
     )
-    return t, rows, _record_to_row(t, record)
+    return record, zf if keep_precoders else None
 
 
 # --- optimization ----------------------------------------------------------
@@ -342,11 +356,9 @@ class OptimizationResult:
     elapsed_s: float
 
 
-def _cover_by_index(
-    search: _CoverSearch, target: int, cells, element_count
-) -> AggregationVector:
+def _rows_by_index(search: _CoverSearch, target: int) -> tuple[int, ...]:
     for _t, rows in search.stream(start=target):
-        return _cover_from_rows(rows, cells, element_count)
+        return rows
     raise ValueError(f"tiling index {target} beyond enumeration")
 
 
@@ -399,58 +411,26 @@ def optimize(
         f"{len(drops)} drops assembled ({cfg.channel.tag})"
     )
 
-    baseline_cover = None
-    baseline_record = None
-    if aperture.rows % 6 == 0:
-        baseline_cover = baseline_tiling(aperture)
-        baseline_record = evaluate_tiling(
-            baseline_cover,
-            stack,
-            budget,
-            beams=beams,
-            condition_cap=cfg.zf_condition_cap,
-            drops_key=drops_key,
-        )
-
     # Resumed rows are trusted, not recomputed. Our writer emits rows in
     # enumeration order, so an interrupted ledger is a prefix of the strided
-    # sequence, and the stream restarts right after its last row.
+    # sequence, and the stream restarts right after its last row. The checks
+    # run before the pool forks, and a refused ledger is left untouched.
     stride = cfg.tiling_stride
     existing_rows: list[LedgerRow] = []
+    data = b""
+    complete = 0  # bytes of the ledger up to its last newline
     if resume and ledger_path and os.path.exists(ledger_path):
-        meta, existing_rows = read_ledger(ledger_path)
+        with open(ledger_path, "rb") as fh:
+            data = fh.read()
+        complete = data.rfind(b"\n") + 1
+        meta, existing_rows = _parse_ledger(data[:complete].decode().splitlines())
         if meta.get("config_hash") not in (None, cfg.config_hash()):
             raise ValueError("existing ledger was written by a different config")
     first_t = _resume_point(existing_rows, stride)
-
-    ledger_fh = None
-    if ledger_path:
-        fresh = not existing_rows
-        ledger_fh = open(ledger_path, "w" if fresh else "a")
-        if fresh:
-            write_ledger_header(
-                ledger_fh,
-                {
-                    "config_hash": cfg.config_hash(),
-                    "seed": cfg.scenario.seed,
-                    "channel_mode": cfg.channel.tag,
-                    "aperture": f"{aperture.columns}x{aperture.rows}",
-                    "alphabet": cfg.alphabet_file or cfg.alphabet,
-                    "stride": cfg.tiling_stride,
-                    "drops_fingerprint": drops_key,
-                    "baseline_capacity_bps_hz": (
-                        repr(baseline_record.average_sum_rate)
-                        if baseline_record is not None
-                        else "none"
-                    ),
-                },
-            )
-
-    total = search.count()
-    tasks = len(range(first_t, total + 1, stride))
-    resumed = f"; resuming at t={first_t}" if existing_rows else ""
-    info(f"{total} tilings, {tasks} to evaluate (stride {stride}){resumed}")
-    task_iter = search.stream(first_t, stride)
+    if complete < len(data):
+        # a line cut mid-write; a cut row is evaluated again
+        os.truncate(ledger_path, complete)
+        info(f"dropped the unterminated last line of {ledger_path} ({len(data) - complete} bytes)")
 
     # best trackers; processing is in ascending t with strict improvement,
     # which realizes the lowest-index tie-break
@@ -476,7 +456,7 @@ def optimize(
     for row in existing_rows:
         track(row, None)
 
-    def consume(result_iter):
+    def consume(result_iter, tasks: int, ledger_fh):
         nonlocal done
         started = time.perf_counter()
         for _t, rows, row in result_iter:
@@ -491,43 +471,91 @@ def optimize(
                     f"({rate:.4g} tilings/s, ETA {(tasks - done) / rate:.0f} s)"
                 )
 
+    # Every evaluation runs in the pool, forked once the stack exists (and
+    # before the count fills the memo, which the workers do not need).
+    # Without a pool the same tasks run here, in the same order.
     workers = cfg.workers or os.cpu_count() or 1
     init_args = (stack, budget, cfg.zf_condition_cap, beams, cells, aperture.size, drops_key)
     if workers > 1:
-        # small enough that every worker gets about four chunks
-        chunksize = max(1, min(64, math.ceil(tasks / (4 * workers))))
-        ctx = get_context("fork")
-        with ctx.Pool(workers, _init_pool_worker, init_args) as pool:
-            consume(pool.imap(_eval_task, task_iter, chunksize=chunksize))
+        pool_scope = get_context("fork").Pool(workers, _init_pool_worker, init_args)
     else:
         _init_worker(*init_args)
-        consume(map(_eval_task, task_iter))
+        pool_scope = nullcontext()
 
-    if ledger_fh:
-        ledger_fh.close()
+    with pool_scope as pool:
 
-    def materialize(row: LedgerRow, rows: tuple[int, ...] | None):
-        cover = (
-            _cover_by_index(search, row.tiling_index, cells, aperture.size)
-            if rows is None
-            else _cover_from_rows(rows, cells, aperture.size)
+        def submit(cover: AggregationVector, t: int, keep_precoders: bool = False):
+            """Start a _record_task, or run it here without a pool; return
+            the call that waits for its (record, precoders)."""
+            task = (cover, t, keep_precoders)
+            if pool is None:
+                result = _record_task(task)
+                return lambda: result
+            return pool.apply_async(_record_task, (task,)).get
+
+        baseline_cover = baseline_tiling(aperture) if aperture.rows % 6 == 0 else None
+        baseline_result = None if baseline_cover is None else submit(baseline_cover, 0)
+
+        total = search.count()
+        tasks = len(range(first_t, total + 1, stride))
+        resumed = f"; resuming at t={first_t}" if existing_rows else ""
+        info(f"{total} tilings, {tasks} to evaluate (stride {stride}){resumed}")
+        task_iter = search.stream(first_t, stride)
+
+        # the ledger header records the baseline capacity
+        baseline_record = None if baseline_result is None else baseline_result()[0]
+        ledger_scope = (
+            open(ledger_path, "a" if existing_rows else "w") if ledger_path else nullcontext()
         )
-        record, zf = _evaluate(
-            cover, stack, budget, beams, cfg.zf_condition_cap, row.tiling_index, drops_key
-        )
-        return cover, record, zf
+        with ledger_scope as ledger_fh:
+            if ledger_fh and not existing_rows:
+                write_ledger_header(
+                    ledger_fh,
+                    {
+                        "config_hash": cfg.config_hash(),
+                        "seed": cfg.scenario.seed,
+                        "channel_mode": cfg.channel.tag,
+                        "aperture": f"{aperture.columns}x{aperture.rows}",
+                        "alphabet": cfg.alphabet_file or cfg.alphabet,
+                        "stride": cfg.tiling_stride,
+                        "drops_fingerprint": drops_key,
+                        "baseline_capacity_bps_hz": (
+                            repr(baseline_record.average_sum_rate)
+                            if baseline_record is not None
+                            else "none"
+                        ),
+                    },
+                )
+            if pool is None:
+                consume(map(_eval_task, task_iter), tasks, ledger_fh)
+            else:
+                # small enough that every worker gets about four chunks
+                chunksize = max(1, min(64, math.ceil(tasks / (4 * workers))))
+                consume(pool.imap(_eval_task, task_iter, chunksize=chunksize), tasks, ledger_fh)
 
-    # each distinct best tiling is evaluated once; its precoders come from
-    # the same pass
-    best_cover = best_record = best_precoders = None
-    best_any_cover = best_any_record = None
-    if best_row is not None:
-        best_cover, best_record, zf = materialize(best_row, best_rows)
+        def cover_of(row: LedgerRow, rows: tuple[int, ...] | None) -> AggregationVector:
+            # a best tiling from resumed rows is looked up in the count's memo
+            if rows is None:
+                rows = _rows_by_index(search, row.tiling_index)
+            return _cover_from_rows(rows, cells, aperture.size)
+
+        # each distinct best tiling is evaluated once, the two in parallel;
+        # the precoders come from the same pass (best_any_row is None only
+        # when best_row is: a covered row is feasible)
+        best_cover = best_any_cover = best_result = best_any_result = None
+        if best_row is not None:
+            best_cover = cover_of(best_row, best_rows)
+            best_result = submit(best_cover, best_row.tiling_index, keep_precoders=True)
+        if best_any_row is not best_row:
+            best_any_cover = cover_of(best_any_row, best_any_rows)
+            best_any_result = submit(best_any_cover, best_any_row.tiling_index)
+
+        best_record, zf = (None, None) if best_result is None else best_result()
         best_precoders = None if zf is None else _precoders(*zf)
-    if best_any_row is best_row:
-        best_any_cover, best_any_record = best_cover, best_record
-    elif best_any_row is not None:
-        best_any_cover, best_any_record, _ = materialize(best_any_row, best_any_rows)
+        if best_any_result is None:
+            best_any_cover, best_any_record = best_cover, best_record
+        else:
+            best_any_record = best_any_result()[0]
 
     comparison = None
     if best_record is not None and baseline_record is not None:

@@ -13,7 +13,7 @@ redrawn until they land inside the hexagon.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,17 +49,6 @@ class ScenarioParams:
         x = self.hex_edge_m if self.centroid_x_m is None else self.centroid_x_m
         y = 0.0 if self.centroid_y_m is None else self.centroid_y_m
         return np.array([x, y])
-
-
-def scenario_defaults(kind: str, **overrides) -> ScenarioParams:
-    """Urban-macro (25 m site, 500 m ISD) or urban-micro (10 m, 200 m)."""
-    presets = {
-        "uma": dict(kind="uma", isd_m=500.0, bs_height_m=25.0),
-        "umi": dict(kind="umi", isd_m=200.0, bs_height_m=10.0),
-    }
-    if kind not in presets:
-        raise ValueError(f"unknown scenario kind {kind!r}; known: {sorted(presets)}")
-    return replace(ScenarioParams(**presets[kind]), **overrides)
 
 
 # outward edge normals of the hexagon, at 30 + k*60 deg

@@ -17,7 +17,3 @@ def watts_to_dbm(watts):
 
 def db_to_linear(db):
     return 10.0 ** (np.asarray(db, dtype=float) / 10.0)
-
-
-def linear_to_db(x):
-    return 10.0 * np.log10(np.asarray(x, dtype=float))

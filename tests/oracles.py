@@ -6,10 +6,13 @@ loops, exhaustive recursion) and shares no code with the library internals.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from apertile.channel import ChannelModel
 from apertile.geometry import expand_weights_dual
+from apertile.scenario import ScenarioParams
 from apertile.shapes import PolyominoShape, normalize_cells
 
 
@@ -212,3 +215,18 @@ def point_in_hexagon_crossings(point, center, edge) -> bool:
         cross = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
         signs.append(cross)
     return all(s > 0 for s in signs) or all(s < 0 for s in signs)
+
+
+def scenario_defaults(kind: str, **overrides) -> ScenarioParams:
+    """Urban-macro (25 m site, 500 m ISD) or urban-micro (10 m, 200 m)."""
+    presets = {
+        "uma": dict(kind="uma", isd_m=500.0, bs_height_m=25.0),
+        "umi": dict(kind="umi", isd_m=200.0, bs_height_m=10.0),
+    }
+    if kind not in presets:
+        raise ValueError(f"unknown scenario kind {kind!r}; known: {sorted(presets)}")
+    return replace(ScenarioParams(**presets[kind]), **overrides)
+
+
+def linear_to_db(x):
+    return 10.0 * np.log10(np.asarray(x, dtype=float))

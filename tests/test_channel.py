@@ -18,9 +18,8 @@ from apertile.tiling import (
     build_incidence_matrix,
     generate_placements,
 )
-from apertile.units import linear_to_db
 
-from oracles import los_green, reduceat_aggregate
+from oracles import linear_to_db, los_green, reduceat_aggregate
 from test_geometry import reference_geometry
 
 

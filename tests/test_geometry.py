@@ -64,10 +64,9 @@ def test_position_rejects_out_of_range():
         geom.element_position(1, 13)
 
 
-def test_wavelength_and_angular_frequency():
+def test_wavelength():
     geom = reference_geometry()
     assert geom.wavelength_m == pytest.approx(SPEED_OF_LIGHT_M_S / 3.5e9)
-    assert geom.angular_frequency == pytest.approx(2 * np.pi * 3.5e9)
 
 
 # --- element pattern ----------------------------------------------------------

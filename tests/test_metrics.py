@@ -49,11 +49,6 @@ def test_two_beams_with_cross_gain():
     assert report.interference_w == pytest.approx(6.0 * abs(g) ** 2)
 
 
-def test_decomposition_is_total_power():
-    report = PortPowerReport(desired_w=2.0, interference_w=0.5, noise_w=0.25)
-    assert report.total_w == pytest.approx(2.75)
-
-
 def test_port_powers_random_matches_direct_sum(rng):
     budget = flat_budget(tx_w=3.0, noise_w=0.1)
     H = rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))

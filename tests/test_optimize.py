@@ -13,7 +13,7 @@ from apertile.channel import (
     aggregate_channel,
     assemble_channel,
 )
-from apertile.config import ApertureConfig, RunConfig
+from apertile.config import ApertureConfig, BudgetConfig, RunConfig
 from apertile.metrics import EvaluationRecord, port_powers
 from apertile.optimizer import (
     LedgerRow,
@@ -296,11 +296,16 @@ def resume_config(**overrides):
     )
 
 
+def ledger_lines(path):
+    """A ledger's lines, and the index of its first row."""
+    lines = path.read_text().splitlines(keepends=True)
+    return lines, next(i for i, l in enumerate(lines) if l.startswith("t,")) + 1
+
+
 def write_partial_ledger(full_path, path, keep):
     """Copy the header and the first `keep` rows of a ledger."""
-    lines = full_path.read_text().splitlines(keepends=True)
-    header_end = next(i for i, l in enumerate(lines) if l.startswith("t,")) + 1
-    path.write_text("".join(lines[: header_end + keep]))
+    lines, first = ledger_lines(full_path)
+    path.write_text("".join(lines[: first + keep]))
 
 
 def assert_resume_matches(cfg, tmp_path, keep, resume_cfg=None):
@@ -345,14 +350,45 @@ def test_resume_refuses_ledger_with_gap(tmp_path):
         cfg = resume_config(tiling_stride=stride)
         path = tmp_path / f"gap{stride}.csv"
         optimize(cfg, ledger_path=path)
-        lines = path.read_text().splitlines(keepends=True)
-        header_end = next(i for i, l in enumerate(lines) if l.startswith("t,")) + 1
-        del lines[header_end + 1]  # the second row
-        path.write_text("".join(lines[: header_end + 3]))
+        lines, first = ledger_lines(path)
+        del lines[first + 1]  # the second row
+        path.write_text("".join(lines[: first + 3]))
         before = path.read_bytes()
         with pytest.raises(ValueError, match="cannot resume"):
             optimize(cfg, ledger_path=path, resume=True)
         assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize(
+    "cut", [6, -1, None], ids=["inside-a-float", "after-the-last-comma", "before-the-newline"]
+)
+def test_resume_drops_an_unterminated_last_line(tmp_path, cut):
+    # a run killed mid-write leaves its last row cut short, without a newline
+    cfg = resume_config()
+    full_path = tmp_path / "full.csv"
+    full = optimize(cfg, ledger_path=full_path)
+    lines, first = ledger_lines(full_path)
+    path = tmp_path / "torn.csv"
+    path.write_text("".join(lines[: first + 3]) + lines[first + 3].rstrip("\n")[:cut])
+    messages = []
+    resumed = optimize(cfg, ledger_path=path, resume=True, log=messages.append)
+    assert path.read_bytes() == full_path.read_bytes()
+    assert resumed.ledger == full.ledger
+    assert resumed.best.tiling_index == full.best.tiling_index
+    assert any("unterminated last line" in m for m in messages)
+
+
+def test_resume_refuses_a_malformed_line_that_is_terminated(tmp_path):
+    cfg = resume_config()
+    path = tmp_path / "ledger.csv"
+    optimize(cfg, ledger_path=path)
+    lines, first = ledger_lines(path)
+    lines[first + 1] = lines[first + 1][:6] + "\n"
+    path.write_text("".join(lines[: first + 3]) + lines[first + 3][:6])
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="malformed ledger line"):
+        optimize(cfg, ledger_path=path, resume=True)
+    assert path.read_bytes() == before  # the torn last line too
 
 
 def test_resume_rejects_foreign_ledger(tmp_path):
@@ -542,6 +578,35 @@ def test_each_best_tiling_is_evaluated_once(monkeypatch):
     for got, want in zip(result.best_precoders, expected):
         np.testing.assert_array_equal(got.coefficients, want.coefficients)
         np.testing.assert_array_equal(got.scale, want.scale)
+
+
+def test_the_optimize_parent_evaluates_nothing(tmp_path, monkeypatch):
+    # 3x6 dominoes: 41 tilings and a baseline; under a -44.7 dBm floor the
+    # best covered tiling (t = 40) is not the unconstrained best (t = 41)
+    log = tmp_path / "evaluations.txt"
+    real = opt._evaluate
+
+    def logging(cover, *args):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {args[-2]}\n")  # tiling_index
+        return real(cover, *args)
+
+    monkeypatch.setattr(opt, "_evaluate", logging)
+    cfg = toy_config(
+        aperture=ApertureConfig(3, 6),
+        budget=BudgetConfig(coverage_threshold_dbm=-44.7),
+        workers=2,
+    )
+    result = optimize(cfg, ledger_path=tmp_path / "ledger.csv")
+    assert (result.best.tiling_index, result.best_unconstrained.tiling_index) == (40, 41)
+    assert result.baseline is not None and result.best_precoders
+    entries = [line.split() for line in log.read_text().splitlines()]
+    assert str(os.getpid()) not in {pid for pid, _ in entries}
+    indexes = [int(t) for _, t in entries]
+    # the baseline (t = 0) once, every ledger row once, and after the
+    # stream the two best tilings once each
+    assert sorted(indexes[:-2]) == [0, *range(1, 42)]
+    assert sorted(indexes[-2:]) == [40, 41]
 
 
 def test_result_to_json_shape(tmp_path):

@@ -13,10 +13,9 @@ from apertile.scenario import (
     sample_drop,
     sample_drops,
     save_drops,
-    scenario_defaults,
 )
 
-from oracles import point_in_hexagon_crossings
+from oracles import point_in_hexagon_crossings, scenario_defaults
 
 
 def uma(**overrides):
