@@ -108,6 +108,8 @@ class RunConfig:
             raise ValueError("tiling stride must be >= 1")
         if self.workers < 0:
             raise ValueError("workers must be >= 0")
+        if not self.zf_condition_cap >= 1.0:  # NaN too: every cond(H) >= 1 would fail it
+            raise ValueError(f"zf_condition_cap must be >= 1, got {self.zf_condition_cap}")
 
     # --- serialization ---
 
@@ -138,9 +140,12 @@ class RunConfig:
 
     def config_hash(self) -> str:
         """Hash of every field that can change a result; `workers` and
-        `output_dir` only say how and where a run goes."""
+        `output_dir` only say how and where a run goes. An alphabet file
+        counts by the shapes it holds, not by its path."""
         doc = self.to_dict()
         del doc["workers"], doc["output_dir"]
+        if self.alphabet_file:
+            doc["alphabet_file"] = [asdict(s) for s in self.shapes()]
         canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 

@@ -16,9 +16,10 @@ import math
 import os
 import signal
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from multiprocessing import get_context
+from operator import attrgetter
 from typing import Callable
 
 import numpy as np
@@ -65,16 +66,23 @@ def evaluate_tiling(
     return _evaluate(cover, channels, budget, beams, condition_cap, tiling_index, drops_key)[0]
 
 
+def _aggregate_and_zero_force(cover, channels, condition_cap):
+    """The (P, A, 2Q) effective channels of one tiling and `_zero_force`'s
+    (ok, V, norms, power) for them, norms weighted by tile size."""
+    # called through this module's global, which perfbench's tracer wraps
+    H = aggregate_channel(channels, cover)
+    sizes = np.concatenate([cover.tile_sizes()] * 2).astype(float)
+    return H, _zero_force(H, sizes, condition_cap)
+
+
 def _evaluate(cover, channels, budget, beams, condition_cap, tiling_index, drops_key):
-    """evaluate_tiling's record, plus the normalized precoders when feasible."""
-    H = aggregate_channel(channels, cover)  # (P, A, 2Q)
+    """evaluate_tiling's record, plus (V, norms) from `_zero_force` when feasible."""
+    H, (ok, V, norms, power) = _aggregate_and_zero_force(cover, channels, condition_cap)
     drops, ports, _ = H.shape
     users = ports // 2
     if beams is None:
         beams = users
 
-    sizes = np.concatenate([cover.tile_sizes()] * 2).astype(float)
-    ok, V_normalized, norms, power = _zero_force(H, sizes, condition_cap)
     if not bool(ok.all()):
         record = EvaluationRecord(
             tiling_index=tiling_index,
@@ -111,7 +119,7 @@ def _evaluate(cover, channels, budget, beams, condition_cap, tiling_index, drops
         per_ue_capacities=port_capacity.reshape(drops, users, 2).sum(axis=2),
         drops_fingerprint=drops_key,
     )
-    return record, (V_normalized, norms)
+    return record, (V, norms)
 
 
 def tiling_precoders(
@@ -125,15 +133,13 @@ def tiling_precoders(
     ChannelRankError when a drop is rank deficient or over the cap.
     """
     _check_channels(channels)
-    H = aggregate_channel(channels, cover)
-    sizes = np.concatenate([cover.tile_sizes()] * 2).astype(float)
-    ok, V_normalized, norms, _ = _zero_force(H, sizes, condition_cap)
+    _, (ok, V, norms, _) = _aggregate_and_zero_force(cover, channels, condition_cap)
     if not ok.all():
         raise ChannelRankError(
             f"drop {int(np.argmin(ok))} is rank deficient or over the condition "
             f"cap {condition_cap:.3e}"
         )
-    return _precoders(V_normalized, norms)
+    return _precoders(V, norms)
 
 
 # --- ledger ---------------------------------------------------------------
@@ -306,16 +312,25 @@ def _init_pool_worker(*init_args):
     _init_worker(*init_args)
 
 
-def _eval_task(task):
+@contextmanager
+def _in_process(init_args):
+    """Stands in for the pool when the tasks run in this process; what
+    they share is dropped on the way out, error or not."""
+    _init_worker(*init_args)
+    try:
+        yield None
+    finally:
+        _SHARED.clear()
+
+
+def _eval_task(task) -> LedgerRow:
     t, rows = task
     cover = _cover_from_rows(rows, _SHARED["cells"], _SHARED["element_count"])
-    record, _ = _record_task((cover, t, False))
-    return t, rows, _record_to_row(t, record)
+    return _record_to_row(t, _record_task((cover, t, False))[0])
 
 
 def _record_task(task):
-    """Evaluate one tiling: its record, plus its normalized precoders (or
-    None) when `keep_precoders` is set."""
+    """Evaluate one tiling: its record, and its (V, norms) or None."""
     cover, t, keep_precoders = task
     record, zf = _evaluate(
         cover,
@@ -432,38 +447,14 @@ def optimize(
         os.truncate(ledger_path, complete)
         info(f"dropped the unterminated last line of {ledger_path} ({len(data) - complete} bytes)")
 
-    # best trackers; processing is in ascending t with strict improvement,
-    # which realizes the lowest-index tie-break
-    best_row: LedgerRow | None = None
-    best_rows: tuple[int, ...] | None = None
-    best_any_row: LedgerRow | None = None
-    best_any_rows: tuple[int, ...] | None = None
-    all_rows: list[LedgerRow] = []
-    done = 0
-
-    def track(row: LedgerRow, rows: tuple[int, ...] | None):
-        nonlocal best_row, best_rows, best_any_row, best_any_rows
-        all_rows.append(row)
-        if not (row.feasible and math.isfinite(row.capacity_bps_hz)):
-            return
-        if best_any_row is None or row.capacity_bps_hz > best_any_row.capacity_bps_hz:
-            best_any_row, best_any_rows = row, rows
-        if row.covered and (
-            best_row is None or row.capacity_bps_hz > best_row.capacity_bps_hz
-        ):
-            best_row, best_rows = row, rows
-
-    for row in existing_rows:
-        track(row, None)
+    all_rows = list(existing_rows)
 
     def consume(result_iter, tasks: int, ledger_fh):
-        nonlocal done
         started = time.perf_counter()
-        for _t, rows, row in result_iter:
-            track(row, rows)
+        for done, row in enumerate(result_iter, 1):
+            all_rows.append(row)
             if ledger_fh:
                 ledger_fh.write(_format_row(row) + "\n")
-            done += 1
             if done % PROGRESS_EVERY == 0:
                 rate = done / (time.perf_counter() - started)
                 info(
@@ -479,8 +470,7 @@ def optimize(
     if workers > 1:
         pool_scope = get_context("fork").Pool(workers, _init_pool_worker, init_args)
     else:
-        _init_worker(*init_args)
-        pool_scope = nullcontext()
+        pool_scope = _in_process(init_args)
 
     with pool_scope as pool:
 
@@ -533,21 +523,26 @@ def optimize(
                 chunksize = max(1, min(64, math.ceil(tasks / (4 * workers))))
                 consume(pool.imap(_eval_task, task_iter, chunksize=chunksize), tasks, ledger_fh)
 
-        def cover_of(row: LedgerRow, rows: tuple[int, ...] | None) -> AggregationVector:
-            # a best tiling from resumed rows is looked up in the count's memo
-            if rows is None:
-                rows = _rows_by_index(search, row.tiling_index)
-            return _cover_from_rows(rows, cells, aperture.size)
+        # rows are in ascending t and max keeps the first of equal
+        # capacities, which realizes the lowest-index tie-break
+        scored = [r for r in all_rows if r.feasible and math.isfinite(r.capacity_bps_hz)]
+        capacity = attrgetter("capacity_bps_hz")
+        best_row = max((r for r in scored if r.covered), key=capacity, default=None)
+        best_any_row = max(scored, key=capacity, default=None)
+
+        def cover_of(row: LedgerRow) -> AggregationVector:
+            # looked up by index in the memo that the count filled
+            return _cover_from_rows(_rows_by_index(search, row.tiling_index), cells, aperture.size)
 
         # each distinct best tiling is evaluated once, the two in parallel;
         # the precoders come from the same pass (best_any_row is None only
         # when best_row is: a covered row is feasible)
         best_cover = best_any_cover = best_result = best_any_result = None
         if best_row is not None:
-            best_cover = cover_of(best_row, best_rows)
+            best_cover = cover_of(best_row)
             best_result = submit(best_cover, best_row.tiling_index, keep_precoders=True)
         if best_any_row is not best_row:
-            best_any_cover = cover_of(best_any_row, best_any_rows)
+            best_any_cover = cover_of(best_any_row)
             best_any_result = submit(best_any_cover, best_any_row.tiling_index)
 
         best_record, zf = (None, None) if best_result is None else best_result()

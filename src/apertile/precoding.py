@@ -30,8 +30,9 @@ def zero_forcing(H, condition_cap: float = 1e8) -> PrecodingMatrix:
     """Minimum-norm right inverse of the effective channel.
 
     Computes conj(H).T @ inv(H @ conj(H).T), so H @ V is the identity on
-    the RX ports. Raises ChannelRankError when H has more rows than
-    columns, is rank deficient, or its condition number exceeds the cap.
+    the RX ports: the batched kernel `_zero_force` run on one drop. Raises
+    ChannelRankError when H has more rows than columns, is rank deficient,
+    or its condition number exceeds the cap.
     """
     H = np.asarray(H, dtype=complex)
     ports, dof = H.shape
@@ -39,17 +40,13 @@ def zero_forcing(H, condition_cap: float = 1e8) -> PrecodingMatrix:
         raise ChannelRankError(
             f"{ports} RX ports exceed {dof} sub-array degrees of freedom"
         )
-    gram = H @ H.conj().T
-    lam = np.linalg.eigvalsh(gram)
-    if lam[0] <= 0.0:
-        raise ChannelRankError("effective channel is rank deficient")
-    cond = float(np.sqrt(lam[-1] / lam[0]))
-    if cond > condition_cap:
+    ok, V, _, _ = _zero_force(H[None], np.ones(dof), condition_cap)
+    if not ok[0]:
         raise ChannelRankError(
-            f"effective channel condition number {cond:.3e} exceeds cap {condition_cap:.3e}"
+            "effective channel is rank deficient or its condition number "
+            f"exceeds cap {condition_cap:.3e}"
         )
-    coeffs = np.linalg.solve(gram, H).conj().T
-    return PrecodingMatrix(coefficients=coeffs)
+    return PrecodingMatrix(coefficients=V[0])
 
 
 def normalize_beams(V: PrecodingMatrix, s: AggregationVector) -> PrecodingMatrix:
@@ -91,11 +88,11 @@ def _cap_decision(gram: np.ndarray, condition_cap: float) -> np.ndarray:
 def _zero_force(H: np.ndarray, sizes: np.ndarray, condition_cap: float):
     """Zero-force a (P, A, 2Q) batch of effective channels and decide the cap.
 
-    Returns (ok, V_normalized, norms, power): ok[p] is the decision of
-    `_cap_decision` for drop p; V_normalized (P, 2Q, A) holds the beams
-    scaled to unit element-weight norm, norms (P, A) the norms they were
-    divided by, and power (P, A, A) = |H @ V_normalized|^2. The last three
-    are None when `solve` meets an exactly singular Gram matrix.
+    Returns (ok, V, norms, power): ok[p] is the decision of `_cap_decision`
+    for drop p; V (P, 2Q, A) holds the raw beams, norms (P, A) their
+    element-weight norms (weights `sizes`), and power (P, A, A) =
+    |H @ V / norms|^2. The last three are None when the cap is failed
+    before the solve, or `solve` meets an exactly singular Gram matrix.
 
     eigvalsh runs only on the drops that a norm certificate leaves open.
     If ||HV - I||_F <= 1/2, then sigma_min(H) >= 1 / (2 ||V||_2), so
@@ -130,7 +127,7 @@ def _zero_force(H: np.ndarray, sizes: np.ndarray, condition_cap: float):
         product = H @ V_normalized  # (P, A, A)
         power = product.real**2 + product.imag**2
         if decided is not None:
-            return decided, V_normalized, norms, power
+            return decided, V, norms, power
         # ||HV - I||_F^2, where column a of HV is norms[a] * product[:, a]
         residual_f2 = (
             np.einsum("pa,pa->p", norms**2, power.sum(axis=1))
@@ -143,11 +140,12 @@ def _zero_force(H: np.ndarray, sizes: np.ndarray, condition_cap: float):
     if not ok.all():
         open_drops = ~ok
         ok[open_drops] = _cap_decision(gram[open_drops], condition_cap)
-    return ok, V_normalized, norms, power
+    return ok, V, norms, power
 
 
-def _precoders(V_normalized: np.ndarray, norms: np.ndarray) -> list[PrecodingMatrix]:
-    """One PrecodingMatrix per drop from `_zero_force`'s beams and norms."""
+def _precoders(V: np.ndarray, norms: np.ndarray) -> list[PrecodingMatrix]:
+    """One normalized PrecodingMatrix per drop from `_zero_force`'s V and norms."""
+    V_normalized = V / norms[:, None, :]
     return [PrecodingMatrix(coefficients=v, scale=1.0 / n) for v, n in zip(V_normalized, norms)]
 
 

@@ -108,6 +108,44 @@ def test_custom_alphabet_file(tmp_path):
     assert [s.name for s in shapes] == ["bar"]
 
 
+def test_config_hash_reads_the_alphabet_file_content(tmp_path, capsys):
+    # a default config hashes as it always has, so its old ledgers resume
+    assert RunConfig().config_hash() == "28b8f472e7cb782f"
+    dominoes = {"shapes": [{"name": "bar", "cells": [[0, 0], [1, 0]]}]}
+    first = tmp_path / "a.json"
+    first.write_text(json.dumps(dominoes))
+    cfg = tiny_config(alphabet_file=str(first), output_dir=str(tmp_path / "out"))
+    (tmp_path / "elsewhere").mkdir()
+    second = tmp_path / "elsewhere" / "b.json"
+    second.write_text(json.dumps(dominoes))
+    assert tiny_config(alphabet_file=str(second)).config_hash() == cfg.config_hash()
+
+    path = write_config(tmp_path, cfg)
+    assert main(["optimize", "--config", path]) == 0
+    ledger = tmp_path / "out" / "ledger.csv"
+    before = ledger.read_bytes()
+    # vertical dominoes only: one tiling of the 3x2 panel instead of three
+    dominoes["shapes"][0]["rotations"] = False
+    first.write_text(json.dumps(dominoes))
+    capsys.readouterr()
+    assert main(["optimize", "--config", path, "--resume"]) == 1
+    assert "different config" in capsys.readouterr().err
+    assert ledger.read_bytes() == before
+
+
+@pytest.mark.parametrize("cap", [0.5, float("nan")])
+def test_cli_refuses_a_condition_cap_below_one(tmp_path, capsys, cap):
+    # cond(H) >= 1, so such a cap would make every tiling infeasible
+    path = write_config(tmp_path, tiny_config(zf_condition_cap=cap, output_dir=str(tmp_path)))
+    assert main(["optimize", "--config", path]) == 1
+    assert "zf_condition_cap" in capsys.readouterr().err
+    assert not (tmp_path / "ledger.csv").exists()
+
+
+def test_an_infinite_condition_cap_is_accepted():
+    tiny_config(zf_condition_cap=float("inf")).validate()
+
+
 # --- reports helpers ----------------------------------------------------------
 
 def test_classify_tiles_identifies_orientations():

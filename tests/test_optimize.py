@@ -630,6 +630,13 @@ def test_result_to_json_shape(tmp_path):
     assert "delta_pct" in doc["comparison"]
 
 
+def test_an_in_process_run_leaves_no_shared_state():
+    # without a pool the tasks run here; the channel stack they share must
+    # not outlive the run
+    optimize(toy_config(workers=1))
+    assert opt._SHARED == {}
+
+
 def test_toy_without_divisible_rows_has_no_baseline():
     result = optimize(toy_config())
     assert result.baseline is None

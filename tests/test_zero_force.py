@@ -59,14 +59,27 @@ def counting_cap_decision(monkeypatch):
 def test_certified_decision_equals_eigvalsh_decision(rng, monkeypatch, ports, dof, cap):
     seen = counting_cap_decision(monkeypatch)
     H = channels_with_conditions(rng, ports, dof, CONDS * 3)
-    ok = _zero_force(H, weights(rng, dof), cap)[0]
-    np.testing.assert_array_equal(ok, eigvalsh_cap_decision(H, cap))
+    w = weights(rng, dof)
+    ok, V, _, _ = _zero_force(H, w, cap)
+    reference = eigvalsh_cap_decision(H, cap)
+    np.testing.assert_array_equal(ok, reference)
     # eigvalsh sees only what the certificate leaves open: a drop passes it
     # when 2 ||H||_F ||V||_F <= tau, and ||H||_F ||V||_F lies in [cond, A cond]
     tau = min(cap / 100, 1e6)
     certified = len(H) - sum(seen)
     assert 3 * sum(c <= tau / (2 * ports) for c in CONDS) <= certified
     assert certified <= 3 * sum(c <= tau / 2 for c in CONDS)
+    # zero_forcing is this kernel on one drop: it raises exactly where the
+    # eigenvalues reject the drop, and otherwise returns the same raw beams
+    if V is None:  # a low cap refuses the whole batch before the solve
+        V = np.empty((len(H), dof, ports), dtype=complex)
+        V[reference] = _zero_force(H[reference], w, cap)[1]
+    for p in range(len(H)):
+        if reference[p]:
+            assert zero_forcing(H[p], cap).coefficients.tobytes() == V[p].tobytes()
+        else:
+            with pytest.raises(ChannelRankError):
+                zero_forcing(H[p], cap)
 
 
 @pytest.mark.parametrize("cap", CAPS)
