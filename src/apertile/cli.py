@@ -113,7 +113,7 @@ def cmd_optimize(args) -> int:
     meta = {"config_hash": cfg.config_hash(), "seed": cfg.scenario.seed}
     save_drops(result.drops, os.path.join(out_dir, "drops.json"), meta)
     with open(os.path.join(out_dir, "result.json"), "w") as fh:
-        json.dump(result_to_json(result, cfg), fh, indent=2)
+        json.dump(result_to_json(result, cfg), fh, indent=2, allow_nan=False)
         fh.write("\n")
     if result.best_precoders:
         save_precoders(
@@ -159,6 +159,8 @@ def cmd_optimize(args) -> int:
                 f"{result.comparison.beating_count} tilings beat baseline "
                 f"({100.0 * result.comparison.beating_fraction:.2f}%)"
             )
+        elif result.baseline is not None:
+            print(f"baseline infeasible at condition cap {cfg.zf_condition_cap:g}: no comparison")
         return EXIT_OK
     print("no tiling satisfies the coverage floor", file=sys.stderr)
     return EXIT_INFEASIBLE
@@ -187,18 +189,20 @@ def cmd_evaluate(args) -> int:
         "tiling": args.tiling,
         "feasible": record.feasible,
         "covered": record.covered,
-        "capacity_bps_hz": record.average_sum_rate,
-        "per_drop_sum_rates": np.asarray(record.per_drop_sum_rates).tolist(),
+        "capacity_bps_hz": None,
+        "per_drop_sum_rates": None,
     }
     if record.feasible:
+        doc["capacity_bps_hz"] = record.average_sum_rate
+        doc["per_drop_sum_rates"] = np.asarray(record.per_drop_sum_rates).tolist()
         with np.errstate(divide="ignore"):
             doc["min_power_dbm"] = float(watts_to_dbm(record.min_desired_power_w))
             doc["eta_dbm"] = eta_statistics(record.eta_desired_dbm())
     if args.output:
         with open(args.output, "w") as fh:
-            json.dump(doc, fh, indent=2)
+            json.dump(doc, fh, indent=2, allow_nan=False)
             fh.write("\n")
-    print(json.dumps(doc, indent=2))
+    print(json.dumps(doc, indent=2, allow_nan=False))
     return EXIT_OK if record.feasible else EXIT_INFEASIBLE
 
 
@@ -208,7 +212,7 @@ def cmd_report(args) -> int:
     meta, rows = read_ledger(args.ledger)
     baseline = None
     raw = meta.get("baseline_capacity_bps_hz")
-    if raw not in (None, "none"):
+    if raw not in (None, "none", "nan"):  # "nan": an infeasible baseline in older ledgers
         baseline = float(raw)
     summary = summarize_ledger(rows, baseline)
     print(f"ledger: {args.ledger}")

@@ -246,11 +246,16 @@ def summarize_ledger(rows: list[LedgerRow], baseline_capacity: float | None = No
         },
     }
     if baseline_capacity is not None:
-        beating = int(np.sum(caps_f > baseline_capacity))
         out["baseline_capacity_bps_hz"] = float(baseline_capacity)
-        out["beating_baseline"] = beating
-        out["beating_fraction"] = beating / len(rows)
+        out["beating_baseline"], out["beating_fraction"] = _beating(rows, baseline_capacity)
     return out
+
+
+def _beating(rows: list[LedgerRow], capacity: float) -> tuple[int, float]:
+    """How many rows have a finite capacity above `capacity`, and their share of all rows."""
+    caps = np.array([r.capacity_bps_hz for r in rows])
+    count = int(np.sum(caps[np.isfinite(caps)] > capacity))
+    return count, count / len(rows)
 
 
 # --- baseline comparison ---------------------------------------------------
@@ -277,12 +282,7 @@ def compare_to_baseline(
     if len(record.per_drop_sum_rates) != len(baseline.per_drop_sum_rates):
         raise ValueError("records cover different drop counts")
     delta = (record.average_sum_rate - baseline.average_sum_rate) / baseline.average_sum_rate
-    count = 0
-    fraction = 0.0
-    if ledger:
-        caps = np.array([r.capacity_bps_hz for r in ledger])
-        count = int(np.sum(caps[np.isfinite(caps)] > baseline.average_sum_rate))
-        fraction = count / len(ledger)
+    count, fraction = _beating(ledger, baseline.average_sum_rate) if ledger else (0, 0.0)
     return BaselineComparison(delta=delta, beating_count=count, beating_fraction=fraction)
 
 
@@ -492,8 +492,10 @@ def optimize(
         info(f"{total} tilings, {tasks} to evaluate (stride {stride}){resumed}")
         task_iter = search.stream(first_t, stride)
 
-        # the ledger header records the baseline capacity
+        # the ledger header records the baseline capacity, "none" when the
+        # baseline is missing or infeasible
         baseline_record = None if baseline_result is None else baseline_result()[0]
+        baseline_ok = baseline_record is not None and baseline_record.feasible
         ledger_scope = (
             open(ledger_path, "a" if existing_rows else "w") if ledger_path else nullcontext()
         )
@@ -510,9 +512,7 @@ def optimize(
                         "stride": cfg.tiling_stride,
                         "drops_fingerprint": drops_key,
                         "baseline_capacity_bps_hz": (
-                            repr(baseline_record.average_sum_rate)
-                            if baseline_record is not None
-                            else "none"
+                            repr(baseline_record.average_sum_rate) if baseline_ok else "none"
                         ),
                     },
                 )
@@ -553,7 +553,7 @@ def optimize(
             best_any_record = best_any_result()[0]
 
     comparison = None
-    if best_record is not None and baseline_record is not None:
+    if best_record is not None and baseline_ok:
         comparison = compare_to_baseline(best_record, baseline_record, all_rows)
 
     best_text = f"{best_row.capacity_bps_hz:.6g} bps/Hz" if best_row else "none"
@@ -590,7 +590,7 @@ def result_to_json(result: OptimizationResult, cfg: RunConfig) -> dict:
         with np.errstate(divide="ignore"):
             doc = {
                 "tiling_index": record.tiling_index,
-                "capacity_bps_hz": record.average_sum_rate,
+                "capacity_bps_hz": record.average_sum_rate if record.feasible else None,
                 "min_power_dbm": float(watts_to_dbm(record.min_desired_power_w))
                 if record.feasible
                 else None,

@@ -7,17 +7,18 @@ matrix links placements (rows) to the pixels they cover (columns). Complete
 tilings are exactly the exact covers of that matrix and are streamed lazily
 by a backtracking enumerator that always branches on the uncovered pixel
 with the fewest remaining candidate placements (lowest pixel index on ties,
-candidate placements tried in increasing placement id). A memo of every
-node with a cover below it (its cover count and its live branches) lets a
-stream pass a subtree it has met before without searching it again, and a
-strided or resumed stream jump straight to the covers it wants.
+candidate placements tried in increasing placement id). One depth-first
+walk counts and streams the covers; a memo of every node with a cover below
+it (its cover count and its live branches) lets the walk pass a subtree it
+has met before in one step, or enter it without searching it again.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Generator, Iterator
 
 import numpy as np
 
@@ -178,17 +179,22 @@ class _CoverSearch:
     and the branching pixel depends only on those, so everything below a
     node is a function of its covered mask.
 
-    `memo` maps the covered mask of every node with at least one cover below
-    it, once that subtree has been counted or walked in full, to the tuple
-    (covers below, *live rows): the live rows are the rows tried at the
-    node, in search order, whose child holds a cover (one tuple per entry,
-    which keeps the memo small: three quarters of the live nodes on 8x12 P
-    have a single live row). The entries form a shared graph of the cover
-    set. A stream that reaches a stored node loops over its live rows only,
-    so it never visits a dead end again, and steps over children by their
-    stored counts. Dead ends are not stored: on 8x12 P they are three
-    quarters of the distinct masks, and they are met only below the first
-    expansion of a live node.
+    One depth-first walk both counts and streams. It keeps `seen`, the
+    number of covers reached so far. A cover adds 1 and is yielded when
+    `seen` reaches the next wanted index; a stored node whose covers all
+    come before that index adds its count without being entered; a node met
+    for the first time is expanded by the branching rule, and stored once
+    the walk has left it. `count()` is the walk with no cover wanted.
+
+    `memo` maps the covered mask of every node with a cover below it to the
+    tuple (covers below, *live rows): the rows tried at the node, in search
+    order, whose child holds a cover (one tuple per entry keeps the memo
+    small: three quarters of the live nodes on 8x12 P have one live row). A
+    walk enters a stored node through its live rows only, so it never
+    visits a dead end again, and a walk stopped early leaves only complete
+    entries behind. Dead ends are not stored: on 8x12 P they are three
+    quarters of the distinct masks, met only below the first expansion of
+    a live node.
     """
 
     def __init__(self, L: IncidenceMatrix):
@@ -215,7 +221,6 @@ class _CoverSearch:
         self.cell_bits = cell_bits
         self.memo: dict[int, tuple[int, ...]] = {}
         self._branch = self._branch_rule(cand, K)
-        self._below = self._counter()
 
     def _branch_rule(self, cand: list[int], K: int) -> Callable[[int, int], list[int]]:
         """Return branch(active, covered): the active rows that cover the
@@ -249,96 +254,63 @@ class _CoverSearch:
 
         return branch
 
-    def _counter(self) -> Callable[[int, int], int]:
-        """Return below(active, covered), the number of covers under a node."""
+    def _walk(self, want: float, step: int) -> Generator[tuple[int, tuple[int, ...]], None, int]:
+        """Yield (t, rows) for covers t = want, want + step, ... in
+        depth-first order; return the number of covers."""
         full = self.full
         conflict = self.conflict
         cell_bits = self.cell_bits
         memo = self.memo
         branch = self._branch
+        chosen: list[int] = []
+        seen = 0  # covers reached so far
 
-        def below(active: int, covered: int) -> int:
+        def walk(active: int, covered: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+            nonlocal seen, want
             if covered == full:
-                return 1
+                seen += 1
+                if seen == want:
+                    yield seen, tuple(chosen)
+                    want += step
+                return
             entry = memo.get(covered)
-            if entry is not None:
-                return entry[0]
-            total = 0
+            if entry is None:
+                rows = branch(active, covered)
+            elif seen + entry[0] < want:
+                seen += entry[0]  # passed without entering
+                return
+            else:
+                rows = entry[1:]
+            first = seen
             live = []
-            for k in branch(active, covered):
-                covers = below(active & ~conflict[k], covered | cell_bits[k])
-                if covers:
-                    total += covers
+            for k in rows:
+                before = seen
+                chosen.append(k)
+                yield from walk(active & ~conflict[k], covered | cell_bits[k])
+                chosen.pop()
+                if seen != before:
                     live.append(k)
-            if total:
-                memo[covered] = (total, *live)
-            return total
+            if live and entry is None:
+                memo[covered] = (seen - first, *live)
 
-        return below
+        yield from walk(self.rows_all, 0)
+        return seen
 
     def count(self) -> int:
         """Number of exact covers of the whole matrix."""
-        return self._below(self.rows_all, 0)
+        try:
+            next(self._walk(math.inf, 1))
+        except StopIteration as done:
+            return done.value
+        raise AssertionError("a walk that wants no cover yielded one")
 
-    def stream(
-        self, start: int = 1, step: int = 1
-    ) -> Iterator[tuple[int, tuple[int, ...]]]:
-        """Yield (t, rows) for covers t = start, start + step, ... in order.
-
-        t is the 1-based position in the full depth-first order and rows
-        are the cover's 0-based row indices. While covers remain to be
-        passed before the next wanted one, the search counts each child
-        before descending and steps over it if it holds no more than that.
-        A node met for the first time is stored in the memo once all its
-        children have been walked, so a stream stopped early leaves only
-        complete entries behind.
-        """
+    def stream(self, start: int = 1, step: int = 1) -> Iterator[tuple[int, tuple[int, ...]]]:
+        """Yield (t, rows) for covers t = start, start + step, ... in order:
+        t is the 1-based position in the full depth-first order, rows are
+        the cover's 0-based row indices."""
         if start < 1 or step < 1:
             raise ValueError(f"start and step must be >= 1, got {start}, {step}")
-        full = self.full
-        conflict = self.conflict
-        cell_bits = self.cell_bits
-        memo = self.memo
-        branch = self._branch
-        below = self._below
-        chosen: list[int] = []
-        want = start  # index of the next cover to yield
-        skip = start - 1  # covers to pass before it; want - skip - 1 are passed
-
-        def search(active: int, covered: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-            nonlocal want, skip
-            if covered == full:
-                # only reached with skip == 0, so this is cover `want`
-                yield want, tuple(chosen)
-                want += step
-                skip = step - 1
-                return
-            # a stored node is walked through its live rows alone, and all
-            # its children are stored too, so `below` only reads the memo
-            entry = memo.get(covered)
-            rows = entry[1:] if entry else branch(active, covered)
-            first = want - skip
-            live = []
-            for k in rows:
-                child = covered | cell_bits[k]
-                before = want - skip
-                # a child is counted only while covers remain to be passed
-                if skip:
-                    covers = below(active & ~conflict[k], child)
-                    if covers <= skip:
-                        skip -= covers
-                        if covers:
-                            live.append(k)
-                        continue
-                chosen.append(k)
-                yield from search(active & ~conflict[k], child)
-                chosen.pop()
-                if want - skip != before:
-                    live.append(k)
-            if live and not entry:
-                memo[covered] = (want - skip - first, *live)
-
-        yield from search(self.rows_all, 0)
+        return self._walk(start, step)
 
 
 def _cover_from_rows(rows: tuple[int, ...], cells, element_count) -> AggregationVector:

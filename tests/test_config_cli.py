@@ -306,6 +306,55 @@ def test_cli_optimize_infeasible_exit_code(tmp_path, capsys):
     assert main(["optimize", "--config", path]) == 2
 
 
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_cli_reports_an_infeasible_baseline_without_nan(tmp_path, capsys):
+    # at cap 30 the baseline's one drop is too ill-conditioned while every
+    # P tiling passes, so there is no baseline to compare the best with
+    cfg = tiny_config(
+        aperture=ApertureConfig(4, 6),
+        scenario=ScenarioParams(
+            kind="uma", isd_m=500.0, bs_height_m=25.0, drops=1, users=4, seed=1
+        ),
+        alphabet="P",
+        zf_condition_cap=30.0,
+        output_dir=str(tmp_path / "out"),
+    )
+    path = write_config(tmp_path, cfg)
+    assert main(["optimize", "--config", path]) == 0
+    out = capsys.readouterr().out
+    assert "baseline infeasible at condition cap 30" in out
+    assert "gain" not in out and "nan" not in out
+    ledger = tmp_path / "out" / "ledger.csv"
+    meta, _ = read_ledger(ledger)
+    assert meta["baseline_capacity_bps_hz"] == "none"
+    result = json.loads(
+        (tmp_path / "out" / "result.json").read_text(), parse_constant=refuse_constant
+    )
+    assert result["best"]["feasible"] is True
+    assert result["baseline"]["feasible"] is False
+    assert result["baseline"]["capacity_bps_hz"] is None
+    assert result["comparison"] is None
+
+    assert main(["report", "--ledger", str(ledger)]) == 0
+    assert "beating baseline" not in capsys.readouterr().out
+    # older versions wrote an infeasible baseline's capacity as nan
+    ledger.write_text(ledger.read_text().replace("capacity_bps_hz=none", "capacity_bps_hz=nan"))
+    assert main(["report", "--ledger", str(ledger)]) == 0
+    assert "beating baseline" not in capsys.readouterr().out
+
+    evaluated = tmp_path / "eval.json"
+    assert main(
+        ["evaluate", "--config", path, "--tiling", "baseline", "--output", str(evaluated)]
+    ) == 2
+    for text in (evaluated.read_text(), capsys.readouterr().out):
+        doc = json.loads(text, parse_constant=refuse_constant)
+        assert doc["feasible"] is False
+        assert doc["capacity_bps_hz"] is None and doc["per_drop_sum_rates"] is None
+
+
 def test_cli_evaluate_baseline(tmp_path, capsys):
     cfg = tiny_config(
         aperture=ApertureConfig(4, 6),

@@ -266,14 +266,26 @@ def test_stream_of_a_stored_node_expands_nothing():
 
 
 def test_cold_step_one_stream_counts_nothing():
-    matrix, _ = matrix_for(6, 6, "P+L")
-    search = _CoverSearch(matrix)
+    # a cold stream expands nodes as it reaches them, not by counting first,
+    # and enters each stored node through its live rows alone
+    matrix, _ = matrix_for(6, 8, "P")
 
-    def below(active, covered):
-        raise AssertionError("counted a subtree")
+    def expansions(walk):
+        search = _CoverSearch(matrix)
+        branch = search._branch
+        expanded = []
 
-    search._below = below
-    assert [r for _, r in search.stream()] == reference_covers(matrix)
+        def counted(active, covered):
+            expanded.append(covered)
+            return branch(active, covered)
+
+        search._branch = counted
+        walk(search)
+        return len(expanded)
+
+    counting = expansions(lambda search: search.count())
+    assert expansions(lambda search: next(search.stream())) * 10 < counting
+    assert expansions(lambda search: sum(1 for _ in search.stream())) == counting
 
 
 @pytest.mark.parametrize(
