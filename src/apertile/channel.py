@@ -211,7 +211,6 @@ def aggregate_channel(G, s: AggregationVector) -> np.ndarray:
             f"channel has {by_column.shape[0]} TX columns, tiling covers {mn} elements"
         )
     q = s.tile_count
-    floats = 2 if np.iscomplexobj(by_column) else 1
     order = np.argsort(values, kind="stable")
     sizes = s.tile_sizes()
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
@@ -219,18 +218,58 @@ def aggregate_channel(G, s: AggregationVector) -> np.ndarray:
     for n in sorted(set(sizes.tolist())):
         tiles = np.flatnonzero(sizes == n)
         cells = order[starts[tiles, None] + np.arange(n)]
-        # (n, 2Q_n, ...): a new array, so the sums may overwrite it; g[j]
-        # are disjoint blocks, so in-place adds need no overlap copies
-        g = by_column[np.concatenate((cells, mn + cells)).T]
-        sums = g[0]
-        if n > 1:
-            sums = _pairwise_sum(list(g[1:]), floats)
-            sums += g[0]
+        sums = _tile_sums(by_column, np.concatenate((cells, mn + cells)))
         if tiles.size == q:
             by_tile = sums
         else:
             if by_tile is None:
-                by_tile = np.empty((2 * q,) + g.shape[2:], dtype=g.dtype)
+                by_tile = np.empty((2 * q,) + sums.shape[1:], dtype=sums.dtype)
             by_tile[np.concatenate((tiles, q + tiles))] = sums
     return np.ascontiguousarray(np.moveaxis(by_tile, 0, -1))
+
+
+def _tile_sums(by_column: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Sums of the TX columns of equally sized tiles, one gather for all.
+
+    `cells` is (T, n): each row holds one tile's column indices in
+    ascending order. Row j of the new (T, ...) result is by_column[cells[j,
+    0]] plus the pairwise sum of the rest. Each element is summed on its
+    own, so a tile's sum does not depend on which tiles share the call.
+    """
+    floats = 2 if np.iscomplexobj(by_column) else 1
+    # (n, T, ...): a new array, so the sums may overwrite it; g[j] are
+    # disjoint blocks, so in-place adds need no overlap copies
+    g = by_column[cells.T]
+    sums = g[0]
+    if cells.shape[1] > 1:
+        sums = _pairwise_sum(list(g[1:]), floats)
+        sums += g[0]
+    return sums
+
+
+PLACEMENT_CHUNK = 32  # placements summed per gather while a table is built
+
+
+def placement_table(stack: ChannelStack, cells) -> np.ndarray:
+    """Every placement's aggregated channel columns, shape (P, A, 2, R).
+
+    `cells[k]` holds placement k's 0-based pixel indices in ascending
+    order. table[..., 0, k] sums their V columns and table[..., 1, k] their
+    H columns, bit for bit as `aggregate_channel` sums a tile on those
+    pixels. A tiling of placements `rows` (in tile-id order) then has the
+    effective channels np.take(table, rows, axis=-1).reshape(P, A, 2Q).
+    """
+    by_column = stack.columns
+    mn = by_column.shape[0] // 2
+    table = np.empty(by_column.shape[1:] + (2, len(cells)), by_column.dtype)
+    sizes = np.array([len(c) for c in cells])
+    for n in sorted(set(sizes.tolist())):
+        rows = np.flatnonzero(sizes == n)
+        # chunks bound the (n, 2T, P, A) gather to a fraction of the table
+        for chunk in np.split(rows, range(PLACEMENT_CHUNK, rows.size, PLACEMENT_CHUNK)):
+            pixels = np.array([cells[k] for k in chunk])
+            sums = _tile_sums(by_column, np.concatenate((pixels, mn + pixels)))
+            pair = sums.reshape(2, chunk.size, *sums.shape[1:])  # (V or H, T, P, A)
+            table[..., chunk] = np.moveaxis(pair, (0, 1), (-2, -1))
+    return table
 

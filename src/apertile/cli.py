@@ -216,7 +216,16 @@ def cmd_report(args) -> int:
         baseline = float(raw)
     summary = summarize_ledger(rows, baseline)
     print(f"ledger: {args.ledger}")
-    for key in ("config_hash", "seed", "channel_mode", "aperture", "alphabet", "stride"):
+    for key in (
+        "config_hash",
+        "seed",
+        "channel_mode",
+        "aperture",
+        "alphabet",
+        "stride",
+        "apertile_version",
+        "numpy_version",
+    ):
         if key in meta:
             print(f"  {key}: {meta[key]}")
     print(f"  rows: {summary['rows']} (feasible {summary['feasible_rows']})")

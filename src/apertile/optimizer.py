@@ -6,8 +6,10 @@ drop, never per tiling). Results merge in enumeration order, so the ledger
 is deterministic regardless of worker count, and every row is appended to
 disk as soon as it exists so long runs can resume. The pool also evaluates
 the baseline and the best tilings: the parent only counts, streams, merges
-and writes, so no process holds more than the channel stack and the
-temporaries of one evaluation.
+and writes. Each worker holds the channel stack, the temporaries of one
+evaluation and, when it fits TABLE_BUDGET_BYTES, a table of every
+placement's aggregated channel columns, built after the fork; the parent
+holds the stack and the search.
 """
 
 from __future__ import annotations
@@ -24,7 +26,13 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import ChannelStack, LinkBudget, aggregate_channel, assemble_channel
+from .channel import (
+    ChannelStack,
+    LinkBudget,
+    aggregate_channel,
+    assemble_channel,
+    placement_table,
+)
 from .config import RunConfig
 from .metrics import EvaluationRecord, eta_statistics
 from .precoding import ChannelRankError, PrecodingMatrix, _precoders, _zero_force
@@ -63,22 +71,23 @@ def evaluate_tiling(
     NaN) instead of contributing numerical noise.
     """
     _check_channels(channels)
-    return _evaluate(cover, channels, budget, beams, condition_cap, tiling_index, drops_key)[0]
+    H, sizes = _aggregate(cover, channels)
+    return _score(H, sizes, budget, beams, condition_cap, tiling_index, drops_key)[0]
 
 
-def _aggregate_and_zero_force(cover, channels, condition_cap):
-    """The (P, A, 2Q) effective channels of one tiling and `_zero_force`'s
-    (ok, V, norms, power) for them, norms weighted by tile size."""
+def _aggregate(cover, channels):
+    """The (P, A, 2Q) effective channels of one tiling, and the (2Q,) tile
+    sizes that weight `_zero_force`'s norms."""
     # called through this module's global, which perfbench's tracer wraps
     H = aggregate_channel(channels, cover)
-    sizes = np.concatenate([cover.tile_sizes()] * 2).astype(float)
-    return H, _zero_force(H, sizes, condition_cap)
+    return H, np.tile(cover.tile_sizes(), 2).astype(float)
 
 
-def _evaluate(cover, channels, budget, beams, condition_cap, tiling_index, drops_key):
-    """evaluate_tiling's record, plus (V, norms) from `_zero_force` when feasible."""
-    H, (ok, V, norms, power) = _aggregate_and_zero_force(cover, channels, condition_cap)
-    drops, ports, _ = H.shape
+def _score(H, sizes, budget, beams, condition_cap, tiling_index, drops_key):
+    """evaluate_tiling's record for effective channels H, plus (V, norms)
+    from `_zero_force` when feasible."""
+    ok, V, norms, power = _zero_force(H, sizes, condition_cap)
+    drops, ports, columns = H.shape
     users = ports // 2
     if beams is None:
         beams = users
@@ -86,7 +95,7 @@ def _evaluate(cover, channels, budget, beams, condition_cap, tiling_index, drops
     if not bool(ok.all()):
         record = EvaluationRecord(
             tiling_index=tiling_index,
-            tile_count=cover.tile_count,
+            tile_count=columns // 2,
             per_drop_sum_rates=np.full(drops, np.nan),
             average_sum_rate=float("nan"),
             eta_desired_w=np.full(ports, np.nan),
@@ -109,7 +118,7 @@ def _evaluate(cover, channels, budget, beams, condition_cap, tiling_index, drops
     min_power = float(eta.min())
     record = EvaluationRecord(
         tiling_index=tiling_index,
-        tile_count=cover.tile_count,
+        tile_count=columns // 2,
         per_drop_sum_rates=per_drop,
         average_sum_rate=float(per_drop.mean()),
         eta_desired_w=eta,
@@ -133,7 +142,7 @@ def tiling_precoders(
     ChannelRankError when a drop is rank deficient or over the cap.
     """
     _check_channels(channels)
-    _, (ok, V, norms, _) = _aggregate_and_zero_force(cover, channels, condition_cap)
+    ok, V, norms, _ = _zero_force(*_aggregate(cover, channels), condition_cap)
     if not ok.all():
         raise ChannelRankError(
             f"drop {int(np.argmin(ok))} is rank deficient or over the condition "
@@ -290,10 +299,18 @@ def compare_to_baseline(
 
 _SHARED: dict = {}
 
+# Largest placement table a worker builds: 4.8 MB for 8x12 P (472
+# placements) at 10 drops, 97 MB at 200 drops, which stay on the stack path.
+TABLE_BUDGET_BYTES = 16 * 2**20
+
 
 def _init_worker(G, budget, condition_cap, beams, cells, element_count, drops_key):
+    # the table holds a (P, A) V and H column sum for each placement
+    fits = 2 * len(cells) * G.columns[0].nbytes <= TABLE_BUDGET_BYTES
     _SHARED.update(
         G=G,
+        table=placement_table(G, cells) if fits else None,
+        placement_sizes=np.array([c.size for c in cells], dtype=float),
         budget=budget,
         condition_cap=condition_cap,
         beams=beams,
@@ -324,24 +341,39 @@ def _in_process(init_args):
 
 
 def _eval_task(task) -> LedgerRow:
+    """One ledger row; with a placement table, the tiling's effective
+    channels are one gather of its rows' column sums."""
     t, rows = task
-    cover = _cover_from_rows(rows, _SHARED["cells"], _SHARED["element_count"])
-    return _record_to_row(t, _record_task((cover, t, False))[0])
+    table = _SHARED["table"]
+    if table is None:
+        cover = _cover_from_rows(rows, _SHARED["cells"], _SHARED["element_count"])
+        H, sizes = _aggregate(cover, _SHARED["G"])
+    else:
+        index = np.array(rows)
+        drops, ports = table.shape[:2]
+        H = np.take(table, index, axis=-1).reshape(drops, ports, 2 * index.size)
+        sizes = np.tile(_SHARED["placement_sizes"][index], 2)
+    return _record_to_row(t, _shared_score(H, sizes, t)[0])
 
 
 def _record_task(task):
     """Evaluate one tiling: its record, and its (V, norms) or None."""
     cover, t, keep_precoders = task
-    record, zf = _evaluate(
-        cover,
-        _SHARED["G"],
+    record, zf = _shared_score(*_aggregate(cover, _SHARED["G"]), t)
+    return record, zf if keep_precoders else None
+
+
+def _shared_score(H, sizes, t):
+    """`_score` with the settings this process shares with its tasks."""
+    return _score(
+        H,
+        sizes,
         _SHARED["budget"],
         _SHARED["beams"],
         _SHARED["condition_cap"],
         t,
         _SHARED["drops_key"],
     )
-    return record, zf if keep_precoders else None
 
 
 # --- optimization ----------------------------------------------------------
@@ -439,7 +471,10 @@ def optimize(
             data = fh.read()
         complete = data.rfind(b"\n") + 1
         meta, existing_rows = _parse_ledger(data[:complete].decode().splitlines())
-        if meta.get("config_hash") not in (None, cfg.config_hash()):
+        # rows count only under this config's hash; an empty file, or one
+        # cut inside its header, has no rows and is written again
+        written_by = meta.get("config_hash")
+        if (existing_rows or written_by is not None) and written_by != cfg.config_hash():
             raise ValueError("existing ledger was written by a different config")
     first_t = _resume_point(existing_rows, stride)
     if complete < len(data):
@@ -501,6 +536,10 @@ def optimize(
         )
         with ledger_scope as ledger_fh:
             if ledger_fh and not existing_rows:
+                # read here: the package __init__ imports this module before
+                # it sets __version__
+                from . import __version__
+
                 write_ledger_header(
                     ledger_fh,
                     {
@@ -514,6 +553,9 @@ def optimize(
                         "baseline_capacity_bps_hz": (
                             repr(baseline_record.average_sum_rate) if baseline_ok else "none"
                         ),
+                        # ZF results depend bit for bit on the numpy/LAPACK build
+                        "apertile_version": __version__,
+                        "numpy_version": np.__version__,
                     },
                 )
             if pool is None:

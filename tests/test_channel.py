@@ -7,15 +7,17 @@ from apertile.channel import (
     LinkBudget,
     aggregate_channel,
     assemble_channel,
+    placement_table,
 )
 from apertile.geometry import ElementPattern, expand_weights_dual
 from apertile.scenario import UEDrop
-from apertile.shapes import alphabet
+from apertile.shapes import alphabet, builtin_shape, load_alphabet, save_alphabet
 from apertile.tiling import (
     AggregationVector,
     Aperture,
     baseline_tiling,
     build_incidence_matrix,
+    enumerate_exact_covers,
     generate_placements,
 )
 
@@ -265,6 +267,16 @@ def test_aggregation_is_bit_identical_to_reduceat_for_mixed_sizes(rng):
         assert np.array_equal(aggregate_channel(real, cover), reduceat_aggregate(real, cover))
 
 
+def placement_cover(aperture, pixels):
+    """Placement `pixels` (1-based) as one tile among single-pixel tiles,
+    the tiles numbered by first pixel, like enumerated covers."""
+    tile = np.zeros(aperture.size, dtype=bool)
+    tile[np.asarray(pixels) - 1] = True
+    keys = np.where(tile, np.flatnonzero(tile)[0], np.arange(aperture.size))
+    _, values = np.unique(keys, return_inverse=True)
+    return AggregationVector(values=values + 1, tile_count=int(values.max()) + 1)
+
+
 @pytest.mark.parametrize("shapes", ["P", "P+L"])
 def test_aggregation_is_bit_identical_for_every_placement(rng, shapes):
     # each placement as one tile among single-pixel tiles, on the 8x12 panel
@@ -272,15 +284,57 @@ def test_aggregation_is_bit_identical_for_every_placement(rng, shapes):
     G = complex_stack(rng, 2, 4, 2 * aperture.size)
     matrix = build_incidence_matrix(generate_placements(aperture, alphabet(shapes)), aperture)
     for pixels in matrix.rows:
-        tile = np.zeros(aperture.size, dtype=bool)
-        tile[np.asarray(pixels) - 1] = True
-        first = np.flatnonzero(tile)[0]
-        # tiles numbered by first pixel, like enumerated covers
-        keys = np.where(tile, first, np.arange(aperture.size))
-        _, values = np.unique(keys, return_inverse=True)
-        cover = AggregationVector(values=values + 1, tile_count=int(values.max()) + 1)
-        assert_bit_identical(G, cover)
+        assert_bit_identical(G, placement_cover(aperture, pixels))
     assert_bit_identical(G, baseline_tiling(aperture))
+
+
+def mixed_alphabet(tmp_path):
+    """Dominoes, L trominoes and P hexominoes, read back from a custom
+    alphabet file."""
+    path = tmp_path / "mixed.json"
+    save_alphabet(
+        [
+            builtin_shape("domino", 1),
+            builtin_shape("tromino_l", 2),
+            builtin_shape("hexomino_p", 3),
+        ],
+        path,
+    )
+    return load_alphabet(path)
+
+
+@pytest.mark.parametrize(
+    "shapes, aperture",
+    [("P+L", Aperture(8, 12)), ("mixed", Aperture(4, 6))],
+    ids=["P+L-8x12", "mixed-4x6"],
+)
+def test_placement_table_rows_are_aggregated_columns_bit_for_bit(rng, tmp_path, shapes, aperture):
+    G = complex_stack(rng, 3, 4, 2 * aperture.size)
+    stack = ChannelStack.fill(G, len(G))
+    chosen = mixed_alphabet(tmp_path) if shapes == "mixed" else alphabet(shapes)
+    matrix = build_incidence_matrix(generate_placements(aperture, chosen), aperture)
+    table = placement_table(stack, [np.asarray(p) - 1 for p in matrix.rows])
+    assert table.shape == (3, 4, 2, len(matrix.rows))
+    if shapes == "mixed":
+        assert {len(p) for p in matrix.rows} == {2, 3, 6}
+    for k, pixels in enumerate(matrix.rows):
+        cover = placement_cover(aperture, pixels)
+        H = aggregate_channel(stack, cover)
+        tile = cover.values[pixels[0] - 1] - 1
+        for half in (0, 1):  # V then H columns
+            want = H[..., half * cover.tile_count + tile]
+            assert table[..., half, k].tobytes() == want.tobytes()
+    # a tiling's effective channels are one gather of its placements' rows
+    covers = 0
+    for cover in enumerate_exact_covers(matrix):
+        H = aggregate_channel(stack, cover)
+        rows = np.array(cover.placements) - 1
+        gathered = np.take(table, rows, axis=-1).reshape(H.shape)
+        assert gathered.tobytes() == H.tobytes()
+        covers += 1
+        if covers == 200:
+            break
+    assert covers > 0
 
 
 def test_channel_stack_fill_checks_the_drop_count(rng):

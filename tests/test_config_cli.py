@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+import apertile
 from apertile.cli import main
 from apertile.config import ApertureConfig, BudgetConfig, RunConfig
 from apertile.geometry import BeamWeights, ElementPattern
@@ -407,6 +408,8 @@ def test_cli_report(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "capacity bps/Hz" in out
     assert "beating baseline" in out
+    assert f"  apertile_version: {apertile.__version__}\n" in out
+    assert f"  numpy_version: {np.__version__}\n" in out
     summary = json.loads(summary_path.read_text())
     assert summary["summary"]["rows"] == 8
 

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import apertile
 import apertile.optimizer as opt
 from apertile.channel import (
     ChannelMatrix,
@@ -16,6 +17,7 @@ from apertile.channel import (
 from apertile.config import ApertureConfig, BudgetConfig, RunConfig
 from apertile.metrics import EvaluationRecord, port_powers
 from apertile.optimizer import (
+    LEDGER_COLUMNS,
     LedgerRow,
     compare_to_baseline,
     evaluate_tiling,
@@ -402,6 +404,67 @@ def test_resume_rejects_foreign_ledger(tmp_path):
         optimize(other, ledger_path=path, resume=True)
 
 
+def test_resume_refuses_rows_without_a_config_hash(tmp_path):
+    # rows with no header cannot be told apart from another config's rows
+    cfg = toy_config()
+    for text in ("1,999.0,-50.0,1,1\n", LEDGER_COLUMNS + "\n1,999.0,-50.0,1,1\n2,1."):
+        path = tmp_path / "headerless.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="different config"):
+            optimize(cfg, ledger_path=path, resume=True)
+        assert path.read_text() == text
+
+
+def test_resume_writes_an_empty_ledger_or_a_cut_header_again(tmp_path):
+    cfg = resume_config()
+    full_path = tmp_path / "full.csv"
+    optimize(cfg, ledger_path=full_path)
+    lines, first = ledger_lines(full_path)
+    for text in ("", lines[0] + lines[1][:9], "".join(lines[:first])):
+        path = tmp_path / "partial.csv"
+        path.write_text(text)
+        optimize(cfg, ledger_path=path, resume=True)
+        assert path.read_bytes() == full_path.read_bytes()
+
+
+def test_ledger_header_records_the_package_and_numpy_versions(tmp_path):
+    path = tmp_path / "ledger.csv"
+    optimize(toy_config(), ledger_path=path)
+    meta, _ = read_ledger(path)
+    assert meta["apertile_version"] == apertile.__version__
+    assert meta["numpy_version"] == np.__version__
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_placement_table_leaves_the_ledger_unchanged(tmp_path, monkeypatch, workers):
+    # each worker builds one table; with no byte budget it builds none and
+    # aggregates every tiling from the channel stack
+    log = tmp_path / "tables.txt"
+    log.touch()
+    real = opt.placement_table
+
+    def logging(*args):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(*args)
+
+    monkeypatch.setattr(opt, "placement_table", logging)
+    cfg = toy_config(
+        aperture=ApertureConfig(4, 6),
+        scenario=ScenarioParams(
+            kind="uma", isd_m=500.0, bs_height_m=25.0, drops=3, users=4, seed=5
+        ),
+        alphabet="P",
+        workers=workers,
+    )
+    optimize(cfg, ledger_path=tmp_path / "table.csv")
+    assert len(log.read_text().split()) == workers
+    monkeypatch.setattr(opt, "TABLE_BUDGET_BYTES", 0)
+    optimize(cfg, ledger_path=tmp_path / "stack.csv")
+    assert len(log.read_text().split()) == workers
+    assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "stack.csv").read_bytes()
+
+
 def test_stride_subsamples_but_counts_everything(tmp_path):
     cfg = toy_config(tiling_stride=2)
     result = optimize(cfg, ledger_path=tmp_path / "strided.csv")
@@ -551,16 +614,16 @@ def test_read_ledger_rejects_row_cut_after_its_last_comma(tmp_path):
 
 def test_each_best_tiling_is_evaluated_once(monkeypatch):
     calls = []
-    real = opt._evaluate
+    real = opt._score
 
-    def counting(cover, *args):
+    def counting(H, *args):
         calls.append(args[-2])  # tiling_index
-        return real(cover, *args)
+        return real(H, *args)
 
     def no_precoders(*args, **kwargs):
         raise AssertionError("optimize takes the precoders from its evaluation")
 
-    monkeypatch.setattr(opt, "_evaluate", counting)
+    monkeypatch.setattr(opt, "_score", counting)
     monkeypatch.setattr(opt, "tiling_precoders", no_precoders)
     cfg = toy_config()
     result = optimize(cfg)
@@ -584,14 +647,14 @@ def test_the_optimize_parent_evaluates_nothing(tmp_path, monkeypatch):
     # 3x6 dominoes: 41 tilings and a baseline; under a -44.7 dBm floor the
     # best covered tiling (t = 40) is not the unconstrained best (t = 41)
     log = tmp_path / "evaluations.txt"
-    real = opt._evaluate
+    real = opt._score
 
-    def logging(cover, *args):
+    def logging(H, *args):
         with open(log, "a") as fh:
             fh.write(f"{os.getpid()} {args[-2]}\n")  # tiling_index
-        return real(cover, *args)
+        return real(H, *args)
 
-    monkeypatch.setattr(opt, "_evaluate", logging)
+    monkeypatch.setattr(opt, "_score", logging)
     cfg = toy_config(
         aperture=ApertureConfig(3, 6),
         budget=BudgetConfig(coverage_threshold_dbm=-44.7),
