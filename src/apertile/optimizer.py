@@ -350,8 +350,7 @@ def _eval_task(task) -> LedgerRow:
         H, sizes = _aggregate(cover, _SHARED["G"])
     else:
         index = np.array(rows)
-        drops, ports = table.shape[:2]
-        H = np.take(table, index, axis=-1).reshape(drops, ports, 2 * index.size)
+        H = np.take(table, index, axis=-1).reshape(*table.shape[:2], -1)
         sizes = np.tile(_SHARED["placement_sizes"][index], 2)
     return _record_to_row(t, _shared_score(H, sizes, t)[0])
 
