@@ -195,9 +195,8 @@ def aggregate_channel(G, s: AggregationVector) -> np.ndarray:
     Accepts a ChannelMatrix, a (2U, 2MN) array, any (..., 2U, 2MN) stack, or
     a ChannelStack; returns a C-contiguous (..., 2U, 2Q) array (P drops
     first for a ChannelStack) with columns ordered V tiles 1..Q then H
-    tiles. Tiles of one size take one gather; each sum is the tile's first
-    column plus the pairwise sum of the rest, the order `np.add.reduceat`
-    uses, so the result is bit-identical to that reduction.
+    tiles: the placement table of the cover's tiles, so the result is bit
+    for bit `np.add.reduceat` over each tile's ascending columns.
     """
     if isinstance(G, ChannelStack):
         by_column = G.columns
@@ -205,27 +204,13 @@ def aggregate_channel(G, s: AggregationVector) -> np.ndarray:
         mat = G.matrix if isinstance(G, ChannelMatrix) else np.asarray(G)
         by_column = np.moveaxis(mat, -1, 0)
     values = np.asarray(s.values)
-    mn = values.size
-    if by_column.shape[0] != 2 * mn:
+    if by_column.shape[0] != 2 * values.size:
         raise ValueError(
-            f"channel has {by_column.shape[0]} TX columns, tiling covers {mn} elements"
+            f"channel has {by_column.shape[0]} TX columns, tiling covers {values.size} elements"
         )
-    q = s.tile_count
     order = np.argsort(values, kind="stable")
-    sizes = s.tile_sizes()
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    by_tile = None
-    for n in sorted(set(sizes.tolist())):
-        tiles = np.flatnonzero(sizes == n)
-        cells = order[starts[tiles, None] + np.arange(n)]
-        sums = _tile_sums(by_column, np.concatenate((cells, mn + cells)))
-        if tiles.size == q:
-            by_tile = sums
-        else:
-            if by_tile is None:
-                by_tile = np.empty((2 * q,) + sums.shape[1:], dtype=sums.dtype)
-            by_tile[np.concatenate((tiles, q + tiles))] = sums
-    return np.ascontiguousarray(np.moveaxis(by_tile, 0, -1))
+    table = placement_table(by_column, np.split(order, np.cumsum(s.tile_sizes())[:-1]))
+    return table.reshape(*table.shape[:-2], -1)
 
 
 def _tile_sums(by_column: np.ndarray, cells: np.ndarray) -> np.ndarray:
@@ -247,29 +232,38 @@ def _tile_sums(by_column: np.ndarray, cells: np.ndarray) -> np.ndarray:
     return sums
 
 
-PLACEMENT_CHUNK = 32  # placements summed per gather while a table is built
+# Sets summed per gather, which bounds its (n, 2T, ...) temporary. Smaller
+# chunks were faster in a warm process but slower end to end at 200 drops:
+# a worker whose largest freed block is small keeps glibc's mmap and trim
+# thresholds low, and pays page faults again on every tiling's arrays.
+PLACEMENT_CHUNK = 32
 
 
-def placement_table(stack: ChannelStack, cells) -> np.ndarray:
-    """Every placement's aggregated channel columns, shape (P, A, 2, R).
+def placement_table(G, cells) -> np.ndarray:
+    """The aggregated channel columns of every pixel set, shape (..., 2, R).
 
-    `cells[k]` holds placement k's 0-based pixel indices in ascending
-    order. table[..., 0, k] sums their V columns and table[..., 1, k] their
-    H columns, bit for bit as `aggregate_channel` sums a tile on those
-    pixels. A tiling of placements `rows` (in tile-id order) then has the
-    effective channels np.take(table, rows, axis=-1).reshape(P, A, 2Q).
+    `G` is a ChannelStack or its column-major (2MN, ...) array, and
+    `cells[k]` holds set k's 0-based pixel indices in ascending order.
+    table[..., 0, k] sums their V columns and table[..., 1, k] their H
+    columns. Sets of one size are summed PLACEMENT_CHUNK at a time. For a
+    ChannelStack and the placements of an incidence matrix, a tiling of
+    placements `rows` (in tile-id order) then has the effective channels
+    np.take(table, rows, axis=-1).reshape(P, A, 2Q).
     """
-    by_column = stack.columns
+    by_column = G.columns if isinstance(G, ChannelStack) else G
     mn = by_column.shape[0] // 2
-    table = np.empty(by_column.shape[1:] + (2, len(cells)), by_column.dtype)
     sizes = np.array([len(c) for c in cells])
+    by_set = None  # (V or H, set, ...), made C-contiguous as (..., 2, R) once
     for n in sorted(set(sizes.tolist())):
         rows = np.flatnonzero(sizes == n)
-        # chunks bound the (n, 2T, P, A) gather to a fraction of the table
         for chunk in np.split(rows, range(PLACEMENT_CHUNK, rows.size, PLACEMENT_CHUNK)):
             pixels = np.array([cells[k] for k in chunk])
             sums = _tile_sums(by_column, np.concatenate((pixels, mn + pixels)))
-            pair = sums.reshape(2, chunk.size, *sums.shape[1:])  # (V or H, T, P, A)
-            table[..., chunk] = np.moveaxis(pair, (0, 1), (-2, -1))
-    return table
-
+            pair = sums.reshape(2, chunk.size, *sums.shape[1:])
+            if chunk.size == sizes.size:
+                by_set = pair  # one gather held every set
+            else:
+                if by_set is None:
+                    by_set = np.empty((2, sizes.size) + pair.shape[2:], pair.dtype)
+                by_set[:, chunk] = pair
+    return np.ascontiguousarray(np.moveaxis(by_set, (0, 1), (-2, -1)))

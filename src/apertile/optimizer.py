@@ -3,13 +3,14 @@
 The enumerator streams tilings while a worker pool evaluates each one
 against the pre-assembled per-drop channels (assembled exactly once per
 drop, never per tiling). Results merge in enumeration order, so the ledger
-is deterministic regardless of worker count, and every row is appended to
-disk as soon as it exists so long runs can resume. The pool also evaluates
-the baseline and the best tilings: the parent only counts, streams, merges
-and writes. Each worker holds the channel stack, the temporaries of one
-evaluation and, when it fits TABLE_BUDGET_BYTES, a table of every
-placement's aggregated channel columns, built after the fork; the parent
-holds the stack and the search.
+is deterministic regardless of worker count. Each row is written to the
+ledger as it merges, through Python's file buffer rather than flushed, so
+a long run resumes from the rows that reached the file. The pool also
+evaluates the baseline and the best tilings: the parent only counts,
+streams, merges and writes. Each worker holds the channel stack, the
+temporaries of one evaluation and, when it fits TABLE_BUDGET_BYTES, a
+table of every placement's aggregated channel columns, built after the
+fork; the parent holds the stack and the search.
 """
 
 from __future__ import annotations
@@ -304,7 +305,7 @@ _SHARED: dict = {}
 TABLE_BUDGET_BYTES = 16 * 2**20
 
 
-def _init_worker(G, budget, condition_cap, beams, cells, element_count, drops_key):
+def _init_worker(G, budget, condition_cap, beams, cells, drops_key):
     # the table holds a (P, A) V and H column sum for each placement
     fits = 2 * len(cells) * G.columns[0].nbytes <= TABLE_BUDGET_BYTES
     _SHARED.update(
@@ -315,7 +316,6 @@ def _init_worker(G, budget, condition_cap, beams, cells, element_count, drops_ke
         condition_cap=condition_cap,
         beams=beams,
         cells=cells,
-        element_count=element_count,
         drops_key=drops_key,
     )
 
@@ -341,17 +341,18 @@ def _in_process(init_args):
 
 
 def _eval_task(task) -> LedgerRow:
-    """One ledger row; with a placement table, the tiling's effective
-    channels are one gather of its rows' column sums."""
+    """One ledger row. The tiling's effective channels are its placements'
+    columns of the placement table, or, with no table, a table of just
+    those placements built from the stack."""
     t, rows = task
+    index = np.array(rows)
     table = _SHARED["table"]
     if table is None:
-        cover = _cover_from_rows(rows, _SHARED["cells"], _SHARED["element_count"])
-        H, sizes = _aggregate(cover, _SHARED["G"])
+        by_tile = placement_table(_SHARED["G"], [_SHARED["cells"][k] for k in rows])
     else:
-        index = np.array(rows)
-        H = np.take(table, index, axis=-1).reshape(*table.shape[:2], -1)
-        sizes = np.tile(_SHARED["placement_sizes"][index], 2)
+        by_tile = np.take(table, index, axis=-1)
+    H = by_tile.reshape(*by_tile.shape[:-2], -1)
+    sizes = np.tile(_SHARED["placement_sizes"][index], 2)
     return _record_to_row(t, _shared_score(H, sizes, t)[0])
 
 
@@ -398,7 +399,6 @@ class OptimizationResult:
     comparison: BaselineComparison | None
     ledger: list[LedgerRow]
     drops: list[UEDrop]
-    channel_assemblies: int
     elapsed_s: float
 
 
@@ -500,7 +500,7 @@ def optimize(
     # before the count fills the memo, which the workers do not need).
     # Without a pool the same tasks run here, in the same order.
     workers = cfg.workers or os.cpu_count() or 1
-    init_args = (stack, budget, cfg.zf_condition_cap, beams, cells, aperture.size, drops_key)
+    init_args = (stack, budget, cfg.zf_condition_cap, beams, cells, drops_key)
     if workers > 1:
         pool_scope = get_context("fork").Pool(workers, _init_pool_worker, init_args)
     else:
@@ -617,7 +617,6 @@ def optimize(
         comparison=comparison,
         ledger=all_rows,
         drops=drops,
-        channel_assemblies=len(drops),
         elapsed_s=time.perf_counter() - start,
     )
 

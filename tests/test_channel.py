@@ -317,9 +317,11 @@ def test_placement_table_rows_are_aggregated_columns_bit_for_bit(rng, tmp_path, 
     assert table.shape == (3, 4, 2, len(matrix.rows))
     if shapes == "mixed":
         assert {len(p) for p in matrix.rows} == {2, 3, 6}
+    # aggregate_channel builds such a table, so both are checked against
+    # the reduceat oracle
     for k, pixels in enumerate(matrix.rows):
         cover = placement_cover(aperture, pixels)
-        H = aggregate_channel(stack, cover)
+        H = reduceat_aggregate(G, cover)
         tile = cover.values[pixels[0] - 1] - 1
         for half in (0, 1):  # V then H columns
             want = H[..., half * cover.tile_count + tile]
@@ -327,7 +329,8 @@ def test_placement_table_rows_are_aggregated_columns_bit_for_bit(rng, tmp_path, 
     # a tiling's effective channels are one gather of its placements' rows
     covers = 0
     for cover in enumerate_exact_covers(matrix):
-        H = aggregate_channel(stack, cover)
+        H = reduceat_aggregate(G, cover)
+        assert aggregate_channel(stack, cover).tobytes() == H.tobytes()
         rows = np.array(cover.placements) - 1
         gathered = np.take(table, rows, axis=-1).reshape(H.shape)
         assert gathered.tobytes() == H.tobytes()

@@ -282,9 +282,8 @@ def test_channels_assembled_once_per_drop(monkeypatch):
 
     monkeypatch.setattr(opt, "assemble_channel", counting)
     cfg = toy_config()
-    result = optimize(cfg)
+    optimize(cfg)
     assert calls["n"] == cfg.scenario.drops
-    assert result.channel_assemblies == cfg.scenario.drops
 
 
 def resume_config(**overrides):
@@ -437,16 +436,17 @@ def test_ledger_header_records_the_package_and_numpy_versions(tmp_path):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_the_placement_table_leaves_the_ledger_unchanged(tmp_path, monkeypatch, workers):
-    # each worker builds one table; with no byte budget it builds none and
-    # aggregates every tiling from the channel stack
+    # each worker builds one full table, one set per placement; with no
+    # byte budget it builds none and sums each ledger tiling's placements
+    # from the channel stack, one call per tiling
     log = tmp_path / "tables.txt"
     log.touch()
     real = opt.placement_table
 
-    def logging(*args):
+    def logging(G, cells):
         with open(log, "a") as fh:
-            fh.write(f"{os.getpid()}\n")
-        return real(*args)
+            fh.write(f"{os.getpid()} {len(cells)}\n")
+        return real(G, cells)
 
     monkeypatch.setattr(opt, "placement_table", logging)
     cfg = toy_config(
@@ -457,11 +457,21 @@ def test_the_placement_table_leaves_the_ledger_unchanged(tmp_path, monkeypatch, 
         alphabet="P",
         workers=workers,
     )
-    optimize(cfg, ledger_path=tmp_path / "table.csv")
-    assert len(log.read_text().split()) == workers
+    placements = len(generate_placements(cfg.aperture_grid(), cfg.shapes()))
+
+    def calls():
+        return [line.split() for line in log.read_text().splitlines()]
+
+    def full_tables():
+        return [pid for pid, sets in calls() if int(sets) == placements]
+
+    result = optimize(cfg, ledger_path=tmp_path / "table.csv")
+    assert len(full_tables()) == len(set(full_tables())) == workers
+    assert len(calls()) == workers
     monkeypatch.setattr(opt, "TABLE_BUDGET_BYTES", 0)
     optimize(cfg, ledger_path=tmp_path / "stack.csv")
-    assert len(log.read_text().split()) == workers
+    assert len(full_tables()) == workers
+    assert len(calls()) == workers + len(result.ledger)
     assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "stack.csv").read_bytes()
 
 
