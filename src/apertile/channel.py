@@ -203,13 +203,12 @@ def aggregate_channel(G, s: AggregationVector) -> np.ndarray:
     else:
         mat = G.matrix if isinstance(G, ChannelMatrix) else np.asarray(G)
         by_column = np.moveaxis(mat, -1, 0)
-    values = np.asarray(s.values)
-    if by_column.shape[0] != 2 * values.size:
+    elements = np.size(s.values)
+    if by_column.shape[0] != 2 * elements:
         raise ValueError(
-            f"channel has {by_column.shape[0]} TX columns, tiling covers {values.size} elements"
+            f"channel has {by_column.shape[0]} TX columns, tiling covers {elements} elements"
         )
-    order = np.argsort(values, kind="stable")
-    table = placement_table(by_column, np.split(order, np.cumsum(s.tile_sizes())[:-1]))
+    table = placement_table(by_column, s.tile_cells())
     return table.reshape(*table.shape[:-2], -1)
 
 

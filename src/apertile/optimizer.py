@@ -5,12 +5,14 @@ against the pre-assembled per-drop channels (assembled exactly once per
 drop, never per tiling). Results merge in enumeration order, so the ledger
 is deterministic regardless of worker count. Each row is written to the
 ledger as it merges, through Python's file buffer rather than flushed, so
-a long run resumes from the rows that reached the file. The pool also
-evaluates the baseline and the best tilings: the parent only counts,
-streams, merges and writes. Each worker holds the channel stack, the
-temporaries of one evaluation and, when it fits TABLE_BUDGET_BYTES, a
-table of every placement's aggregated channel columns, built after the
-fork; the parent holds the stack and the search.
+a long run resumes from the rows that reached the file. Every evaluation
+is one task over rows of `cells`, the placements' pixel sets followed by
+the baseline's tiles: ledger rows, the baseline and the best tilings alike.
+The pool runs them all; the parent only counts, streams, merges and
+writes. Each worker holds the channel stack, the temporaries of one
+evaluation and, when it fits TABLE_BUDGET_BYTES, the table of every set's
+aggregated channel columns, built after the fork; the parent holds the
+stack and the search.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from multiprocessing import get_context
 from operator import attrgetter
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -300,18 +303,19 @@ def compare_to_baseline(
 
 _SHARED: dict = {}
 
-# Largest placement table a worker builds: 4.8 MB for 8x12 P (472
-# placements) at 10 drops, 97 MB at 200 drops, which stay on the stack path.
+# Largest placement table a worker builds: 5.0 MB for 8x12 P (472
+# placements and the baseline's 16 tiles) at 10 drops, 100 MB at 200 drops,
+# which stay on the stack path. Up to 33 drops fit on 8x12 P.
 TABLE_BUDGET_BYTES = 16 * 2**20
 
 
 def _init_worker(G, budget, condition_cap, beams, cells, drops_key):
-    # the table holds a (P, A) V and H column sum for each placement
+    # the table holds a (P, A) V and H column sum for each set in cells
     fits = 2 * len(cells) * G.columns[0].nbytes <= TABLE_BUDGET_BYTES
     _SHARED.update(
         G=G,
         table=placement_table(G, cells) if fits else None,
-        placement_sizes=np.array([c.size for c in cells], dtype=float),
+        set_sizes=np.array([c.size for c in cells], dtype=float),
         budget=budget,
         condition_cap=condition_cap,
         beams=beams,
@@ -331,49 +335,35 @@ def _init_pool_worker(*init_args):
 
 @contextmanager
 def _in_process(init_args):
-    """Stands in for the pool when the tasks run in this process; what
-    they share is dropped on the way out, error or not."""
+    """Stands in for the pool when the tasks run in this process, in order;
+    what they share is dropped on the way out, error or not."""
     _init_worker(*init_args)
     try:
-        yield None
+        yield SimpleNamespace(imap=lambda task, tasks, chunksize=1: map(task, tasks))
     finally:
         _SHARED.clear()
 
 
-def _eval_task(task) -> LedgerRow:
-    """One ledger row. The tiling's effective channels are its placements'
-    columns of the placement table, or, with no table, a table of just
-    those placements built from the stack."""
+def _eval_task(task):
+    """Evaluate tiling t, given as rows of `cells` in tile-id order: its
+    record, and its (V, norms) when feasible. Its effective channels are
+    its rows' columns of the placement table or, with no table, a table of
+    just those sets built from the stack."""
     t, rows = task
+    s = _SHARED
     index = np.array(rows)
-    table = _SHARED["table"]
-    if table is None:
-        by_tile = placement_table(_SHARED["G"], [_SHARED["cells"][k] for k in rows])
+    if s["table"] is None:
+        by_tile = placement_table(s["G"], [s["cells"][k] for k in rows])
     else:
-        by_tile = np.take(table, index, axis=-1)
+        by_tile = np.take(s["table"], index, axis=-1)
     H = by_tile.reshape(*by_tile.shape[:-2], -1)
-    sizes = np.tile(_SHARED["placement_sizes"][index], 2)
-    return _record_to_row(t, _shared_score(H, sizes, t)[0])
+    sizes = np.tile(s["set_sizes"][index], 2)
+    return _score(H, sizes, s["budget"], s["beams"], s["condition_cap"], t, s["drops_key"])
 
 
-def _record_task(task):
-    """Evaluate one tiling: its record, and its (V, norms) or None."""
-    cover, t, keep_precoders = task
-    record, zf = _shared_score(*_aggregate(cover, _SHARED["G"]), t)
-    return record, zf if keep_precoders else None
-
-
-def _shared_score(H, sizes, t):
-    """`_score` with the settings this process shares with its tasks."""
-    return _score(
-        H,
-        sizes,
-        _SHARED["budget"],
-        _SHARED["beams"],
-        _SHARED["condition_cap"],
-        t,
-        _SHARED["drops_key"],
-    )
+def _ledger_task(task) -> LedgerRow:
+    """`_eval_task` as a ledger row; the beams stay in the worker."""
+    return _record_to_row(task[0], _eval_task(task)[0])
 
 
 # --- optimization ----------------------------------------------------------
@@ -445,6 +435,13 @@ def optimize(
     L = build_incidence_matrix(placements, aperture)
     search = _CoverSearch(L)
     cells = [np.array(p, dtype=np.intp) - 1 for p in L.rows]
+    # the baseline's tiles follow the placements in cells, so that it is
+    # evaluated as rows of the same table
+    baseline_cover = baseline_tiling(aperture) if aperture.rows % 6 == 0 else None
+    baseline_tasks = []
+    if baseline_cover is not None:
+        baseline_tasks = [(0, tuple(range(len(cells), len(cells) + baseline_cover.tile_count)))]
+        cells += baseline_cover.tile_cells()
 
     drops = sample_drops(cfg.scenario)
     stack = ChannelStack.fill(
@@ -457,10 +454,17 @@ def optimize(
         f"{len(drops)} drops assembled ({cfg.channel.tag})"
     )
 
+    # read here: the package __init__ imports this module before it sets
+    # __version__. ZF results depend bit for bit on the numpy/LAPACK build.
+    from . import __version__
+
+    versions = {"apertile_version": __version__, "numpy_version": np.__version__}
+
     # Resumed rows are trusted, not recomputed. Our writer emits rows in
     # enumeration order, so an interrupted ledger is a prefix of the strided
     # sequence, and the stream restarts right after its last row. The checks
-    # run before the pool forks, and a refused ledger is left untouched.
+    # run before the pool forks, and a refused ledger is left untouched; a
+    # ledger written under other versions is resumed, and the log says so.
     stride = cfg.tiling_stride
     existing_rows: list[LedgerRow] = []
     data = b""
@@ -475,6 +479,16 @@ def optimize(
         written_by = meta.get("config_hash")
         if (existing_rows or written_by is not None) and written_by != cfg.config_hash():
             raise ValueError("existing ledger was written by a different config")
+        moved = [
+            f"{key} {meta.get(key, 'unrecorded')} (running {value})"
+            for key, value in versions.items()
+            if meta.get(key) != value
+        ]
+        if existing_rows and moved:
+            info(
+                f"{ledger_path} was written with {', '.join(moved)}; "
+                "resumed and new rows may differ in their last bits"
+            )
     first_t = _resume_point(existing_rows, stride)
     if complete < len(data):
         # a line cut mid-write; a cut row is evaluated again
@@ -498,7 +512,7 @@ def optimize(
 
     # Every evaluation runs in the pool, forked once the stack exists (and
     # before the count fills the memo, which the workers do not need).
-    # Without a pool the same tasks run here, in the same order.
+    # Without a pool the same tasks run here, each when its result is read.
     workers = cfg.workers or os.cpu_count() or 1
     init_args = (stack, budget, cfg.zf_condition_cap, beams, cells, drops_key)
     if workers > 1:
@@ -507,19 +521,7 @@ def optimize(
         pool_scope = _in_process(init_args)
 
     with pool_scope as pool:
-
-        def submit(cover: AggregationVector, t: int, keep_precoders: bool = False):
-            """Start a _record_task, or run it here without a pool; return
-            the call that waits for its (record, precoders)."""
-            task = (cover, t, keep_precoders)
-            if pool is None:
-                result = _record_task(task)
-                return lambda: result
-            return pool.apply_async(_record_task, (task,)).get
-
-        baseline_cover = baseline_tiling(aperture) if aperture.rows % 6 == 0 else None
-        baseline_result = None if baseline_cover is None else submit(baseline_cover, 0)
-
+        baseline_result = pool.imap(_eval_task, baseline_tasks)
         total = search.count()
         tasks = len(range(first_t, total + 1, stride))
         resumed = f"; resuming at t={first_t}" if existing_rows else ""
@@ -528,17 +530,13 @@ def optimize(
 
         # the ledger header records the baseline capacity, "none" when the
         # baseline is missing or infeasible
-        baseline_record = None if baseline_result is None else baseline_result()[0]
+        baseline_record = next((record for record, _ in baseline_result), None)
         baseline_ok = baseline_record is not None and baseline_record.feasible
         ledger_scope = (
             open(ledger_path, "a" if existing_rows else "w") if ledger_path else nullcontext()
         )
         with ledger_scope as ledger_fh:
             if ledger_fh and not existing_rows:
-                # read here: the package __init__ imports this module before
-                # it sets __version__
-                from . import __version__
-
                 write_ledger_header(
                     ledger_fh,
                     {
@@ -552,17 +550,12 @@ def optimize(
                         "baseline_capacity_bps_hz": (
                             repr(baseline_record.average_sum_rate) if baseline_ok else "none"
                         ),
-                        # ZF results depend bit for bit on the numpy/LAPACK build
-                        "apertile_version": __version__,
-                        "numpy_version": np.__version__,
+                        **versions,
                     },
                 )
-            if pool is None:
-                consume(map(_eval_task, task_iter), tasks, ledger_fh)
-            else:
-                # small enough that every worker gets about four chunks
-                chunksize = max(1, min(64, math.ceil(tasks / (4 * workers))))
-                consume(pool.imap(_eval_task, task_iter, chunksize=chunksize), tasks, ledger_fh)
+            # small enough that every worker gets about four chunks
+            chunksize = max(1, min(64, math.ceil(tasks / (4 * workers))))
+            consume(pool.imap(_ledger_task, task_iter, chunksize=chunksize), tasks, ledger_fh)
 
         # rows are in ascending t and max keeps the first of equal
         # capacities, which realizes the lowest-index tie-break
@@ -571,27 +564,23 @@ def optimize(
         best_row = max((r for r in scored if r.covered), key=capacity, default=None)
         best_any_row = max(scored, key=capacity, default=None)
 
-        def cover_of(row: LedgerRow) -> AggregationVector:
-            # looked up by index in the memo that the count filled
-            return _cover_from_rows(_rows_by_index(search, row.tiling_index), cells, aperture.size)
+        # each distinct best tiling is evaluated once, the two in parallel,
+        # its rows looked up by index in the memo that the count filled
+        best_ts = {r.tiling_index for r in (best_row, best_any_row) if r is not None}
+        picks = {t: _rows_by_index(search, t) for t in sorted(best_ts)}
+        evaluated = dict(zip(picks, pool.imap(_eval_task, picks.items())))
 
-        # each distinct best tiling is evaluated once, the two in parallel;
-        # the precoders come from the same pass (best_any_row is None only
-        # when best_row is: a covered row is feasible)
-        best_cover = best_any_cover = best_result = best_any_result = None
-        if best_row is not None:
-            best_cover = cover_of(best_row)
-            best_result = submit(best_cover, best_row.tiling_index, keep_precoders=True)
-        if best_any_row is not best_row:
-            best_any_cover = cover_of(best_any_row)
-            best_any_result = submit(best_any_cover, best_any_row.tiling_index)
+    def pick(row: LedgerRow | None):
+        """A best row's record, (V, norms) and cover, or three Nones."""
+        if row is None:
+            return None, None, None
+        record, zf = evaluated[row.tiling_index]
+        return record, zf, _cover_from_rows(picks[row.tiling_index], cells, aperture.size)
 
-        best_record, zf = (None, None) if best_result is None else best_result()
-        best_precoders = None if zf is None else _precoders(*zf)
-        if best_any_result is None:
-            best_any_cover, best_any_record = best_cover, best_record
-        else:
-            best_any_record = best_any_result()[0]
+    # the precoders come from the same pass
+    best_record, zf, best_cover = pick(best_row)
+    best_any_record, _, best_any_cover = pick(best_any_row)
+    best_precoders = None if zf is None else _precoders(*zf)
 
     comparison = None
     if best_record is not None and baseline_ok:

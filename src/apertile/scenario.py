@@ -145,17 +145,3 @@ def save_drops(drops: list[UEDrop], path, meta: dict | None = None) -> None:
         json.dump(doc, fh)
         fh.write("\n")
 
-
-def load_drops(path) -> list[UEDrop]:
-    with open(path) as fh:
-        doc = json.load(fh)
-    by_p: dict[int, list[tuple[int, list[float]]]] = {}
-    for row in doc["drops"]:
-        by_p.setdefault(int(row["p"]), []).append(
-            (int(row["u"]), [row["x"], row["y"], row["z"]])
-        )
-    drops = []
-    for p in sorted(by_p):
-        users = sorted(by_p[p])
-        drops.append(UEDrop(index=p, positions=np.array([pos for _, pos in users])))
-    return drops

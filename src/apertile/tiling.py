@@ -110,6 +110,11 @@ class AggregationVector:
         """Number of elements in each tile, indexed by tile id - 1."""
         return np.bincount(np.asarray(self.values), minlength=self.tile_count + 1)[1:]
 
+    def tile_cells(self) -> list[np.ndarray]:
+        """Each tile's 0-based pixel indices in ascending order, in tile-id order."""
+        order = np.argsort(np.asarray(self.values), kind="stable")
+        return np.split(order, np.cumsum(self.tile_sizes())[:-1])
+
 
 def generate_placements(aperture: Aperture, shapes: list[PolyominoShape]) -> list[Placement]:
     """All distinct placements of the shapes fully inside the aperture.

@@ -2,17 +2,19 @@
 
 Everything here is deliberately written the slow, obvious way (per-entry
 loops, exhaustive recursion) and shares no code with the library internals.
+Helpers that only the tests need, such as `load_drops`, live here too.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import numpy as np
 
 from apertile.channel import ChannelModel
 from apertile.geometry import expand_weights_dual
-from apertile.scenario import ScenarioParams
+from apertile.scenario import ScenarioParams, UEDrop
 from apertile.shapes import PolyominoShape, normalize_cells
 
 
@@ -230,3 +232,19 @@ def scenario_defaults(kind: str, **overrides) -> ScenarioParams:
 
 def linear_to_db(x):
     return 10.0 * np.log10(np.asarray(x, dtype=float))
+
+
+def load_drops(path) -> list[UEDrop]:
+    """Read back the drops `scenario.save_drops` wrote, users in order."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    by_p: dict[int, list[tuple[int, list[float]]]] = {}
+    for row in doc["drops"]:
+        by_p.setdefault(int(row["p"]), []).append(
+            (int(row["u"]), [row["x"], row["y"], row["z"]])
+        )
+    drops = []
+    for p in sorted(by_p):
+        users = sorted(by_p[p])
+        drops.append(UEDrop(index=p, positions=np.array([pos for _, pos in users])))
+    return drops

@@ -38,7 +38,9 @@ from apertile.tiling import (
     enumerate_exact_covers,
     generate_placements,
 )
-from apertile.shapes import alphabet
+from apertile.shapes import alphabet, builtin_shape, save_alphabet
+
+from test_acceptance import PINNED_SCENARIOS
 
 
 def toy_config(**overrides):
@@ -52,6 +54,18 @@ def toy_config(**overrides):
     )
     defaults.update(overrides)
     return RunConfig(**defaults)
+
+
+def p_config(**overrides):
+    # 4x6 P: 8 tilings, 4 users, and a 4-tile baseline layout
+    return toy_config(
+        aperture=ApertureConfig(4, 6),
+        scenario=ScenarioParams(
+            kind="uma", isd_m=500.0, bs_height_m=25.0, drops=3, users=4, seed=5
+        ),
+        alphabet="P",
+        **overrides,
+    )
 
 
 def expansion_matrix(cover):
@@ -434,11 +448,38 @@ def test_ledger_header_records_the_package_and_numpy_versions(tmp_path):
     assert meta["numpy_version"] == np.__version__
 
 
+def test_resume_logs_a_ledger_written_under_other_versions(tmp_path):
+    # another numpy or apertile build may change rows in their last bits;
+    # the resume goes on and says so
+    cfg = resume_config()
+    full_path = tmp_path / "full.csv"
+    full = optimize(cfg, ledger_path=full_path)
+    path = tmp_path / "partial.csv"
+    write_partial_ledger(full_path, path, 4)
+    messages = []
+    optimize(cfg, ledger_path=path, resume=True, log=messages.append)
+    assert not [m for m in messages if "last bits" in m]
+
+    write_partial_ledger(full_path, path, 4)
+    current = f"# numpy_version={np.__version__}\n"
+    path.write_text(path.read_text().replace(current, "# numpy_version=1.0.0\n"))
+    messages = []
+    resumed = optimize(cfg, ledger_path=path, resume=True, log=messages.append)
+    assert [m for m in messages if "last bits" in m] == [
+        f"{path} was written with numpy_version 1.0.0 (running {np.__version__}); "
+        "resumed and new rows may differ in their last bits"
+    ]
+    meta, rows = read_ledger(path)
+    assert meta["numpy_version"] == "1.0.0"
+    assert rows == resumed.ledger == full.ledger
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_the_placement_table_leaves_the_ledger_unchanged(tmp_path, monkeypatch, workers):
-    # each worker builds one full table, one set per placement; with no
-    # byte budget it builds none and sums each ledger tiling's placements
-    # from the channel stack, one call per tiling
+    # each worker builds one full table: one set per placement, then the
+    # baseline's 4 tiles. With no byte budget it builds none and sums each
+    # task's sets from the channel stack: one call per ledger row, one for
+    # the baseline and one for the best tiling (also the unconstrained best)
     log = tmp_path / "tables.txt"
     log.touch()
     real = opt.placement_table
@@ -449,30 +490,70 @@ def test_the_placement_table_leaves_the_ledger_unchanged(tmp_path, monkeypatch, 
         return real(G, cells)
 
     monkeypatch.setattr(opt, "placement_table", logging)
-    cfg = toy_config(
-        aperture=ApertureConfig(4, 6),
-        scenario=ScenarioParams(
-            kind="uma", isd_m=500.0, bs_height_m=25.0, drops=3, users=4, seed=5
-        ),
-        alphabet="P",
-        workers=workers,
-    )
+    cfg = p_config(workers=workers)
     placements = len(generate_placements(cfg.aperture_grid(), cfg.shapes()))
 
     def calls():
         return [line.split() for line in log.read_text().splitlines()]
 
     def full_tables():
-        return [pid for pid, sets in calls() if int(sets) == placements]
+        return [pid for pid, sets in calls() if int(sets) == placements + 4]
 
     result = optimize(cfg, ledger_path=tmp_path / "table.csv")
+    assert result.best.tiling_index == result.best_unconstrained.tiling_index
     assert len(full_tables()) == len(set(full_tables())) == workers
     assert len(calls()) == workers
     monkeypatch.setattr(opt, "TABLE_BUDGET_BYTES", 0)
     optimize(cfg, ledger_path=tmp_path / "stack.csv")
     assert len(full_tables()) == workers
-    assert len(calls()) == workers + len(result.ledger)
+    assert len(calls()) == workers + len(result.ledger) + 2
     assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "stack.csv").read_bytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_optimize_evaluates_without_aggregate_channel(monkeypatch, workers):
+    # the baseline and the best tiling are rows of the placement table,
+    # like every ledger row; aggregate_channel serves evaluate_tiling and
+    # tiling_precoders
+    def refuse(*args, **kwargs):
+        raise AssertionError("optimize called aggregate_channel")
+
+    monkeypatch.setattr(opt, "aggregate_channel", refuse)
+    result = optimize(p_config(workers=workers))
+    assert result.baseline.feasible and result.best_precoders
+
+
+@pytest.mark.parametrize("budget", [opt.TABLE_BUDGET_BYTES, 0])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_baseline_layout_ties_the_baseline_on_every_path(
+    tmp_path, monkeypatch, workers, budget
+):
+    # In criterion 8's family the baseline layout is tiling t = 15, and its
+    # pinned beating counts hold only if that ledger row has the baseline's
+    # capacity bit for bit, with the table and without it
+    monkeypatch.setattr(opt, "TABLE_BUDGET_BYTES", budget)
+    path = tmp_path / "p_plus_bar.json"
+    save_alphabet(
+        [builtin_shape("hexomino_p", 1), builtin_shape("hexomino_i", 2, allow_rotations=False)],
+        path,
+    )
+    for tag, scenario_kwargs, _, _ in PINNED_SCENARIOS:
+        cfg = RunConfig(
+            aperture=ApertureConfig(4, 6),
+            scenario=ScenarioParams(drops=5, users=4, **scenario_kwargs),
+            alphabet_file=str(path),
+            workers=workers,
+        )
+        result = optimize(cfg)
+        row = result.ledger[14]
+        assert row.tiling_index == 15, tag
+        assert row.capacity_bps_hz == result.baseline.average_sum_rate, tag
+    matrix = build_incidence_matrix(
+        generate_placements(cfg.aperture_grid(), cfg.shapes()), cfg.aperture_grid()
+    )
+    cover = next(c for t, c in enumerate(enumerate_exact_covers(matrix), 1) if t == 15)
+    tiles = {tuple(c) for c in cover.tile_cells()}
+    assert tiles == {tuple(c) for c in result.baseline_cover.tile_cells()}
 
 
 def test_stride_subsamples_but_counts_everything(tmp_path):

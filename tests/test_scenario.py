@@ -8,14 +8,13 @@ from apertile.scenario import (
     UEDrop,
     drops_fingerprint,
     floor_height,
-    load_drops,
     point_in_hexagon,
     sample_drop,
     sample_drops,
     save_drops,
 )
 
-from oracles import point_in_hexagon_crossings, scenario_defaults
+from oracles import load_drops, point_in_hexagon_crossings, scenario_defaults
 
 
 def uma(**overrides):

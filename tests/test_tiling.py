@@ -420,6 +420,11 @@ def test_validate_accepts_every_id_once_or_more():
     AggregationVector(np.array([2.0, 1.0, 1.0]), 2).validate()
 
 
+def test_tile_cells_list_each_tiles_pixels_in_ascending_order():
+    cover = AggregationVector(np.array([2, 1, 3, 1, 2, 3, 3]), 3)
+    assert [cells.tolist() for cells in cover.tile_cells()] == [[1, 3], [0, 4], [2, 5, 6]]
+
+
 def test_validate_does_not_import_numpy_ma():
     # np.unique imports numpy.ma (about 0.6 MB resident) on its first call
     code = (
