@@ -178,7 +178,6 @@ def cmd_evaluate(args) -> int:
             (assemble_channel(geometry, cfg.pattern, d, cfg.channel) for d in drops), len(drops)
         ),
         cfg.link_budget(),
-        beams=cfg.scenario.users,
         condition_cap=cfg.zf_condition_cap,
         drops_key=drops_fingerprint(drops),
     )

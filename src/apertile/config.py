@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .channel import ChannelModel, LinkBudget
@@ -33,6 +34,15 @@ class BudgetConfig:
     tx_power_dbm: float = 43.0
     noise_power_dbm: float = -92.0
     coverage_threshold_dbm: float = -120.0
+
+
+def _numbers(doc: dict, prefix: str = ""):
+    """(dotted key, value) of every float in a nested config document."""
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from _numbers(value, f"{prefix}{key}.")
+        elif isinstance(value, float):
+            yield prefix + key, value
 
 
 def _from_mapping(cls, doc: dict):
@@ -94,6 +104,10 @@ class RunConfig:
         return alphabet(self.alphabet)
 
     def validate(self) -> None:
+        # an infinite cap turns the cap off; NaN is refused with the cap below
+        for name, value in _numbers(self.to_dict()):
+            if not math.isfinite(value) and name != "zf_condition_cap":
+                raise ValueError(f"{name} must be finite, got {value}")
         shapes = self.shapes()
         elements = self.aperture.columns * self.aperture.rows
         max_size = max(s.size for s in shapes)

@@ -40,16 +40,6 @@ class ArrayGeometry:
     def element_count(self) -> int:
         return self.columns * self.rows
 
-    def element_position(self, m: int, n: int) -> np.ndarray:
-        """Position (0, y_m, z_n) in meters of element column m, row n."""
-        if not (1 <= m <= self.columns and 1 <= n <= self.rows):
-            raise ValueError(
-                f"element ({m}, {n}) outside {self.columns}x{self.rows} panel"
-            )
-        y = (m - 1) * self.spacing_y_m
-        z = self.bs_height_m + (n - (self.rows + 1) / 2.0) * self.spacing_z_m
-        return np.array([0.0, y, z])
-
     def element_positions(self) -> np.ndarray:
         """(M*N, 3) array in pixel-index order (column m runs fastest)."""
         m = np.arange(1, self.columns + 1)

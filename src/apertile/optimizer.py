@@ -89,36 +89,24 @@ def _aggregate(cover, channels):
 
 def _score(H, sizes, budget, beams, condition_cap, tiling_index, drops_key):
     """evaluate_tiling's record for effective channels H, plus (V, norms)
-    from `_zero_force` when feasible."""
+    from `_zero_force` when feasible. An infeasible record has NaN rates
+    and powers and no per-UE capacities."""
     ok, V, norms, power = _zero_force(H, sizes, condition_cap)
     drops, ports, columns = H.shape
     users = ports // 2
-    if beams is None:
-        beams = users
-
-    if not bool(ok.all()):
-        record = EvaluationRecord(
-            tiling_index=tiling_index,
-            tile_count=columns // 2,
-            per_drop_sum_rates=np.full(drops, np.nan),
-            average_sum_rate=float("nan"),
-            eta_desired_w=np.full(ports, np.nan),
-            min_desired_power_w=float("nan"),
-            covered=False,
-            feasible=False,
-            drops_fingerprint=drops_key,
-        )
-        return record, None
-
-    diagonal = np.einsum("paa->pa", power)
-    per_beam_power = budget.tx_power_w / beams
-    p_des = per_beam_power * diagonal
-    p_mui = per_beam_power * (power.sum(axis=2) - diagonal)
-    snr = p_des / (p_mui + budget.noise_power_w)
-    port_capacity = np.log2(1.0 + snr)  # (P, A)
-
-    per_drop = port_capacity.sum(axis=1)
-    eta = p_des.min(axis=0)
+    feasible = bool(ok.all())
+    if feasible:
+        diagonal = np.einsum("paa->pa", power)
+        per_beam_power = budget.tx_power_w / (users if beams is None else beams)
+        p_des = per_beam_power * diagonal
+        p_mui = per_beam_power * (power.sum(axis=2) - diagonal)
+        snr = p_des / (p_mui + budget.noise_power_w)
+        port_capacity = np.log2(1.0 + snr)  # (P, A)
+        per_drop = port_capacity.sum(axis=1)
+        eta = p_des.min(axis=0)
+        per_ue = port_capacity.reshape(drops, users, 2).sum(axis=2)
+    else:
+        per_drop, eta, per_ue = np.full(drops, np.nan), np.full(ports, np.nan), None
     min_power = float(eta.min())
     record = EvaluationRecord(
         tiling_index=tiling_index,
@@ -127,12 +115,12 @@ def _score(H, sizes, budget, beams, condition_cap, tiling_index, drops_key):
         average_sum_rate=float(per_drop.mean()),
         eta_desired_w=eta,
         min_desired_power_w=min_power,
-        covered=bool(min_power >= budget.coverage_threshold_w),
-        feasible=True,
-        per_ue_capacities=port_capacity.reshape(drops, users, 2).sum(axis=2),
+        covered=feasible and bool(min_power >= budget.coverage_threshold_w),
+        feasible=feasible,
+        per_ue_capacities=per_ue,
         drops_fingerprint=drops_key,
     )
-    return record, (V, norms)
+    return record, ((V, norms) if feasible else None)
 
 
 def tiling_precoders(
@@ -224,9 +212,19 @@ def _parse_ledger(lines) -> tuple[dict, list[LedgerRow]]:
             raise ValueError(f"malformed ledger line: {line!r}")
         t, cap, minp, cov, feas = fields
         try:
-            rows.append(LedgerRow(int(t), float(cap), float(minp), cov == "1", feas == "1"))
+            row = LedgerRow(int(t), float(cap), float(minp), cov == "1", feas == "1")
         except ValueError as err:
             raise ValueError(f"malformed ledger line: {line!r}") from err
+        # the flags must agree with the numbers: a feasible row has a
+        # capacity, an infeasible one is uncovered and all NaN
+        if row.feasible:
+            consistent = not math.isnan(row.capacity_bps_hz)
+        else:
+            numbers = (row.capacity_bps_hz, row.min_power_dbm)
+            consistent = not row.covered and all(map(math.isnan, numbers))
+        if not consistent:
+            raise ValueError(f"malformed ledger line: {line!r}")
+        rows.append(row)
     return meta, rows
 
 
@@ -309,7 +307,7 @@ _SHARED: dict = {}
 TABLE_BUDGET_BYTES = 16 * 2**20
 
 
-def _init_worker(G, budget, condition_cap, beams, cells, drops_key):
+def _init_worker(G, budget, condition_cap, cells, drops_key):
     # the table holds a (P, A) V and H column sum for each set in cells
     fits = 2 * len(cells) * G.columns[0].nbytes <= TABLE_BUDGET_BYTES
     _SHARED.update(
@@ -318,7 +316,6 @@ def _init_worker(G, budget, condition_cap, beams, cells, drops_key):
         set_sizes=np.array([c.size for c in cells], dtype=float),
         budget=budget,
         condition_cap=condition_cap,
-        beams=beams,
         cells=cells,
         drops_key=drops_key,
     )
@@ -358,7 +355,7 @@ def _eval_task(task):
         by_tile = np.take(s["table"], index, axis=-1)
     H = by_tile.reshape(*by_tile.shape[:-2], -1)
     sizes = np.tile(s["set_sizes"][index], 2)
-    return _score(H, sizes, s["budget"], s["beams"], s["condition_cap"], t, s["drops_key"])
+    return _score(H, sizes, s["budget"], None, s["condition_cap"], t, s["drops_key"])
 
 
 def _ledger_task(task) -> LedgerRow:
@@ -448,7 +445,6 @@ def optimize(
         (assemble_channel(geometry, cfg.pattern, d, cfg.channel) for d in drops), len(drops)
     )
     drops_key = drops_fingerprint(drops)
-    beams = cfg.scenario.users
     info(
         f"{len(placements)} placements on {aperture.columns}x{aperture.rows}; "
         f"{len(drops)} drops assembled ({cfg.channel.tag})"
@@ -514,7 +510,7 @@ def optimize(
     # before the count fills the memo, which the workers do not need).
     # Without a pool the same tasks run here, each when its result is read.
     workers = cfg.workers or os.cpu_count() or 1
-    init_args = (stack, budget, cfg.zf_condition_cap, beams, cells, drops_key)
+    init_args = (stack, budget, cfg.zf_condition_cap, cells, drops_key)
     if workers > 1:
         pool_scope = get_context("fork").Pool(workers, _init_pool_worker, init_args)
     else:

@@ -91,31 +91,21 @@ def _zero_force(H: np.ndarray, sizes: np.ndarray, condition_cap: float):
     Returns (ok, V, norms, power): ok[p] is the decision of `_cap_decision`
     for drop p; V (P, 2Q, A) holds the raw beams, norms (P, A) their
     element-weight norms (weights `sizes`), and power (P, A, A) =
-    |H @ V / norms|^2. The last three are None when the cap is failed
-    before the solve, or `solve` meets an exactly singular Gram matrix.
+    |H @ V / norms|^2. The last three are None when `solve` meets an
+    exactly singular Gram matrix; eigvalsh then decides every drop.
 
     eigvalsh runs only on the drops that a norm certificate leaves open.
     If ||HV - I||_F <= 1/2, then sigma_min(H) >= 1 / (2 ||V||_2), so
     cond(H) <= 2 ||H||_F ||V||_F; when that is at most
     tau = min(cap / 100, CERTIFIED_COND_LIMIT), eigvalsh would pass the
     drop too. Both norms come from arrays the scoring forms anyway.
-
-    Whenever ||HV - I||_F <= 1/2, ||H||_F ||V||_F >= ||HV||_F >= sqrt(A) - 1/2,
-    so no drop can pass when tau < 2 sqrt(A) - 1 (caps below about 1.1e3
-    for A = 32). There eigvalsh decides every drop first, and `solve` runs
-    only when all of them pass.
     """
     gram = H @ np.conj(np.swapaxes(H, -1, -2))
     tau = min(condition_cap / 100.0, CERTIFIED_COND_LIMIT)
-    decided = None
-    if tau < 2.0 * np.sqrt(H.shape[1]) - 1.0:
-        decided = _cap_decision(gram, condition_cap)
-        if not decided.all():
-            return decided, None, None, None
     try:
         V = np.conj(np.swapaxes(np.linalg.solve(gram, H), -1, -2))  # (P, 2Q, A)
     except np.linalg.LinAlgError:
-        ok = _cap_decision(gram, condition_cap) if decided is None else decided
+        ok = _cap_decision(gram, condition_cap)
         if ok.all():
             raise
         return ok, None, None, None
@@ -126,8 +116,6 @@ def _zero_force(H: np.ndarray, sizes: np.ndarray, condition_cap: float):
         V_normalized = V / norms[:, None, :]
         product = H @ V_normalized  # (P, A, A)
         power = product.real**2 + product.imag**2
-        if decided is not None:
-            return decided, V, norms, power
         # ||HV - I||_F^2, where column a of HV is norms[a] * product[:, a]
         residual_f2 = (
             np.einsum("pa,pa->p", norms**2, power.sum(axis=1))

@@ -18,6 +18,14 @@ from apertile.scenario import ScenarioParams, UEDrop
 from apertile.shapes import PolyominoShape, normalize_cells
 
 
+def element_position(geometry, m: int, n: int) -> np.ndarray:
+    """Position (0, y_m, z_n) in meters of element column m, row n, the
+    per-element reference for `ArrayGeometry.element_positions`."""
+    y = (m - 1) * geometry.spacing_y_m
+    z = geometry.bs_height_m + (n - (geometry.rows + 1) / 2.0) * geometry.spacing_z_m
+    return np.array([0.0, y, z])
+
+
 def brute_force_placements(aperture, shape: PolyominoShape) -> set[frozenset[int]]:
     """Every admissible covered-pixel set of a shape, by scanning all anchors
     of all 8 raw transforms."""
@@ -100,7 +108,7 @@ def naive_far_field(geometry, pattern, element_weights, theta, phi, pol):
     for n in range(1, geometry.rows + 1):
         for m in range(1, geometry.columns + 1):
             i = m + (n - 1) * geometry.columns
-            pos = geometry.element_position(m, n)
+            pos = element_position(geometry, m, n)
             phase = k * (pos[1] * np.sin(theta) * np.sin(phi) + pos[2] * np.cos(theta))
             total += (
                 element_field(pattern, theta, phi, pol)
@@ -114,7 +122,7 @@ def los_green(geometry, pattern, tx, rx_position, rx_polarization, model=Channel
     """Single coupling between one TX element port (m, n, psi) and one RX
     port, the per-element reference for `assemble_channel`."""
     m, n, psi = tx
-    delta = np.asarray(rx_position, dtype=float) - geometry.element_position(m, n)
+    delta = np.asarray(rx_position, dtype=float) - element_position(geometry, m, n)
     d = float(np.linalg.norm(delta))
     theta = np.arccos(delta[2] / d)
     phi = np.arctan2(delta[1], delta[0])

@@ -21,7 +21,7 @@ from apertile.tiling import (
     generate_placements,
 )
 
-from oracles import linear_to_db, los_green, reduceat_aggregate
+from oracles import element_position, linear_to_db, los_green, reduceat_aggregate
 from test_geometry import reference_geometry
 
 
@@ -103,7 +103,7 @@ def test_penetration_loss_scales_power():
 
 def test_zero_distance_raises():
     geom = reference_geometry(columns=1, rows=1, h=0.0)
-    position = geom.element_position(1, 1)
+    position = element_position(geom, 1, 1)
     with pytest.raises(ValueError, match="coincides"):
         assemble_channel(geom, ElementPattern(), simple_drop([position]))
 

@@ -147,6 +147,32 @@ def test_an_infinite_condition_cap_is_accepted():
     tiny_config(zf_condition_cap=float("inf")).validate()
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("budget.tx_power_dbm", float("nan")),
+        ("budget.tx_power_dbm", float("inf")),
+        ("budget.coverage_threshold_dbm", float("nan")),
+        ("frequency_ghz", float("nan")),
+        ("scenario.isd_m", float("nan")),
+    ],
+)
+def test_validation_refuses_a_number_that_is_not_finite(tmp_path, capsys, field, value):
+    doc = tiny_config(output_dir=str(tmp_path)).to_dict()
+    *parents, key = field.split(".")
+    target = doc
+    for parent in parents:
+        target = target[parent]
+    target[key] = value
+    cfg = RunConfig.from_dict(doc)
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        cfg.validate()
+    # the same refusal from a JSON config, before anything is written
+    assert main(["optimize", "--config", write_config(tmp_path, cfg)]) == 1
+    assert f"{field} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "ledger.csv").exists()
+
+
 # --- reports helpers ----------------------------------------------------------
 
 def test_classify_tiles_identifies_orientations():

@@ -59,3 +59,18 @@ def test_every_public_function_and_class_has_a_caller_outside_the_tests():
     ]
     assert len(public) > 50
     assert [name for name in public if name.split(".")[1] not in used] == []
+
+
+def test_every_public_method_has_a_caller_outside_the_tests():
+    # attributes the acceptance criteria read stay public with them
+    used = names_used_in_code() | referenced_names(ROOT / "tests" / "test_acceptance.py")
+    methods = [
+        f"{path.stem}.{cls.name}.{node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for cls in ast.parse(path.read_text()).body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+    assert len(methods) > 20
+    assert [name for name in methods if name.split(".")[2] not in used] == []

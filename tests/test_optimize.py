@@ -148,6 +148,10 @@ def test_rank_deficient_drop_marks_record_infeasible(rng):
     assert not record.feasible
     assert not record.covered
     assert np.isnan(record.average_sum_rate)
+    assert np.isnan(record.min_desired_power_w)
+    assert np.isnan(record.per_drop_sum_rates).all() and record.per_drop_sum_rates.shape == (1,)
+    assert np.isnan(record.eta_desired_w).all() and record.eta_desired_w.shape == (8,)
+    assert record.per_ue_capacities is None
 
 
 def test_condition_cap_marks_infeasible(rng):
@@ -701,6 +705,46 @@ def test_read_ledger_rejects_row_cut_after_its_last_comma(tmp_path):
     assert read_ledger(path)[1] == [
         LedgerRow(2, 117.73010402125845, -58.96120553044186, True, True)
     ]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "5,nan,nan,1,0",
+        "5,1.0,-100.0,0,0",
+        "5,nan,-100.0,0,1",
+        "5,1.0,nan,0,0",
+        "5,nan,-100.0,0,0",
+        "5,nan,nan,0,1",
+    ],
+)
+def test_read_ledger_rejects_flags_that_contradict_the_numbers(tmp_path, bad):
+    header = "# apertile ledger v1\nt,capacity_bps_hz,min_power_dbm,coverage,feasible\n"
+    path = tmp_path / "ledger.csv"
+    path.write_text(header + bad + "\n")
+    with pytest.raises(ValueError, match="malformed ledger line"):
+        read_ledger(path)
+    # the rows the writer emits: infeasible, feasible below the floor, covered
+    path.write_text(header + "1,nan,nan,0,0\n2,1.5,-inf,0,1\n3,2.5,-60.0,1,1\n")
+    assert [(r.covered, r.feasible) for r in read_ledger(path)[1]] == [
+        (False, False),
+        (False, True),
+        (True, True),
+    ]
+
+
+def test_resume_refuses_a_row_whose_flags_contradict_its_numbers(tmp_path):
+    cfg = resume_config()
+    path = tmp_path / "ledger.csv"
+    optimize(cfg, ledger_path=path)
+    lines, first = ledger_lines(path)
+    t = lines[first + 1].split(",")[0]
+    lines[first + 1] = f"{t},nan,nan,1,0\n"  # covered but infeasible
+    path.write_text("".join(lines[: first + 3]))
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="malformed ledger line"):
+        optimize(cfg, ledger_path=path, resume=True)
+    assert path.read_bytes() == before
 
 
 def test_each_best_tiling_is_evaluated_once(monkeypatch):
