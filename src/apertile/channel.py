@@ -7,12 +7,17 @@ then H, each in pixel-index order (column m fastest). Entries combine the
 free-space (or exponent-overridden) path gain, the TX element pattern
 toward the user, the slant polarization coupling under aligned bases, and
 the propagation phase exp(-j 2 pi d / lambda) at the exact element-to-user
-distance.
+distance. Only the coupling depends on the polarizations, so the matrix is
+separable: entry ((u, chi), (psi, mn)) is base[u, mn] * coupling[chi, psi]
+for a (U, MN) base and a real 2x2 coupling. `ChannelStack` keeps the
+factors of every drop, and `placement_table` forms each product before it
+sums a tile, as `assemble_channel` does, so both give the same bits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,8 +35,10 @@ class LinkBudget:
     coverage_threshold_w: float
 
     def __post_init__(self):
-        if min(self.tx_power_w, self.noise_power_w, self.coverage_threshold_w) <= 0:
-            raise ValueError("budget powers must be positive")
+        powers = (self.tx_power_w, self.noise_power_w, self.coverage_threshold_w)
+        # written so that NaN fails too
+        if not all(0 < w < math.inf for w in powers):
+            raise ValueError("budget powers must be positive and finite")
 
     @classmethod
     def from_dbm(cls, tx_power_dbm, noise_power_dbm, coverage_threshold_dbm):
@@ -58,8 +65,10 @@ class ChannelModel:
     def __post_init__(self):
         if self.mode not in ("fspl", "ploss_exp"):
             raise ValueError(f"unknown channel mode {self.mode!r}")
-        if self.path_loss_exponent <= 0:
-            raise ValueError("path-loss exponent must be positive")
+        if not 0 < self.path_loss_exponent < math.inf:
+            raise ValueError("path-loss exponent must be positive and finite")
+        if not math.isfinite(self.penetration_loss_db):
+            raise ValueError("penetration loss must be finite")
 
     @property
     def tag(self) -> str:
@@ -95,13 +104,14 @@ def _polarization_coupling(pattern: ElementPattern) -> np.ndarray:
     return np.cos(slants[None, :] - slants[:, None])
 
 
-def assemble_channel(
+def _channel_base(
     geometry: ArrayGeometry,
     pattern: ElementPattern,
     drop,
-    model: ChannelModel = ChannelModel(),
-) -> ChannelMatrix:
-    """Full (2U, 2MN) matrix for one drop, independent of any tiling."""
+    model: ChannelModel,
+) -> np.ndarray:
+    """(U, MN) path gain, element pattern and propagation phase of one drop:
+    the factor that every (chi, psi) block of its channel shares."""
     rx = np.asarray(drop.positions, dtype=float)
     if rx.ndim != 2 or rx.shape[1] != 3 or rx.shape[0] < 1:
         raise ValueError("drop positions must be a (U, 3) array")
@@ -112,11 +122,21 @@ def assemble_channel(
         raise ValueError("an RX position coincides with an array element")
     theta = np.arccos(np.clip(delta[..., 2] / d, -1.0, 1.0))
     phi = np.arctan2(delta[..., 1], delta[..., 0])
-    base = (
+    return (
         np.sqrt(pattern.power_gain(theta, phi))
         * model.amplitude(d, geometry.wavelength_m)
         * np.exp(-2j * np.pi * d / geometry.wavelength_m)
-    )  # (U, MN)
+    )
+
+
+def assemble_channel(
+    geometry: ArrayGeometry,
+    pattern: ElementPattern,
+    drop,
+    model: ChannelModel = ChannelModel(),
+) -> ChannelMatrix:
+    """Full (2U, 2MN) matrix for one drop, independent of any tiling."""
+    base = _channel_base(geometry, pattern, drop, model)  # (U, MN)
     coupling = _polarization_coupling(pattern)  # (chi, psi)
     u_count, mn = base.shape
     full = base[:, None, None, :] * coupling[None, :, :, None]  # (U, chi, psi, MN)
@@ -126,29 +146,44 @@ def assemble_channel(
 
 @dataclass(frozen=True)
 class ChannelStack:
-    """Every drop's channel, stored column-major: shape (2MN, P, A).
+    """Every drop's channel as two factors, a base and a coupling.
 
-    columns[c, p, a] = G_p[a, c]. Each TX column is one contiguous (P, A)
-    block, so aggregating a tile gathers whole blocks instead of striding
-    through every row of every drop.
+    `base` (K, P, U') is stored column-major: base[c, p, u] is drop p's
+    entry for TX column c and RX group u, so each TX column is one
+    contiguous (P, U') block. `coupling` (k, k) is real, and drop p's
+    channel is G_p[u k + chi, psi K + c] = base[c, p, u] * coupling[chi,
+    psi]. Assembled drops keep k = 2, the slant coupling, with K = MN
+    pixels and U' = U users: a quarter of the expanded channel. Any other
+    (2U, 2MN) channel is stored as itself, with k = 1 and coupling [[1]].
     """
 
-    columns: np.ndarray
+    base: np.ndarray
+    coupling: np.ndarray = field(default_factory=lambda: np.ones((1, 1)))
 
     @classmethod
-    def fill(cls, channels, drops: int) -> "ChannelStack":
-        """Stack `drops` channels (ChannelMatrix or (2U, 2MN) arrays) taken
-        one at a time from an iterable, so a generator of assemblies never
-        holds more than one matrix."""
-        columns = None
+    def fill(cls, channels, drops: int, coupling=None) -> "ChannelStack":
+        """Stack `drops` channels (ChannelMatrix or (2U, 2MN) arrays), or
+        with `coupling` their (U, MN) base factors, taken one at a time
+        from an iterable, so a generator never holds more than one matrix."""
+        base = None
         for p, channel in enumerate(channels):
             matrix = channel.matrix if isinstance(channel, ChannelMatrix) else channel
-            if columns is None:
-                columns = np.empty((matrix.shape[1], drops, matrix.shape[0]), complex)
-            columns[:, p, :] = matrix.T
-        if columns is None or p != drops - 1:
+            if base is None:
+                base = np.empty((matrix.shape[1], drops, matrix.shape[0]), complex)
+            base[:, p, :] = matrix.T
+        if base is None or p != drops - 1:
             raise ValueError(f"expected {drops} channels")
-        return cls(columns)
+        return cls(base) if coupling is None else cls(base, coupling)
+
+    @classmethod
+    def assemble(
+        cls, geometry: ArrayGeometry, pattern: ElementPattern, drops, model: ChannelModel
+    ) -> "ChannelStack":
+        """The factored stack of `drops`: the base factors and the coupling
+        whose products `assemble_channel` forms, so the stack describes the
+        same channels bit for bit."""
+        bases = (_channel_base(geometry, pattern, d, model) for d in drops)
+        return cls.fill(bases, len(drops), _polarization_coupling(pattern))
 
 
 def _pairwise_sum(items: list, floats: int) -> np.ndarray:
@@ -196,73 +231,96 @@ def aggregate_channel(G, s: AggregationVector) -> np.ndarray:
     a ChannelStack; returns a C-contiguous (..., 2U, 2Q) array (P drops
     first for a ChannelStack) with columns ordered V tiles 1..Q then H
     tiles: the placement table of the cover's tiles, so the result is bit
-    for bit `np.add.reduceat` over each tile's ascending columns.
+    for bit `np.add.reduceat` over each tile's ascending columns of the
+    expanded channel.
     """
     if isinstance(G, ChannelStack):
-        by_column = G.columns
+        stack = G
     else:
         mat = G.matrix if isinstance(G, ChannelMatrix) else np.asarray(G)
-        by_column = np.moveaxis(mat, -1, 0)
+        stack = ChannelStack(np.moveaxis(mat, -1, 0))
+    columns = stack.base.shape[0] * len(stack.coupling)
     elements = np.size(s.values)
-    if by_column.shape[0] != 2 * elements:
+    if columns != 2 * elements:
         raise ValueError(
-            f"channel has {by_column.shape[0]} TX columns, tiling covers {elements} elements"
+            f"channel has {columns} TX columns, tiling covers {elements} elements"
         )
-    table = placement_table(by_column, s.tile_cells())
+    table = placement_table(stack, s.tile_cells())
     return table.reshape(*table.shape[:-2], -1)
 
 
-def _tile_sums(by_column: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Sums of the TX columns of equally sized tiles, one gather for all.
+def _tile_sums(g: np.ndarray) -> np.ndarray:
+    """Sums over the first axis of a (n, T, ...) gather, in place.
 
-    `cells` is (T, n): each row holds one tile's column indices in
-    ascending order. Row j of the new (T, ...) result is by_column[cells[j,
-    0]] plus the pairwise sum of the rest. Each element is summed on its
-    own, so a tile's sum does not depend on which tiles share the call.
+    Row j of the (T, ...) result is g[0, j] plus the pairwise sum of g[1:,
+    j], the order of `np.add.reduceat` over a tile's ascending columns.
+    Each element is summed on its own, so a tile's sum does not depend on
+    which tiles share the call. The result is a view into g.
     """
-    floats = 2 if np.iscomplexobj(by_column) else 1
-    # (n, T, ...): a new array, so the sums may overwrite it; g[j] are
-    # disjoint blocks, so in-place adds need no overlap copies
-    g = by_column[cells.T]
-    sums = g[0]
-    if cells.shape[1] > 1:
-        sums = _pairwise_sum(list(g[1:]), floats)
-        sums += g[0]
+    if len(g) == 1:
+        return g[0]
+    sums = _pairwise_sum(list(g[1:]), 2 if np.iscomplexobj(g) else 1)
+    sums += g[0]
     return sums
 
 
-# Sets summed per gather, which bounds its (n, 2T, ...) temporary. Smaller
-# chunks were faster in a warm process but slower end to end at 200 drops:
-# a worker whose largest freed block is small keeps glibc's mmap and trim
-# thresholds low, and pays page faults again on every tiling's arrays.
+def _coupled_sums(base: np.ndarray, columns: np.ndarray, coupling: np.ndarray):
+    """Yields ((chi, psi), sums) for every coupling entry: sums[j] is the
+    sum of the base columns in row j of `columns` (T, n), each column
+    multiplied by coupling[chi, psi] first, as `assemble_channel` forms it.
+
+    One gather serves every entry, and entries of equal value share one
+    sum; a real multiplier on the float view gives the complex product's
+    bits. The entry 1 multiplies nothing and is summed last, over the
+    gather itself. A yielded sum is overwritten by the next one.
+    """
+    g = base[columns.T]  # (n, T, ...): a new array, so the sums may overwrite it
+    floats = g.real.dtype
+    products = None
+    for value in sorted(set(coupling.flat), key=lambda c: c == 1.0):
+        if value == 1.0:
+            sums = _tile_sums(g)
+        else:
+            if products is None:
+                products = np.empty_like(g)
+            np.multiply(g.view(floats), value, out=products.view(floats))
+            sums = _tile_sums(products)
+        for entry in zip(*np.nonzero(coupling == value)):
+            yield entry, sums
+
+
+# Sets gathered at once, which bounds the gather to (n, 32, P, U'): 4.9 MB
+# for the 16 hexominoes of an 8x12 P tiling at 200 drops. Each evaluating
+# process pins glibc's mmap and trim thresholds (optimizer._pin_heap), so
+# such blocks come from a heap that keeps its pages between tilings.
 PLACEMENT_CHUNK = 32
 
 
-def placement_table(G, cells) -> np.ndarray:
+def placement_table(G: ChannelStack, cells) -> np.ndarray:
     """The aggregated channel columns of every pixel set, shape (..., 2, R).
 
-    `G` is a ChannelStack or its column-major (2MN, ...) array, and
     `cells[k]` holds set k's 0-based pixel indices in ascending order.
-    table[..., 0, k] sums their V columns and table[..., 1, k] their H
-    columns. Sets of one size are summed PLACEMENT_CHUNK at a time. For a
-    ChannelStack and the placements of an incidence matrix, a tiling of
-    placements `rows` (in tile-id order) then has the effective channels
-    np.take(table, rows, axis=-1).reshape(P, A, 2Q).
+    table[..., 0, k] sums their V columns of the expanded channel and
+    table[..., 1, k] their H columns, each column formed as base times
+    coupling before it is summed. Sets of one size are gathered from the
+    base PLACEMENT_CHUNK at a time. For the placements of an incidence
+    matrix, a tiling of placements `rows` (in tile-id order) then has the
+    effective channels np.take(table, rows, axis=-1).reshape(P, A, 2Q).
     """
-    by_column = G.columns if isinstance(G, ChannelStack) else G
-    mn = by_column.shape[0] // 2
+    base, coupling = G.base, G.coupling
+    k = len(coupling)
+    halves = 2 // k  # V and H halves of each base column block
+    mn = base.shape[0] * k // 2
     sizes = np.array([len(c) for c in cells])
-    by_set = None  # (V or H, set, ...), made C-contiguous as (..., 2, R) once
+    # (chi, V or H, set, ..., U'), made C-contiguous as (..., U', chi, 2, R) once
+    by_set = np.empty((k, 2, sizes.size) + base.shape[1:], base.dtype)
     for n in sorted(set(sizes.tolist())):
         rows = np.flatnonzero(sizes == n)
         for chunk in np.split(rows, range(PLACEMENT_CHUNK, rows.size, PLACEMENT_CHUNK)):
-            pixels = np.array([cells[k] for k in chunk])
-            sums = _tile_sums(by_column, np.concatenate((pixels, mn + pixels)))
-            pair = sums.reshape(2, chunk.size, *sums.shape[1:])
-            if chunk.size == sizes.size:
-                by_set = pair  # one gather held every set
-            else:
-                if by_set is None:
-                    by_set = np.empty((2, sizes.size) + pair.shape[2:], pair.dtype)
-                by_set[:, chunk] = pair
-    return np.ascontiguousarray(np.moveaxis(by_set, (0, 1), (-2, -1)))
+            pixels = np.array([cells[j] for j in chunk])
+            columns = np.concatenate([h * mn + pixels for h in range(halves)])
+            for (chi, psi), sums in _coupled_sums(base, columns, coupling):
+                pair = sums.reshape(halves, chunk.size, *sums.shape[1:])
+                by_set[chi][psi * halves : (psi + 1) * halves, chunk] = pair
+    table = np.ascontiguousarray(np.moveaxis(by_set, (0, 1, 2), (-3, -2, -1)))
+    return table.reshape(*base.shape[1:-1], -1, 2, sizes.size)

@@ -14,7 +14,7 @@ from itertools import islice
 
 import numpy as np
 
-from .channel import ChannelStack, assemble_channel
+from .channel import ChannelStack
 from .config import RunConfig
 from .metrics import distribution, eta_statistics
 from .optimizer import (
@@ -112,13 +112,14 @@ def cmd_optimize(args) -> int:
 
     meta = {"config_hash": cfg.config_hash(), "seed": cfg.scenario.seed}
     save_drops(result.drops, os.path.join(out_dir, "drops.json"), meta)
-    with open(os.path.join(out_dir, "result.json"), "w") as fh:
-        json.dump(result_to_json(result, cfg), fh, indent=2, allow_nan=False)
-        fh.write("\n")
     if result.best_precoders:
         save_precoders(
             result.best_precoders, os.path.join(out_dir, "best_precoders.npz"), meta
         )
+    # written after the precoders, so that its resources include their peak
+    with open(os.path.join(out_dir, "result.json"), "w") as fh:
+        json.dump(result_to_json(result, cfg), fh, indent=2, allow_nan=False)
+        fh.write("\n")
 
     aperture = cfg.aperture_grid()
     shapes = cfg.shapes()
@@ -170,13 +171,10 @@ def cmd_evaluate(args) -> int:
     cfg = _load_config(args.config)
     cfg.validate()
     cover, _aperture = _resolve_cover(cfg, args.tiling)
-    geometry = cfg.geometry()
     drops = sample_drops(cfg.scenario)
     record = evaluate_tiling(
         cover,
-        ChannelStack.fill(
-            (assemble_channel(geometry, cfg.pattern, d, cfg.channel) for d in drops), len(drops)
-        ),
+        ChannelStack.assemble(cfg.geometry(), cfg.pattern, drops, cfg.channel),
         cfg.link_budget(),
         condition_cap=cfg.zf_condition_cap,
         drops_key=drops_fingerprint(drops),
@@ -203,6 +201,20 @@ def cmd_evaluate(args) -> int:
             fh.write("\n")
     print(json.dumps(doc, indent=2, allow_nan=False))
     return EXIT_OK if record.feasible else EXIT_INFEASIBLE
+
+
+def _run_resources(ledger_path: str, meta: dict) -> dict | None:
+    """The resources that `optimize` recorded in the result.json beside a
+    ledger, when that file was written under the ledger's config hash."""
+    path = os.path.join(os.path.dirname(ledger_path), "result.json")
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError):
+        return None
+    if doc.get("config_hash") != meta.get("config_hash"):
+        return None
+    return doc.get("resources")
 
 
 def cmd_report(args) -> int:
@@ -243,6 +255,16 @@ def cmd_report(args) -> int:
         print(
             f"  beating baseline ({summary['baseline_capacity_bps_hz']:.4f} bps/Hz): "
             f"{summary['beating_baseline']} ({100.0 * summary['beating_fraction']:.2f}%)"
+        )
+    resources = _run_resources(args.ledger, meta)
+    if resources:
+        print(
+            "  resources: "
+            + "; ".join(
+                f"{who} {r['user_s']:.2f} s user, {r['system_s']:.2f} s system, "
+                f"max RSS {r['max_rss_mb']:.1f} MB"
+                for who, r in resources.items()
+            )
         )
     if args.json:
         with open(args.json, "w") as fh:

@@ -9,6 +9,7 @@ y_m = (m - 1) d_y and z_n = h_BS + (n - (N + 1)/2) d_z.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,12 @@ class ArrayGeometry:
     def __post_init__(self):
         if self.columns < 1 or self.rows < 1:
             raise ValueError("panel must have positive dimensions")
-        if self.spacing_y_m <= 0 or self.spacing_z_m <= 0 or self.frequency_hz <= 0:
-            raise ValueError("spacings and frequency must be positive")
+        # written so that NaN fails too
+        positive = (self.spacing_y_m, self.spacing_z_m, self.frequency_hz)
+        if not all(0 < x < math.inf for x in positive):
+            raise ValueError("spacings and frequency must be positive and finite")
+        if not math.isfinite(self.bs_height_m):
+            raise ValueError("base-station height must be finite")
 
     @property
     def wavelength_m(self) -> float:

@@ -9,34 +9,31 @@ a long run resumes from the rows that reached the file. Every evaluation
 is one task over rows of `cells`, the placements' pixel sets followed by
 the baseline's tiles: ledger rows, the baseline and the best tilings alike.
 The pool runs them all; the parent only counts, streams, merges and
-writes. Each worker holds the channel stack, the temporaries of one
-evaluation and, when it fits TABLE_BUDGET_BYTES, the table of every set's
-aggregated channel columns, built after the fork; the parent holds the
-stack and the search.
+writes. The channel stack keeps each drop's channel as its two factors,
+the (MN, P, U) base and the 2x2 slant coupling, a quarter of the expanded
+channels. Each worker holds that stack, the temporaries of one evaluation
+(heap blocks it reuses from tiling to tiling, see `_pin_heap`) and, when
+it fits TABLE_BUDGET_BYTES, the table of every set's aggregated channel
+columns, built after the fork; the parent holds the stack and the search.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import signal
+import sys
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from multiprocessing import get_context
 from operator import attrgetter
 from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
-from .channel import (
-    ChannelStack,
-    LinkBudget,
-    aggregate_channel,
-    assemble_channel,
-    placement_table,
-)
+from .channel import ChannelStack, LinkBudget, aggregate_channel, placement_table
 from .config import RunConfig
 from .metrics import EvaluationRecord, eta_statistics
 from .precoding import ChannelRankError, PrecodingMatrix, _precoders, _zero_force
@@ -303,13 +300,39 @@ _SHARED: dict = {}
 
 # Largest placement table a worker builds: 5.0 MB for 8x12 P (472
 # placements and the baseline's 16 tiles) at 10 drops, 100 MB at 200 drops,
-# which stay on the stack path. Up to 33 drops fit on 8x12 P.
+# which stay on the stack path. Up to 33 drops fit on 8x12 P. The table
+# comes from the heap (see _pin_heap) when it is below HEAP_BLOCK_BYTES.
 TABLE_BUDGET_BYTES = 16 * 2**20
+
+# glibc's mallopt parameters (malloc.h), and the largest block that an
+# evaluating process takes from its heap: glibc's ceiling for the mmap
+# threshold on 64-bit hosts.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+HEAP_BLOCK_BYTES = 32 * 2**20
+
+
+def _pin_heap() -> None:
+    """Serve blocks up to HEAP_BLOCK_BYTES from the heap, and keep up to
+    twice that of freed heap mapped, for the rest of this process.
+
+    An evaluation allocates the same arrays for every tiling, up to 4.9 MB
+    at 200 drops. By default glibc maps each block of 128 KiB or more
+    afresh, so every tiling faults its pages in again, until it happens to
+    free a larger mapped block. Without glibc's mallopt this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, HEAP_BLOCK_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, 2 * HEAP_BLOCK_BYTES)
 
 
 def _init_worker(G, budget, condition_cap, cells, drops_key):
+    _pin_heap()
     # the table holds a (P, A) V and H column sum for each set in cells
-    fits = 2 * len(cells) * G.columns[0].nbytes <= TABLE_BUDGET_BYTES
+    fits = 2 * len(cells) * len(G.coupling) * G.base[0].nbytes <= TABLE_BUDGET_BYTES
     _SHARED.update(
         G=G,
         table=placement_table(G, cells) if fits else None,
@@ -343,10 +366,11 @@ def _in_process(init_args):
 
 def _eval_task(task):
     """Evaluate tiling t, given as rows of `cells` in tile-id order: its
-    record, and its (V, norms) when feasible. Its effective channels are
-    its rows' columns of the placement table or, with no table, a table of
+    record, and its (V, norms) when feasible and `beams` asks for them
+    (else None; they stay in the worker). Its effective channels are its
+    rows' columns of the placement table or, with no table, a table of
     just those sets built from the stack."""
-    t, rows = task
+    t, rows, beams = task
     s = _SHARED
     index = np.array(rows)
     if s["table"] is None:
@@ -355,12 +379,14 @@ def _eval_task(task):
         by_tile = np.take(s["table"], index, axis=-1)
     H = by_tile.reshape(*by_tile.shape[:-2], -1)
     sizes = np.tile(s["set_sizes"][index], 2)
-    return _score(H, sizes, s["budget"], None, s["condition_cap"], t, s["drops_key"])
+    record, zf = _score(H, sizes, s["budget"], None, s["condition_cap"], t, s["drops_key"])
+    return record, (zf if beams else None)
 
 
 def _ledger_task(task) -> LedgerRow:
-    """`_eval_task` as a ledger row; the beams stay in the worker."""
-    return _record_to_row(task[0], _eval_task(task)[0])
+    """`_eval_task` of a streamed (t, rows) as a ledger row."""
+    t, rows = task
+    return _record_to_row(t, _eval_task((t, rows, False))[0])
 
 
 # --- optimization ----------------------------------------------------------
@@ -437,13 +463,12 @@ def optimize(
     baseline_cover = baseline_tiling(aperture) if aperture.rows % 6 == 0 else None
     baseline_tasks = []
     if baseline_cover is not None:
-        baseline_tasks = [(0, tuple(range(len(cells), len(cells) + baseline_cover.tile_count)))]
+        baseline_rows = tuple(range(len(cells), len(cells) + baseline_cover.tile_count))
+        baseline_tasks = [(0, baseline_rows, False)]
         cells += baseline_cover.tile_cells()
 
     drops = sample_drops(cfg.scenario)
-    stack = ChannelStack.fill(
-        (assemble_channel(geometry, cfg.pattern, d, cfg.channel) for d in drops), len(drops)
-    )
+    stack = ChannelStack.assemble(geometry, cfg.pattern, drops, cfg.channel)
     drops_key = drops_fingerprint(drops)
     info(
         f"{len(placements)} placements on {aperture.columns}x{aperture.rows}; "
@@ -512,6 +537,8 @@ def optimize(
     workers = cfg.workers or os.cpu_count() or 1
     init_args = (stack, budget, cfg.zf_condition_cap, cells, drops_key)
     if workers > 1:
+        from multiprocessing import get_context  # here, so that enumerate never loads it
+
         pool_scope = get_context("fork").Pool(workers, _init_pool_worker, init_args)
     else:
         pool_scope = _in_process(init_args)
@@ -561,10 +588,13 @@ def optimize(
         best_any_row = max(scored, key=capacity, default=None)
 
         # each distinct best tiling is evaluated once, the two in parallel,
-        # its rows looked up by index in the memo that the count filled
+        # its rows looked up by index in the memo that the count filled;
+        # only the best covered tiling sends its beams back
         best_ts = {r.tiling_index for r in (best_row, best_any_row) if r is not None}
         picks = {t: _rows_by_index(search, t) for t in sorted(best_ts)}
-        evaluated = dict(zip(picks, pool.imap(_eval_task, picks.items())))
+        kept = best_row.tiling_index if best_row else None
+        best_tasks = [(t, rows, t == kept) for t, rows in picks.items()]
+        evaluated = dict(zip(picks, pool.imap(_eval_task, best_tasks)))
 
     def pick(row: LedgerRow | None):
         """A best row's record, (V, norms) and cover, or three Nones."""
@@ -606,8 +636,27 @@ def optimize(
     )
 
 
+def _resources() -> dict:
+    """User and system CPU seconds and peak RSS so far, of this process and
+    of its joined children: the pool's workers once the pool has closed."""
+    import resource  # here, so that enumerate never loads it
+
+    # ru_maxrss counts KiB on Linux and bytes on macOS
+    unit = 1 if sys.platform == "darwin" else 2**10
+    doc = {}
+    for key, who in (("parent", resource.RUSAGE_SELF), ("workers", resource.RUSAGE_CHILDREN)):
+        usage = resource.getrusage(who)
+        doc[key] = {
+            "user_s": round(usage.ru_utime, 3),
+            "system_s": round(usage.ru_stime, 3),
+            "max_rss_mb": round(usage.ru_maxrss * unit / 2**20, 1),
+        }
+    return doc
+
+
 def result_to_json(result: OptimizationResult, cfg: RunConfig) -> dict:
-    """Portable summary of an optimization run (grids, stats, provenance)."""
+    """Portable summary of an optimization run (grids, stats, provenance),
+    with the CPU time and peak RSS of the process tree up to this call."""
 
     def record_doc(record: EvaluationRecord | None, cover: AggregationVector | None):
         if record is None:
@@ -640,6 +689,7 @@ def result_to_json(result: OptimizationResult, cfg: RunConfig) -> dict:
         "exhaustive": result.exhaustive,
         "feasible": result.feasible,
         "elapsed_s": result.elapsed_s,
+        "resources": _resources(),
         "best": record_doc(result.best, result.best_cover),
         "best_unconstrained": record_doc(
             result.best_unconstrained, result.best_unconstrained_cover

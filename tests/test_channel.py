@@ -43,6 +43,23 @@ def test_budget_rejects_nonpositive():
         LinkBudget(0.0, 1e-12, 1e-15)
 
 
+@pytest.mark.parametrize("index", [0, 1, 2])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_budget_rejects_nan_and_infinite_powers(index, bad):
+    powers = [1.0, 1e-6, 1e-18]
+    powers[index] = bad
+    with pytest.raises(ValueError, match="positive and finite"):
+        LinkBudget(*powers)
+
+
+def test_channel_model_rejects_nan():
+    for exponent in (float("nan"), float("inf"), 0.0):
+        with pytest.raises(ValueError, match="exponent must be positive and finite"):
+            ChannelModel("ploss_exp", exponent)
+    with pytest.raises(ValueError, match="penetration loss must be finite"):
+        ChannelModel(penetration_loss_db=float("nan"))
+
+
 # --- single coupling --------------------------------------------------------------
 
 def test_copolar_boresight_is_friis():
@@ -341,10 +358,83 @@ def test_placement_table_rows_are_aggregated_columns_bit_for_bit(rng, tmp_path, 
 
 
 def test_channel_stack_fill_checks_the_drop_count(rng):
+    # a whole channel is its own base, column-major, with a 1x1 coupling
     G = complex_stack(rng, 3, 2, 8)
     stack = ChannelStack.fill(G, 3)
-    assert stack.columns.shape == (8, 3, 2)
-    np.testing.assert_array_equal(stack.columns[5, 1], G[1, :, 5])
+    assert stack.base.shape == (8, 3, 2)
+    assert stack.coupling.tolist() == [[1.0]]
+    for p in range(3):
+        assert stack.base[:, p, :].T.tobytes() == G[p].tobytes()
     with pytest.raises(ValueError, match="expected 4 channels"):
         ChannelStack.fill(G, 4)
 
+
+SLANTS = {"+-45": (-45.0, 45.0), "0/30": (0.0, 30.0)}
+
+
+def assembled(pattern, count=3, users=3):
+    """Drops on a 4x6 panel: their factored stack and their assembled matrices."""
+    rng = np.random.default_rng(7)
+    geom = reference_geometry(columns=4, rows=6, h=10.0)
+    xy = np.column_stack((rng.uniform(20, 200, count * users), rng.uniform(-80, 80, count * users)))
+    drops = [
+        simple_drop(np.column_stack((ue, np.full(users, 1.5))), p)
+        for p, ue in enumerate(xy.reshape(count, users, 2))
+    ]
+    stack = ChannelStack.assemble(geom, pattern, drops, ChannelModel())
+    return stack, [assemble_channel(geom, pattern, d).matrix for d in drops]
+
+
+@pytest.mark.parametrize("slants", SLANTS.values(), ids=SLANTS.keys())
+def test_assembled_stack_holds_the_factors_of_every_channel(slants):
+    pattern = ElementPattern(slant_v_deg=slants[0], slant_h_deg=slants[1])
+    stack, matrices = assembled(pattern)
+    assert stack.base.shape == (24, 3, 3)
+    assert stack.coupling.shape == (2, 2)
+    if slants == (0.0, 30.0):
+        assert stack.coupling[0, 1] == pytest.approx(np.cos(np.radians(30.0)))
+    for p, G in enumerate(matrices):
+        for chi in (0, 1):
+            for psi in (0, 1):
+                block = G[chi::2, psi * 24 : (psi + 1) * 24]
+                product = stack.base[:, p, :].T * stack.coupling[chi, psi]
+                assert product.tobytes() == block.tobytes()
+
+
+@pytest.mark.parametrize("slants", SLANTS.values(), ids=SLANTS.keys())
+def test_factored_tables_equal_the_expanded_ones_bit_for_bit(rng, slants):
+    pattern = ElementPattern(slant_v_deg=slants[0], slant_h_deg=slants[1])
+    stack, matrices = assembled(pattern)
+    expanded = ChannelStack.fill(matrices, len(matrices))
+    aperture = Aperture(4, 6)
+    matrix = build_incidence_matrix(generate_placements(aperture, alphabet("P+L")), aperture)
+    cells = [np.asarray(p) - 1 for p in matrix.rows]
+    cells += baseline_tiling(aperture).tile_cells()
+    table = placement_table(stack, cells)
+    assert table.shape == (3, 6, 2, len(cells)) and table.flags.c_contiguous
+    assert table.tobytes() == placement_table(expanded, cells).tobytes()
+    covers = [*enumerate_exact_covers(matrix), baseline_tiling(aperture)]
+    covers += [labels_from_sizes(rng, sizes) for sizes in ([1] * 24, [24], [5, 7, 12])]
+    G = np.stack(matrices)
+    for cover in covers:
+        H = aggregate_channel(stack, cover)
+        assert H.flags.c_contiguous
+        assert H.tobytes() == aggregate_channel(expanded, cover).tobytes()
+        assert H.tobytes() == reduceat_aggregate(G, cover).tobytes()
+
+
+def test_a_raw_channel_is_a_stack_with_a_unit_coupling(rng):
+    # a non-separable array: the same tables whether filled or passed raw
+    G = complex_stack(rng, 3, 6, 48)
+    stack = ChannelStack.fill(G, len(G))
+    aperture = Aperture(4, 6)
+    matrix = build_incidence_matrix(generate_placements(aperture, alphabet("P+L")), aperture)
+    cells = [np.asarray(p) - 1 for p in matrix.rows]
+    table = placement_table(stack, cells)
+    assert table.tobytes() == placement_table(ChannelStack(np.moveaxis(G, -1, 0)), cells).tobytes()
+    for cover in enumerate_exact_covers(matrix):
+        H = reduceat_aggregate(G, cover)
+        assert aggregate_channel(stack, cover).tobytes() == H.tobytes()
+        assert aggregate_channel(G, cover).tobytes() == H.tobytes()
+        gathered = np.take(table, np.array(cover.placements) - 1, axis=-1)
+        assert gathered.reshape(H.shape).tobytes() == H.tobytes()

@@ -324,6 +324,40 @@ def test_cli_optimize_writes_outputs_and_is_deterministic(tmp_path, capsys):
     assert (out1 / "result.json").read_text() != ""
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cli_optimize_records_its_resources_and_report_prints_them(tmp_path, capsys, workers):
+    cfg = tiny_config(workers=workers, output_dir=str(tmp_path / "out"))
+    path = write_config(tmp_path, cfg)
+    assert main(["optimize", "--config", path]) == 0
+    resources = json.loads((tmp_path / "out" / "result.json").read_text())["resources"]
+    assert set(resources) == {"parent", "workers"}
+    for usage in resources.values():
+        assert set(usage) == {"user_s", "system_s", "max_rss_mb"}
+        assert all(isinstance(v, float) and v >= 0 for v in usage.values())
+    assert resources["parent"]["user_s"] > 0 and resources["parent"]["max_rss_mb"] > 0
+    if workers == 2:  # the joined pool workers
+        assert resources["workers"]["user_s"] > 0 and resources["workers"]["max_rss_mb"] > 0
+    capsys.readouterr()
+
+    ledger = tmp_path / "out" / "ledger.csv"
+    assert main(["report", "--ledger", str(ledger)]) == 0
+    lines = [l for l in capsys.readouterr().out.splitlines() if "resources:" in l]
+    assert lines == [
+        "  resources: "
+        + "; ".join(
+            f"{who} {r['user_s']:.2f} s user, {r['system_s']:.2f} s system, "
+            f"max RSS {r['max_rss_mb']:.1f} MB"
+            for who, r in resources.items()
+        )
+    ]
+    # a result.json of another config does not describe this ledger
+    doc = json.loads((tmp_path / "out" / "result.json").read_text())
+    doc["config_hash"] = "0" * len(doc["config_hash"])
+    (tmp_path / "out" / "result.json").write_text(json.dumps(doc))
+    assert main(["report", "--ledger", str(ledger)]) == 0
+    assert "resources:" not in capsys.readouterr().out
+
+
 def test_cli_optimize_infeasible_exit_code(tmp_path, capsys):
     cfg = tiny_config(
         budget=BudgetConfig(coverage_threshold_dbm=50.0),

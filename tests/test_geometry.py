@@ -56,6 +56,17 @@ def test_all_positions_match_scalar_recomputation():
             assert grid[i - 1] == pytest.approx(expected)
 
 
+@pytest.mark.parametrize(
+    "field", ["spacing_y_m", "spacing_z_m", "frequency_hz", "bs_height_m"]
+)
+def test_geometry_rejects_nan(field):
+    geom = reference_geometry(columns=2, rows=2)
+    values = {f: getattr(geom, f) for f in geom.__dataclass_fields__}
+    values[field] = float("nan")
+    with pytest.raises(ValueError, match="finite"):
+        ArrayGeometry(**values)
+
+
 def test_wavelength():
     geom = reference_geometry()
     assert geom.wavelength_m == pytest.approx(SPEED_OF_LIGHT_M_S / 3.5e9)

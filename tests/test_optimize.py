@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import apertile
+import apertile.channel as channel_module
 import apertile.optimizer as opt
 from apertile.channel import (
     ChannelMatrix,
@@ -291,14 +292,15 @@ def test_pool_workers_take_the_default_sigterm_action(tmp_path, monkeypatch):
 
 
 def test_channels_assembled_once_per_drop(monkeypatch):
+    # the stack holds each drop's base factor, computed once per drop
     calls = {"n": 0}
-    real = assemble_channel
+    real = channel_module._channel_base
 
     def counting(*args, **kwargs):
         calls["n"] += 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(opt, "assemble_channel", counting)
+    monkeypatch.setattr(channel_module, "_channel_base", counting)
     cfg = toy_config()
     optimize(cfg)
     assert calls["n"] == cfg.scenario.drops
@@ -805,6 +807,38 @@ def test_the_optimize_parent_evaluates_nothing(tmp_path, monkeypatch):
     # stream the two best tilings once each
     assert sorted(indexes[:-2]) == [0, *range(1, 42)]
     assert sorted(indexes[-2:]) == [40, 41]
+
+
+BEAMS_LOG = {}
+
+
+def logging_eval_task(task):
+    """opt._eval_task, logging t, whether the task asks for the beams and
+    whether they come back; module-level, so that the pool can pickle it."""
+    record, zf = BEAMS_LOG["real"](task)
+    with open(BEAMS_LOG["path"], "a") as fh:
+        fh.write(f"{task[0]} {int(task[2])} {int(zf is not None)}\n")
+    return record, zf
+
+
+def test_only_the_best_covered_tiling_sends_its_beams_back(tmp_path, monkeypatch):
+    # the config above: the baseline (t = 0) and the unconstrained best
+    # (t = 41) keep their beams in the worker
+    log = tmp_path / "beams.txt"
+    monkeypatch.setitem(BEAMS_LOG, "real", opt._eval_task)
+    monkeypatch.setitem(BEAMS_LOG, "path", log)
+    monkeypatch.setattr(opt, "_eval_task", logging_eval_task)
+    cfg = toy_config(
+        aperture=ApertureConfig(3, 6),
+        budget=BudgetConfig(coverage_threshold_dbm=-44.7),
+        workers=2,
+    )
+    result = optimize(cfg)
+    assert (result.best.tiling_index, result.best_unconstrained.tiling_index) == (40, 41)
+    entries = {tuple(map(int, line.split())) for line in log.read_text().splitlines()}
+    assert {e for e in entries if e[0] in (0, 40, 41) and e[1] == 1} == {(40, 1, 1)}
+    assert {e for e in entries if e[2]} == {(40, 1, 1)}
+    assert len(result.best_precoders) == cfg.scenario.drops
 
 
 def test_result_to_json_shape(tmp_path):
