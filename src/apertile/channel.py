@@ -245,8 +245,20 @@ def aggregate_channel(G, s: AggregationVector) -> np.ndarray:
         raise ValueError(
             f"channel has {columns} TX columns, tiling covers {elements} elements"
         )
-    table = placement_table(stack, s.tile_cells())
-    return table.reshape(*table.shape[:-2], -1)
+    return effective_channels(placement_table(stack, s.tile_cells()))
+
+
+def effective_channels(table: np.ndarray, rows=None) -> np.ndarray:
+    """A tiling's C-contiguous (..., A, 2Q) effective channels from a
+    table of `placement_table`: its tiles' `rows` in tile-id order, or
+    every row in order. Row u k + chi of column h Q + q is
+    table[rows[q], chi, h, ..., u], so the columns are V tiles 1..Q, then
+    H tiles. The rows are gathered through a transposed view of the table,
+    and a whole table is copied once through that view."""
+    by_port = np.moveaxis(table, (0, 1, 2), (-1, -3, -2))  # (..., U', k, 2, R)
+    if rows is not None:
+        by_port = by_port[..., rows]
+    return by_port.reshape(*by_port.shape[:-4], -1, 2 * by_port.shape[-1])
 
 
 def _tile_sums(g: np.ndarray) -> np.ndarray:
@@ -297,23 +309,26 @@ PLACEMENT_CHUNK = 32
 
 
 def placement_table(G: ChannelStack, cells) -> np.ndarray:
-    """The aggregated channel columns of every pixel set, shape (..., 2, R).
+    """The aggregated channel columns of every pixel set, placement-major:
+    shape (R, k, 2, ..., U') for R sets and the stack's k x k coupling, so
+    each set is one contiguous block.
 
-    `cells[k]` holds set k's 0-based pixel indices in ascending order.
-    table[..., 0, k] sums their V columns of the expanded channel and
-    table[..., 1, k] their H columns, each column formed as base times
-    coupling before it is summed. Sets of one size are gathered from the
-    base PLACEMENT_CHUNK at a time. For the placements of an incidence
-    matrix, a tiling of placements `rows` (in tile-id order) then has the
-    effective channels np.take(table, rows, axis=-1).reshape(P, A, 2Q).
+    `cells[r]` holds set r's 0-based pixel indices in ascending order.
+    table[r, chi, 0, ..., u] sums their V columns of the expanded channel
+    in row u k + chi, and table[r, chi, 1, ..., u] their H columns, each
+    column formed as base times coupling before it is summed. Sets of one
+    size are gathered from the base PLACEMENT_CHUNK at a time, and each
+    coupling entry's sums are written in place as contiguous blocks. For
+    the placements of an incidence matrix, a tiling of placements `rows`
+    (in tile-id order) then has the effective channels
+    effective_channels(table, rows).
     """
     base, coupling = G.base, G.coupling
     k = len(coupling)
     halves = 2 // k  # V and H halves of each base column block
     mn = base.shape[0] * k // 2
     sizes = np.array([len(c) for c in cells])
-    # (chi, V or H, set, ..., U'), made C-contiguous as (..., U', chi, 2, R) once
-    by_set = np.empty((k, 2, sizes.size) + base.shape[1:], base.dtype)
+    table = np.empty((sizes.size, k, 2) + base.shape[1:], base.dtype)
     for n in sorted(set(sizes.tolist())):
         rows = np.flatnonzero(sizes == n)
         for chunk in np.split(rows, range(PLACEMENT_CHUNK, rows.size, PLACEMENT_CHUNK)):
@@ -321,6 +336,5 @@ def placement_table(G: ChannelStack, cells) -> np.ndarray:
             columns = np.concatenate([h * mn + pixels for h in range(halves)])
             for (chi, psi), sums in _coupled_sums(base, columns, coupling):
                 pair = sums.reshape(halves, chunk.size, *sums.shape[1:])
-                by_set[chi][psi * halves : (psi + 1) * halves, chunk] = pair
-    table = np.ascontiguousarray(np.moveaxis(by_set, (0, 1, 2), (-3, -2, -1)))
-    return table.reshape(*base.shape[1:-1], -1, 2, sizes.size)
+                table[chunk, chi, psi * halves : (psi + 1) * halves] = np.swapaxes(pair, 0, 1)
+    return table

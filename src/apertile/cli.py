@@ -214,7 +214,11 @@ def _run_resources(ledger_path: str, meta: dict) -> dict | None:
         return None
     if doc.get("config_hash") != meta.get("config_hash"):
         return None
-    return doc.get("resources")
+    resources = doc.get("resources") or {}
+    # files written before the CPU seconds were per run carry "max_rss_mb"
+    if not all("life_peak_rss_mb" in usage for usage in resources.values()):
+        return None
+    return resources
 
 
 def cmd_report(args) -> int:
@@ -262,7 +266,7 @@ def cmd_report(args) -> int:
             "  resources: "
             + "; ".join(
                 f"{who} {r['user_s']:.2f} s user, {r['system_s']:.2f} s system, "
-                f"max RSS {r['max_rss_mb']:.1f} MB"
+                f"life peak RSS {r['life_peak_rss_mb']:.1f} MB"
                 for who, r in resources.items()
             )
         )

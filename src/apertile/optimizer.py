@@ -13,8 +13,9 @@ writes. The channel stack keeps each drop's channel as its two factors,
 the (MN, P, U) base and the 2x2 slant coupling, a quarter of the expanded
 channels. Each worker holds that stack, the temporaries of one evaluation
 (heap blocks it reuses from tiling to tiling, see `_pin_heap`) and, when
-it fits TABLE_BUDGET_BYTES, the table of every set's aggregated channel
-columns, built after the fork; the parent holds the stack and the search.
+it fits TABLE_BUDGET_BYTES, the placement-major table of every set's
+aggregated channel columns, built in place after the fork, from which a
+task gathers its tiles' columns; the parent holds the stack and the search.
 """
 
 from __future__ import annotations
@@ -33,7 +34,9 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import ChannelStack, LinkBudget, aggregate_channel, placement_table
+from .channel import (
+    ChannelStack, LinkBudget, aggregate_channel, effective_channels, placement_table
+)
 from .config import RunConfig
 from .metrics import EvaluationRecord, eta_statistics
 from .precoding import ChannelRankError, PrecodingMatrix, _precoders, _zero_force
@@ -81,7 +84,8 @@ def _aggregate(cover, channels):
     sizes that weight `_zero_force`'s norms."""
     # called through this module's global, which perfbench's tracer wraps
     H = aggregate_channel(channels, cover)
-    return H, np.tile(cover.tile_sizes(), 2).astype(float)
+    sizes = cover.tile_sizes().astype(float)
+    return H, np.concatenate((sizes, sizes))
 
 
 def _score(H, sizes, budget, beams, condition_cap, tiling_index, drops_key):
@@ -96,9 +100,14 @@ def _score(H, sizes, budget, beams, condition_cap, tiling_index, drops_key):
         diagonal = np.einsum("paa->pa", power)
         per_beam_power = budget.tx_power_w / (users if beams is None else beams)
         p_des = per_beam_power * diagonal
-        p_mui = per_beam_power * (power.sum(axis=2) - diagonal)
-        snr = p_des / (p_mui + budget.noise_power_w)
-        port_capacity = np.log2(1.0 + snr)  # (P, A)
+        # log2(1 + p_des / (p_mui + noise)) in one array
+        port_capacity = power.sum(axis=2)
+        port_capacity -= diagonal
+        port_capacity *= per_beam_power
+        port_capacity += budget.noise_power_w
+        np.divide(p_des, port_capacity, out=port_capacity)
+        port_capacity += 1.0
+        np.log2(port_capacity, out=port_capacity)  # (P, A)
         per_drop = port_capacity.sum(axis=1)
         eta = p_des.min(axis=0)
         per_ue = port_capacity.reshape(drops, users, 2).sum(axis=2)
@@ -109,7 +118,7 @@ def _score(H, sizes, budget, beams, condition_cap, tiling_index, drops_key):
         tiling_index=tiling_index,
         tile_count=columns // 2,
         per_drop_sum_rates=per_drop,
-        average_sum_rate=float(per_drop.mean()),
+        average_sum_rate=float(per_drop.sum()) / drops,
         eta_desired_w=eta,
         min_desired_power_w=min_power,
         covered=feasible and bool(min_power >= budget.coverage_threshold_w),
@@ -300,8 +309,10 @@ _SHARED: dict = {}
 
 # Largest placement table a worker builds: 5.0 MB for 8x12 P (472
 # placements and the baseline's 16 tiles) at 10 drops, 100 MB at 200 drops,
-# which stay on the stack path. Up to 33 drops fit on 8x12 P. The table
-# comes from the heap (see _pin_heap) when it is below HEAP_BLOCK_BYTES.
+# which stay on the stack path. Up to 33 drops fit on 8x12 P. Built in
+# place, with no transposed copy, it leaves a 10-drop worker near 35 MB,
+# below the parent. It comes from the heap (see _pin_heap) when it is below
+# HEAP_BLOCK_BYTES.
 TABLE_BUDGET_BYTES = 16 * 2**20
 
 # glibc's mallopt parameters (malloc.h), and the largest block that an
@@ -374,11 +385,10 @@ def _eval_task(task):
     s = _SHARED
     index = np.array(rows)
     if s["table"] is None:
-        by_tile = placement_table(s["G"], [s["cells"][k] for k in rows])
+        H = effective_channels(placement_table(s["G"], [s["cells"][k] for k in rows]))
     else:
-        by_tile = np.take(s["table"], index, axis=-1)
-    H = by_tile.reshape(*by_tile.shape[:-2], -1)
-    sizes = np.tile(s["set_sizes"][index], 2)
+        H = effective_channels(s["table"], index)
+    sizes = s["set_sizes"][np.concatenate((index, index))]
     record, zf = _score(H, sizes, s["budget"], None, s["condition_cap"], t, s["drops_key"])
     return record, (zf if beams else None)
 
@@ -413,6 +423,7 @@ class OptimizationResult:
     ledger: list[LedgerRow]
     drops: list[UEDrop]
     elapsed_s: float
+    usage_at_start: dict  # `_usage()` as the run started
 
 
 def _rows_by_index(search: _CoverSearch, target: int) -> tuple[int, ...]:
@@ -448,6 +459,7 @@ def optimize(
     carries the unconstrained best for diagnosis.
     """
     start = time.perf_counter()
+    usage_at_start = _usage()
     cfg.validate()
     info = log or (lambda _msg: None)
 
@@ -633,30 +645,41 @@ def optimize(
         ledger=all_rows,
         drops=drops,
         elapsed_s=time.perf_counter() - start,
+        usage_at_start=usage_at_start,
     )
 
 
-def _resources() -> dict:
-    """User and system CPU seconds and peak RSS so far, of this process and
-    of its joined children: the pool's workers once the pool has closed."""
+def _usage() -> dict:
+    """`getrusage` of this process ("parent") and of its joined children
+    ("workers": the pool's workers once the pool has closed)."""
     import resource  # here, so that enumerate never loads it
 
+    return {
+        "parent": resource.getrusage(resource.RUSAGE_SELF),
+        "workers": resource.getrusage(resource.RUSAGE_CHILDREN),
+    }
+
+
+def _resources(start: dict) -> dict:
+    """User and system CPU seconds since `start`, a `_usage()` reading, of
+    this process and of its joined children; and the peak RSS of each,
+    which getrusage keeps only over the whole life of the process."""
     # ru_maxrss counts KiB on Linux and bytes on macOS
     unit = 1 if sys.platform == "darwin" else 2**10
     doc = {}
-    for key, who in (("parent", resource.RUSAGE_SELF), ("workers", resource.RUSAGE_CHILDREN)):
-        usage = resource.getrusage(who)
+    for key, usage in _usage().items():
         doc[key] = {
-            "user_s": round(usage.ru_utime, 3),
-            "system_s": round(usage.ru_stime, 3),
-            "max_rss_mb": round(usage.ru_maxrss * unit / 2**20, 1),
+            "user_s": round(usage.ru_utime - start[key].ru_utime, 3),
+            "system_s": round(usage.ru_stime - start[key].ru_stime, 3),
+            "life_peak_rss_mb": round(usage.ru_maxrss * unit / 2**20, 1),
         }
     return doc
 
 
 def result_to_json(result: OptimizationResult, cfg: RunConfig) -> dict:
     """Portable summary of an optimization run (grids, stats, provenance),
-    with the CPU time and peak RSS of the process tree up to this call."""
+    with the CPU time of the process tree from the start of the run to this
+    call, and its peak RSS over the life of the processes."""
 
     def record_doc(record: EvaluationRecord | None, cover: AggregationVector | None):
         if record is None:
@@ -689,7 +712,7 @@ def result_to_json(result: OptimizationResult, cfg: RunConfig) -> dict:
         "exhaustive": result.exhaustive,
         "feasible": result.feasible,
         "elapsed_s": result.elapsed_s,
-        "resources": _resources(),
+        "resources": _resources(result.usage_at_start),
         "best": record_doc(result.best, result.best_cover),
         "best_unconstrained": record_doc(
             result.best_unconstrained, result.best_unconstrained_cover

@@ -99,23 +99,30 @@ def _zero_force(H: np.ndarray, sizes: np.ndarray, condition_cap: float):
     cond(H) <= 2 ||H||_F ||V||_F; when that is at most
     tau = min(cap / 100, CERTIFIED_COND_LIMIT), eigvalsh would pass the
     drop too. Both norms come from arrays the scoring forms anyway.
+
+    Around `solve`, the two matrix products and eigvalsh, the arithmetic
+    keeps every bit of the plain normal-equations code in tests/oracles.py.
     """
     gram = H @ np.conj(np.swapaxes(H, -1, -2))
     tau = min(condition_cap / 100.0, CERTIFIED_COND_LIMIT)
     try:
-        V = np.conj(np.swapaxes(np.linalg.solve(gram, H), -1, -2))  # (P, 2Q, A)
+        X = np.linalg.solve(gram, H)  # (P, A, 2Q)
     except np.linalg.LinAlgError:
         ok = _cap_decision(gram, condition_cap)
         if ok.all():
             raise
         return ok, None, None, None
+    V = np.conj(np.swapaxes(X, -1, -2))  # (P, 2Q, A)
     # drops over the cap may overflow here; they fail the certificate
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        magnitude = V.real**2 + V.imag**2
+        magnitude = np.swapaxes(_squared_magnitude(X), -1, -2)  # |V|^2
         norms = np.sqrt(np.einsum("q,pqa->pa", sizes, magnitude))
-        V_normalized = V / norms[:, None, :]
+        # numpy divides a + bj by n + 0j as ((a + b 0) + (b - a 0) j) (1 / n),
+        # so this product has the bits of V / norms up to the sign of an
+        # exact zero, which no result keeps
+        V_normalized = V * (1.0 / norms)[:, None, :]
         product = H @ V_normalized  # (P, A, A)
-        power = product.real**2 + product.imag**2
+        power = _squared_magnitude(product)
         # ||HV - I||_F^2, where column a of HV is norms[a] * product[:, a]
         residual_f2 = (
             np.einsum("pa,pa->p", norms**2, power.sum(axis=1))
@@ -129,6 +136,13 @@ def _zero_force(H: np.ndarray, sizes: np.ndarray, condition_cap: float):
         open_drops = ~ok
         ok[open_drops] = _cap_decision(gram[open_drops], condition_cap)
     return ok, V, norms, power
+
+
+def _squared_magnitude(x: np.ndarray) -> np.ndarray:
+    """x.real**2 + x.imag**2, bit for bit, with one temporary."""
+    magnitude = np.square(x.real)
+    magnitude += np.square(x.imag)
+    return magnitude
 
 
 def _precoders(V: np.ndarray, norms: np.ndarray) -> list[PrecodingMatrix]:

@@ -190,6 +190,64 @@ def eigvalsh_cap_decision(H, condition_cap):
     return ok & (cond <= condition_cap)
 
 
+def normal_equations_zero_force(H, sizes, condition_cap):
+    """`precoding._zero_force` as it stood before its in-place rewrite,
+    arithmetic copied verbatim: (ok, V, norms, power), the last three None
+    when solve meets an exactly singular Gram matrix."""
+    gram = H @ np.conj(np.swapaxes(H, -1, -2))
+    tau = min(condition_cap / 100.0, 1e6)
+    try:
+        V = np.conj(np.swapaxes(np.linalg.solve(gram, H), -1, -2))  # (P, 2Q, A)
+    except np.linalg.LinAlgError:
+        ok = eigvalsh_cap_decision(H, condition_cap)
+        if ok.all():
+            raise
+        return ok, None, None, None
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        magnitude = V.real**2 + V.imag**2
+        norms = np.sqrt(np.einsum("q,pqa->pa", sizes, magnitude))
+        V_normalized = V / norms[:, None, :]
+        product = H @ V_normalized  # (P, A, A)
+        power = product.real**2 + product.imag**2
+        residual_f2 = (
+            np.einsum("pa,pa->p", norms**2, power.sum(axis=1))
+            - 2.0 * np.einsum("pa,pa->p", norms, np.einsum("paa->pa", product).real)
+            + H.shape[1]
+        )
+        h_f2 = np.einsum("paa->p", gram).real
+        v_f2 = magnitude.sum(axis=(1, 2))
+        ok = (residual_f2 <= 0.25) & (2.0 * np.sqrt(h_f2 * v_f2) <= tau)
+    if not ok.all():
+        open_drops = ~ok
+        ok[open_drops] = eigvalsh_cap_decision(H[open_drops], condition_cap)
+    return ok, V, norms, power
+
+
+def normal_equations_record(H, sizes, budget, beams, condition_cap):
+    """`optimizer._score`'s record fields as they stood before its in-place
+    rewrite, arithmetic copied verbatim: (per-drop sum rates, average,
+    eta, min power, covered, feasible, per-UE capacities)."""
+    ok, V, norms, power = normal_equations_zero_force(H, sizes, condition_cap)
+    drops, ports, columns = H.shape
+    users = ports // 2
+    feasible = bool(ok.all())
+    if feasible:
+        diagonal = np.einsum("paa->pa", power)
+        per_beam_power = budget.tx_power_w / (users if beams is None else beams)
+        p_des = per_beam_power * diagonal
+        p_mui = per_beam_power * (power.sum(axis=2) - diagonal)
+        snr = p_des / (p_mui + budget.noise_power_w)
+        port_capacity = np.log2(1.0 + snr)  # (P, A)
+        per_drop = port_capacity.sum(axis=1)
+        eta = p_des.min(axis=0)
+        per_ue = port_capacity.reshape(drops, users, 2).sum(axis=2)
+    else:
+        per_drop, eta, per_ue = np.full(drops, np.nan), np.full(ports, np.nan), None
+    min_power = float(eta.min())
+    covered = feasible and bool(min_power >= budget.coverage_threshold_w)
+    return per_drop, float(per_drop.mean()), eta, min_power, covered, feasible, per_ue
+
+
 def eigvalsh_first_capacities(H, sizes, condition_cap, budget, beams):
     """(P, A) port capacities and desired powers by deciding the cap with
     eigvalsh before solving; None when a drop fails the cap."""

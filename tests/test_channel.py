@@ -7,6 +7,7 @@ from apertile.channel import (
     LinkBudget,
     aggregate_channel,
     assemble_channel,
+    effective_channels,
     placement_table,
 )
 from apertile.geometry import ElementPattern, expand_weights_dual
@@ -331,7 +332,8 @@ def test_placement_table_rows_are_aggregated_columns_bit_for_bit(rng, tmp_path, 
     chosen = mixed_alphabet(tmp_path) if shapes == "mixed" else alphabet(shapes)
     matrix = build_incidence_matrix(generate_placements(aperture, chosen), aperture)
     table = placement_table(stack, [np.asarray(p) - 1 for p in matrix.rows])
-    assert table.shape == (3, 4, 2, len(matrix.rows))
+    # placement-major: (sets, chi, V or H, drops, ports) for a 1x1 coupling
+    assert table.shape == (len(matrix.rows), 1, 2, 3, 4) and table.flags.c_contiguous
     if shapes == "mixed":
         assert {len(p) for p in matrix.rows} == {2, 3, 6}
     # aggregate_channel builds such a table, so both are checked against
@@ -342,14 +344,14 @@ def test_placement_table_rows_are_aggregated_columns_bit_for_bit(rng, tmp_path, 
         tile = cover.values[pixels[0] - 1] - 1
         for half in (0, 1):  # V then H columns
             want = H[..., half * cover.tile_count + tile]
-            assert table[..., half, k].tobytes() == want.tobytes()
+            assert table[k, 0, half].tobytes() == want.tobytes()
     # a tiling's effective channels are one gather of its placements' rows
     covers = 0
     for cover in enumerate_exact_covers(matrix):
         H = reduceat_aggregate(G, cover)
         assert aggregate_channel(stack, cover).tobytes() == H.tobytes()
-        rows = np.array(cover.placements) - 1
-        gathered = np.take(table, rows, axis=-1).reshape(H.shape)
+        gathered = effective_channels(table, np.array(cover.placements) - 1)
+        assert gathered.flags.c_contiguous
         assert gathered.tobytes() == H.tobytes()
         covers += 1
         if covers == 200:
@@ -411,8 +413,16 @@ def test_factored_tables_equal_the_expanded_ones_bit_for_bit(rng, slants):
     cells = [np.asarray(p) - 1 for p in matrix.rows]
     cells += baseline_tiling(aperture).tile_cells()
     table = placement_table(stack, cells)
-    assert table.shape == (3, 6, 2, len(cells)) and table.flags.c_contiguous
-    assert table.tobytes() == placement_table(expanded, cells).tobytes()
+    assert table.shape == (len(cells), 2, 2, 3, 3) and table.flags.c_contiguous
+    # every set's columns, the factored table's chi axis moved into the ports
+    every_set = effective_channels(table)
+    assert every_set.tobytes() == effective_channels(placement_table(expanded, cells)).tobytes()
+    assert every_set.tobytes() == effective_channels(table, np.arange(len(cells))).tobytes()
+    for r in range(len(cells)):
+        for half in (0, 1):
+            for chi in (0, 1):
+                want = every_set[:, chi::2, half * len(cells) + r]
+                assert table[r, chi, half].tobytes() == want.tobytes()
     covers = [*enumerate_exact_covers(matrix), baseline_tiling(aperture)]
     covers += [labels_from_sizes(rng, sizes) for sizes in ([1] * 24, [24], [5, 7, 12])]
     G = np.stack(matrices)
@@ -436,5 +446,5 @@ def test_a_raw_channel_is_a_stack_with_a_unit_coupling(rng):
         H = reduceat_aggregate(G, cover)
         assert aggregate_channel(stack, cover).tobytes() == H.tobytes()
         assert aggregate_channel(G, cover).tobytes() == H.tobytes()
-        gathered = np.take(table, np.array(cover.placements) - 1, axis=-1)
-        assert gathered.reshape(H.shape).tobytes() == H.tobytes()
+        gathered = effective_channels(table, np.array(cover.placements) - 1)
+        assert gathered.tobytes() == H.tobytes()

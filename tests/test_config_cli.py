@@ -332,11 +332,14 @@ def test_cli_optimize_records_its_resources_and_report_prints_them(tmp_path, cap
     resources = json.loads((tmp_path / "out" / "result.json").read_text())["resources"]
     assert set(resources) == {"parent", "workers"}
     for usage in resources.values():
-        assert set(usage) == {"user_s", "system_s", "max_rss_mb"}
+        assert set(usage) == {"user_s", "system_s", "life_peak_rss_mb"}
         assert all(isinstance(v, float) and v >= 0 for v in usage.values())
-    assert resources["parent"]["user_s"] > 0 and resources["parent"]["max_rss_mb"] > 0
+    # CPU seconds of this run, split into user and system time from tick
+    # samples, so only their sum is sure to be positive
+    cpu = {who: r["user_s"] + r["system_s"] for who, r in resources.items()}
+    assert cpu["parent"] > 0 and resources["parent"]["life_peak_rss_mb"] > 0
     if workers == 2:  # the joined pool workers
-        assert resources["workers"]["user_s"] > 0 and resources["workers"]["max_rss_mb"] > 0
+        assert cpu["workers"] > 0 and resources["workers"]["life_peak_rss_mb"] > 0
     capsys.readouterr()
 
     ledger = tmp_path / "out" / "ledger.csv"
@@ -346,12 +349,17 @@ def test_cli_optimize_records_its_resources_and_report_prints_them(tmp_path, cap
         "  resources: "
         + "; ".join(
             f"{who} {r['user_s']:.2f} s user, {r['system_s']:.2f} s system, "
-            f"max RSS {r['max_rss_mb']:.1f} MB"
+            f"life peak RSS {r['life_peak_rss_mb']:.1f} MB"
             for who, r in resources.items()
         )
     ]
-    # a result.json of another config does not describe this ledger
+    # one written before the CPU seconds were per run is not printed
     doc = json.loads((tmp_path / "out" / "result.json").read_text())
+    older = {who: {"max_rss_mb": r.pop("life_peak_rss_mb"), **r} for who, r in resources.items()}
+    (tmp_path / "out" / "result.json").write_text(json.dumps({**doc, "resources": older}))
+    assert main(["report", "--ledger", str(ledger)]) == 0
+    assert "resources:" not in capsys.readouterr().out
+    # a result.json of another config does not describe this ledger
     doc["config_hash"] = "0" * len(doc["config_hash"])
     (tmp_path / "out" / "result.json").write_text(json.dumps(doc))
     assert main(["report", "--ledger", str(ledger)]) == 0

@@ -873,3 +873,28 @@ def test_toy_without_divisible_rows_has_no_baseline():
     result = optimize(toy_config())
     assert result.baseline is None
     assert result.comparison is None
+
+
+def test_resources_count_the_cpu_of_their_own_run():
+    # two runs in one process: each reports the CPU seconds from its own
+    # start, not the process's totals, so the second is not the sum of both
+    import resource
+
+    cfg = p_config(workers=2)
+    whos = {"parent": resource.RUSAGE_SELF, "workers": resource.RUSAGE_CHILDREN}
+    peaks = []
+    for _ in range(2):
+        before = {key: resource.getrusage(who) for key, who in whos.items()}
+        resources = result_to_json(optimize(cfg), cfg)["resources"]
+        for key, who in whos.items():
+            after = resource.getrusage(who)
+            user_s = after.ru_utime - before[key].ru_utime
+            system_s = after.ru_stime - before[key].ru_stime
+            assert 0 <= resources[key]["user_s"] <= user_s + 1e-3
+            assert 0 <= resources[key]["system_s"] <= system_s + 1e-3
+            # the kernel splits a short run's CPU into user and system time
+            # from tick samples, so only their sum is sure to be positive
+            assert resources[key]["user_s"] + resources[key]["system_s"] > 0
+        peaks.append(resources["parent"]["life_peak_rss_mb"])
+    # the peak RSS is the process's, over its whole life
+    assert 0 < peaks[0] <= peaks[1]

@@ -8,14 +8,19 @@ import numpy as np
 import pytest
 
 import apertile.precoding as precoding
-from apertile.channel import ChannelStack, aggregate_channel, assemble_channel
+from apertile.channel import ChannelStack, LinkBudget, aggregate_channel, assemble_channel
 from apertile.config import ApertureConfig, RunConfig
-from apertile.optimizer import _cover_from_rows, evaluate_tiling, tiling_precoders
+from apertile.optimizer import _cover_from_rows, _score, evaluate_tiling, tiling_precoders
 from apertile.precoding import ChannelRankError, _zero_force, normalize_beams, zero_forcing
 from apertile.scenario import ScenarioParams, sample_drops
 from apertile.tiling import _CoverSearch, build_incidence_matrix, generate_placements
 
-from oracles import eigvalsh_cap_decision, eigvalsh_first_capacities
+from oracles import (
+    eigvalsh_cap_decision,
+    eigvalsh_first_capacities,
+    normal_equations_record,
+    normal_equations_zero_force,
+)
 
 CAPS = (1e2, 1e4, 1e8, 1e10)
 CONDS = (1.0, 3.0, 1e1, 1e2, 5e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12)
@@ -93,6 +98,44 @@ def test_exactly_singular_drops_fall_back_to_eigvalsh(rng, cap):
         ok = _zero_force(singular, weights(rng, 8), cap)[0]
         np.testing.assert_array_equal(ok, eigvalsh_cap_decision(singular, cap))
         assert not ok.all()
+
+
+def same_bytes(got, want):
+    if want is None:
+        return got is None
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("ports,dof", [(8, 8), (6, 10)])
+@pytest.mark.parametrize("cap", CAPS)
+def test_the_kernel_keeps_every_bit_of_the_normal_equations_reference(rng, ports, dof, cap):
+    # the whole batch, the drops that pass the cap, each drop alone, and
+    # the exactly singular batches of the eigvalsh fallback
+    H = channels_with_conditions(rng, ports, dof, CONDS * 3)
+    w = weights(rng, dof)
+    passing = eigvalsh_cap_decision(H, cap)
+    zero_row = H.copy()
+    zero_row[2, 5] = 0.0
+    repeated = H.copy()
+    repeated[1, ports - 1] = repeated[1, ports - 2]
+    batches = [H, H[passing], zero_row, repeated] + [H[p : p + 1] for p in range(len(H))]
+    budget = LinkBudget.from_dbm(43.0, -92.0, -120.0)
+    for batch in batches:
+        got, want = _zero_force(batch, w, cap), normal_equations_zero_force(batch, w, cap)
+        assert all(same_bytes(g, r) for g, r in zip(got, want))
+        record = _score(batch, w, budget, None, cap, 0, None)[0]
+        per_drop, average, eta, min_power, covered, feasible, per_ue = normal_equations_record(
+            batch, w, budget, None, cap
+        )
+        assert same_bytes(record.per_drop_sum_rates, per_drop)
+        assert same_bytes(record.average_sum_rate, average)
+        assert same_bytes(record.eta_desired_w, eta)
+        assert same_bytes(record.min_desired_power_w, min_power)
+        assert (record.covered, record.feasible) == (covered, feasible)
+        assert same_bytes(record.per_ue_capacities, per_ue)
+    # a zero row makes the Gram matrix exactly singular
+    assert _zero_force(zero_row, w, cap)[1] is None
 
 
 def test_certificate_checks_the_solve_it_is_given(rng, monkeypatch):
