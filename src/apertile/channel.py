@@ -301,10 +301,12 @@ def _coupled_sums(base: np.ndarray, columns: np.ndarray, coupling: np.ndarray):
             yield entry, sums
 
 
-# Sets gathered at once, which bounds the gather to (n, 32, P, U'): 4.9 MB
-# for the 16 hexominoes of an 8x12 P tiling at 200 drops. Each evaluating
-# process pins glibc's mmap and trim thresholds (optimizer._pin_heap), so
-# such blocks come from a heap that keeps its pages between tilings.
+# Sets gathered at once, which bounds the gather to (n, 32, P, U'). The 16
+# hexominoes of an 8x12 P tiling gather 4.9 MB at 200 drops in one call;
+# optimize's tasks call this per drop block, 0.6 MB for a block of 25
+# drops. Each evaluating process pins glibc's mmap and trim thresholds
+# (optimizer._pin_heap), so such blocks come from a heap that keeps its
+# pages between tilings.
 PLACEMENT_CHUNK = 32
 
 

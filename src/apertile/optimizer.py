@@ -2,20 +2,22 @@
 
 The enumerator streams tilings while a worker pool evaluates each one
 against the pre-assembled per-drop channels (assembled exactly once per
-drop, never per tiling). Results merge in enumeration order, so the ledger
-is deterministic regardless of worker count. Each row is written to the
-ledger as it merges, through Python's file buffer rather than flushed, so
-a long run resumes from the rows that reached the file. Every evaluation
-is one task over rows of `cells`, the placements' pixel sets followed by
-the baseline's tiles: ledger rows, the baseline and the best tilings alike.
-The pool runs them all; the parent only counts, streams, merges and
-writes. The channel stack keeps each drop's channel as its two factors,
-the (MN, P, U) base and the 2x2 slant coupling, a quarter of the expanded
-channels. Each worker holds that stack, the temporaries of one evaluation
-(heap blocks it reuses from tiling to tiling, see `_pin_heap`) and, when
-it fits TABLE_BUDGET_BYTES, the placement-major table of every set's
-aggregated channel columns, built in place after the fork, from which a
-task gathers its tiles' columns; the parent holds the stack and the search.
+drop in each evaluating process, never per tiling). Results merge in
+enumeration order, so the ledger is deterministic regardless of worker
+count. Each row is written to the ledger as it merges, through Python's
+file buffer rather than flushed, so a long run resumes from the rows that
+reached the file. Every evaluation is one task over rows of `cells`, the
+placements' pixel sets followed by the baseline's tiles: ledger rows, the
+baseline and the best tilings alike. The pool runs them all; the parent
+samples the drops, counts, streams, merges and writes, and never builds a
+channel stack. Each worker assembles its own stack from the drops while
+the parent counts, keeping each drop's channel as its two factors, the
+(MN, P, U) base and the 2x2 slant coupling, a quarter of the expanded
+channels. It holds that stack, the temporaries of one block of
+DROP_BLOCK_BYTES (heap blocks it reuses from tiling to tiling, see
+`_pin_heap`) and, when it fits TABLE_BUDGET_BYTES, the placement-major
+table of every set's aggregated channel columns, built in place, from
+which a task gathers its tiles' columns.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import signal
 import sys
 import time
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import attrgetter
 from types import SimpleNamespace
 from typing import Callable
@@ -310,10 +312,17 @@ _SHARED: dict = {}
 # Largest placement table a worker builds: 5.0 MB for 8x12 P (472
 # placements and the baseline's 16 tiles) at 10 drops, 100 MB at 200 drops,
 # which stay on the stack path. Up to 33 drops fit on 8x12 P. Built in
-# place, with no transposed copy, it leaves a 10-drop worker near 35 MB,
+# place, with no transposed copy, it leaves a 10-drop worker near 36 MB,
 # below the parent. It comes from the heap (see _pin_heap) when it is below
-# HEAP_BLOCK_BYTES.
+# HEAP_BLOCK_BYTES. A task reads it one drop block at a time.
 TABLE_BUDGET_BYTES = 16 * 2**20
+
+# Size of one (b, A, 2Q) complex array of a task's drop block, which sets
+# the block's b drops: 25 for 16 users and 16 tiles. An evaluation's
+# temporaries are a few such arrays, so they stay the same from 25 drops
+# up: on 8x12 P a no-table task peaks at 3.5 MB (tracemalloc) at 256
+# drops, where one pass over every drop took 31.5 MB.
+DROP_BLOCK_BYTES = 400 * 2**10
 
 # glibc's mallopt parameters (malloc.h), and the largest block that an
 # evaluating process takes from its heap: glibc's ceiling for the mmap
@@ -326,10 +335,13 @@ def _pin_heap() -> None:
     """Serve blocks up to HEAP_BLOCK_BYTES from the heap, and keep up to
     twice that of freed heap mapped, for the rest of this process.
 
-    An evaluation allocates the same arrays for every tiling, up to 4.9 MB
-    at 200 drops. By default glibc maps each block of 128 KiB or more
-    afresh, so every tiling faults its pages in again, until it happens to
-    free a larger mapped block. Without glibc's mallopt this does nothing.
+    An evaluation allocates the same arrays for every drop block, each
+    some hundreds of KB. By default glibc maps each block of 128 KiB or
+    more afresh, so every block faults its pages in again, until it
+    happens to free a larger mapped block. Unpinned, one process scoring
+    the 108 tilings of the 200-drop, stride-800 study spent 1.2-1.4 s of
+    system time in 528k minor faults, against at most 0.016 s and 1.3k
+    faults pinned. Without glibc's mallopt this does nothing.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -340,16 +352,19 @@ def _pin_heap() -> None:
     mallopt(_M_TRIM_THRESHOLD, 2 * HEAP_BLOCK_BYTES)
 
 
-def _init_worker(G, budget, condition_cap, cells, drops_key):
+def _init_worker(cfg, drops, cells, drops_key):
+    """Set up an evaluating process: its own channel stack of `drops`,
+    and the placement table of `cells` when it fits TABLE_BUDGET_BYTES."""
     _pin_heap()
+    G = ChannelStack.assemble(cfg.geometry(), cfg.pattern, drops, cfg.channel)
     # the table holds a (P, A) V and H column sum for each set in cells
     fits = 2 * len(cells) * len(G.coupling) * G.base[0].nbytes <= TABLE_BUDGET_BYTES
     _SHARED.update(
         G=G,
         table=placement_table(G, cells) if fits else None,
         set_sizes=np.array([c.size for c in cells], dtype=float),
-        budget=budget,
-        condition_cap=condition_cap,
+        budget=cfg.link_budget(),
+        condition_cap=cfg.zf_condition_cap,
         cells=cells,
         drops_key=drops_key,
     )
@@ -361,7 +376,13 @@ def _init_pool_worker(*init_args):
     # the worker blocks on the task-queue lock (which terminate holds) never
     # runs, so the worker never exits and the pool's join hangs.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    _init_worker(*init_args)
+    try:
+        _init_worker(*init_args)
+    except Exception as err:
+        # A Pool replaces a worker whose initializer raises, without end,
+        # and its tasks wait for ever; this worker lives on and fails each
+        # task with the error instead, so that the parent raises it.
+        _SHARED["error"] = err
 
 
 @contextmanager
@@ -378,19 +399,67 @@ def _in_process(init_args):
 def _eval_task(task):
     """Evaluate tiling t, given as rows of `cells` in tile-id order: its
     record, and its (V, norms) when feasible and `beams` asks for them
-    (else None; they stay in the worker). Its effective channels are its
-    rows' columns of the placement table or, with no table, a table of
-    just those sets built from the stack."""
+    (else None; they stay in the worker).
+
+    The drops are scored in blocks of DROP_BLOCK_BYTES per (b, A, 2Q)
+    array. A block's effective channels are its drops' columns of the
+    placement table or, with no table, a table of just the task's sets
+    built from the block's part of the stack. The blocks' results join
+    into those of one pass over every drop, bit for bit: per-drop values
+    are each drop's own, and the first block with a drop over the cap
+    gives the all-NaN record of an infeasible tiling.
+    """
     t, rows, beams = task
     s = _SHARED
-    index = np.array(rows)
-    if s["table"] is None:
-        H = effective_channels(placement_table(s["G"], [s["cells"][k] for k in rows]))
-    else:
-        H = effective_channels(s["table"], index)
+    if "error" in s:
+        raise s["error"]
+    G, index = s["G"], np.array(rows)
     sizes = s["set_sizes"][np.concatenate((index, index))]
-    record, zf = _score(H, sizes, s["budget"], None, s["condition_cap"], t, s["drops_key"])
-    return record, (zf if beams else None)
+    drops = G.base.shape[1]
+    drop_bytes = 2 * index.size * len(G.coupling) * G.base[0, 0].nbytes
+    block = max(1, DROP_BLOCK_BYTES // drop_bytes)
+    parts, singular = [], None
+    for start in range(0, drops, block):
+        span = slice(start, start + block)
+        if s["table"] is None:
+            stack = ChannelStack(G.base[:, span], G.coupling)
+            H = effective_channels(placement_table(stack, [s["cells"][k] for k in rows]))
+        else:
+            H = effective_channels(s["table"][:, :, :, span], index)
+        try:
+            record, zf = _score(H, sizes, s["budget"], None, s["condition_cap"], t, s["drops_key"])
+        except np.linalg.LinAlgError as err:
+            # a solve over every drop would raise only if no drop failed
+            # the cap, so the error waits for the other blocks
+            singular = err
+            continue
+        if not record.feasible:
+            return replace(record, per_drop_sum_rates=np.full(drops, np.nan)), None
+        parts.append((record, zf if beams else None))
+    if singular is not None:
+        raise singular
+    return _joined(parts)
+
+
+def _joined(parts):
+    """The record and (V, norms) of one pass over every drop, from the
+    feasible `_score` results of consecutive drop blocks."""
+    if len(parts) == 1:
+        return parts[0]
+    records, zfs = zip(*parts)
+    per_drop = np.concatenate([r.per_drop_sum_rates for r in records])
+    eta = np.minimum.reduce([r.eta_desired_w for r in records])
+    record = replace(
+        records[0],
+        per_drop_sum_rates=per_drop,
+        average_sum_rate=float(per_drop.sum()) / per_drop.size,
+        eta_desired_w=eta,
+        min_desired_power_w=float(eta.min()),
+        # the minimum over all drops passes the floor when each block's does
+        covered=all(r.covered for r in records),
+        per_ue_capacities=np.concatenate([r.per_ue_capacities for r in records]),
+    )
+    return record, (None if zfs[0] is None else tuple(map(np.concatenate, zip(*zfs))))
 
 
 def _ledger_task(task) -> LedgerRow:
@@ -464,8 +533,6 @@ def optimize(
     info = log or (lambda _msg: None)
 
     aperture = cfg.aperture_grid()
-    geometry = cfg.geometry()
-    budget = cfg.link_budget()
     placements = generate_placements(aperture, cfg.shapes())
     L = build_incidence_matrix(placements, aperture)
     search = _CoverSearch(L)
@@ -480,11 +547,10 @@ def optimize(
         cells += baseline_cover.tile_cells()
 
     drops = sample_drops(cfg.scenario)
-    stack = ChannelStack.assemble(geometry, cfg.pattern, drops, cfg.channel)
     drops_key = drops_fingerprint(drops)
     info(
         f"{len(placements)} placements on {aperture.columns}x{aperture.rows}; "
-        f"{len(drops)} drops assembled ({cfg.channel.tag})"
+        f"{len(drops)} drops sampled ({cfg.channel.tag})"
     )
 
     # read here: the package __init__ imports this module before it sets
@@ -543,11 +609,13 @@ def optimize(
                     f"({rate:.4g} tilings/s, ETA {(tasks - done) / rate:.0f} s)"
                 )
 
-    # Every evaluation runs in the pool, forked once the stack exists (and
-    # before the count fills the memo, which the workers do not need).
-    # Without a pool the same tasks run here, each when its result is read.
+    # Every evaluation runs in the pool, forked before the count fills the
+    # memo, which the workers do not need; each worker assembles its own
+    # channel stack while the parent counts. Without a pool the stack is
+    # assembled here, and the same tasks run here, each when its result is
+    # read.
     workers = cfg.workers or os.cpu_count() or 1
-    init_args = (stack, budget, cfg.zf_condition_cap, cells, drops_key)
+    init_args = (cfg, drops, cells, drops_key)
     if workers > 1:
         from multiprocessing import get_context  # here, so that enumerate never loads it
 

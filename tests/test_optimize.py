@@ -1,6 +1,11 @@
+import dataclasses
 import os
 import signal
+import subprocess
 import sys
+import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +13,7 @@ import pytest
 import apertile
 import apertile.channel as channel_module
 import apertile.optimizer as opt
+import apertile.precoding as precoding
 from apertile.channel import (
     ChannelMatrix,
     ChannelStack,
@@ -33,6 +39,8 @@ from apertile.scenario import ScenarioParams, sample_drops
 from apertile.tiling import (
     AggregationVector,
     Aperture,
+    _CoverSearch,
+    _cover_from_rows,
     baseline_tiling,
     build_incidence_matrix,
     count_exact_covers,
@@ -366,6 +374,90 @@ def test_resume_of_strided_ledger_continues_by_position(tmp_path):
         assert_resume_matches(cfg, tmp_path, keep)
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def launch_optimize(config, out_dir, *flags):
+    """`apertile optimize` in a new session, its log unbuffered on a pipe."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "apertile.cli", "optimize", "--config", str(config),
+         "--output-dir", str(out_dir), *flags],
+        env=dict(os.environ, PYTHONPATH=path, PYTHONUNBUFFERED="1"),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        text=True,
+        start_new_session=True,
+    )
+
+
+def finish(proc):
+    proc.communicate(timeout=120)
+    return proc.returncode
+
+
+def kill_when(proc, ready):
+    """SIGKILL the run's whole process group, its pool workers too, once
+    ready() holds; the run must still be going then."""
+    deadline = time.monotonic() + 120
+    while not ready():
+        assert proc.poll() is None, "the run ended before its kill point"
+        assert time.monotonic() < deadline
+        time.sleep(0.002)
+    os.killpg(proc.pid, signal.SIGKILL)
+    proc.communicate(timeout=60)
+
+
+def test_a_killed_cli_run_resumes_to_the_uninterrupted_ledger(tmp_path):
+    # 8x12 P, 4 drops, every 32nd tiling: 2686 rows, about 120 KB of ledger,
+    # which reaches the file 8 KiB at a time
+    cfg = RunConfig(
+        scenario=ScenarioParams(
+            kind="uma", isd_m=500.0, bs_height_m=25.0, drops=4, users=16, seed=3
+        ),
+        alphabet="P",
+        tiling_stride=32,
+        workers=2,
+    )
+    config = tmp_path / "config.json"
+    cfg.save(config)
+    full = tmp_path / "full"
+    code = finish(launch_optimize(config, full))
+    full_ledger = (full / "ledger.csv").read_bytes()
+    assert full_ledger.count(b"\n") > 2686
+
+    def size(path):
+        return path.stat().st_size if path.exists() else 0
+
+    def during_the_count(proc, ledger):
+        # the first line comes once the drops are sampled; the pool forks
+        # and the parent counts the 85926 tilings, then opens the ledger
+        proc.stdout.readline()
+        time.sleep(0.05)
+        return True
+
+    def after_the_first_rows(proc, ledger):
+        return ledger.exists() and LEDGER_COLUMNS.encode() + b"\n1," in ledger.read_bytes()
+
+    def near_the_end(proc, ledger):
+        return size(ledger) >= len(full_ledger) - 3 * 8192
+
+    for point in (during_the_count, after_the_first_rows, near_the_end):
+        out = tmp_path / point.__name__
+        ledger = out / "ledger.csv"
+        proc = launch_optimize(config, out)
+        kill_when(proc, lambda: point(proc, ledger))
+        assert size(ledger) < len(full_ledger), point.__name__
+        if point is during_the_count:
+            assert not ledger.exists()
+        assert finish(launch_optimize(config, out, "--resume")) == code
+        assert ledger.read_bytes() == full_ledger, point.__name__
+        with np.load(full / "best_precoders.npz") as want, np.load(out / "best_precoders.npz") as got:
+            assert sorted(got.files) == sorted(want.files)
+            for name in want.files:
+                assert same_bytes(got[name], want[name]), name
+
+
 def test_resume_refuses_ledger_with_gap(tmp_path):
     for stride in (1, 2):
         cfg = resume_config(tiling_stride=stride)
@@ -560,6 +652,235 @@ def test_the_baseline_layout_ties_the_baseline_on_every_path(
     cover = next(c for t, c in enumerate(enumerate_exact_covers(matrix), 1) if t == 15)
     tiles = {tuple(c) for c in cover.tile_cells()}
     assert tiles == {tuple(c) for c in result.baseline_cover.tile_cells()}
+
+
+# --- drop blocks and worker set-up ------------------------------------------
+
+def block_config():
+    # 4x6 P with 5 drops: 8 tilings of 4 tiles, each drop's (A, 2Q) channel
+    # 8 x 8, 1 KiB
+    return toy_config(
+        aperture=ApertureConfig(4, 6),
+        scenario=ScenarioParams(
+            kind="uma", isd_m=500.0, bs_height_m=25.0, drops=5, users=4, seed=5
+        ),
+        alphabet="P",
+    )
+
+
+def outcome(evaluate, *args, **kwargs):
+    """evaluate(*args, **kwargs), or the LinAlgError that it raises."""
+    try:
+        return evaluate(*args, **kwargs)
+    except np.linalg.LinAlgError as err:
+        return err
+
+
+def evaluations_in_blocks(monkeypatch, cfg, stack, block_drops):
+    """The outcome of opt._eval_task for every tiling of cfg, asking for
+    the beams, in a process whose assembled channel stack is `stack` and
+    whose drop blocks hold `block_drops` drops; and the covers of those
+    tilings."""
+    aperture = cfg.aperture_grid()
+    L = build_incidence_matrix(generate_placements(aperture, cfg.shapes()), aperture)
+    cells = [np.array(p, dtype=np.intp) - 1 for p in L.rows]
+    tasks = [(t, rows, True) for t, rows in _CoverSearch(L).stream(1, 1)]
+    monkeypatch.setattr(ChannelStack, "assemble", lambda *args: stack)
+    monkeypatch.setattr(opt, "DROP_BLOCK_BYTES", block_drops * 2**10)
+    with opt._in_process((cfg, sample_drops(cfg.scenario), cells, "key")):
+        results = [outcome(opt._eval_task, task) for task in tasks]
+    covers = [_cover_from_rows(rows, cells, aperture.size) for _, rows, _ in tasks]
+    return results, covers
+
+
+def same_bytes(got, want):
+    if got is None or want is None:
+        return got is want
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def assert_same_record(got, want):
+    for field in dataclasses.fields(want):
+        assert same_bytes(getattr(got, field.name), getattr(want, field.name)), field.name
+
+
+def with_drop(stack, drop, change):
+    """A copy of `stack` with change(base) applied to one drop's (K, U) base."""
+    base = stack.base.copy()
+    change(base[:, drop])
+    return ChannelStack(base, stack.coupling)
+
+
+def zero_user(base):
+    base[:, 1] = 0.0  # a zero row makes the Gram matrix exactly singular
+
+
+def repeated_user(base):
+    base[:, 1] = base[:, 0]
+
+
+def nearly_repeated_user(base):
+    base[:, 1] = base[:, 0] * (1.0 + 1e-11j)  # cond(H) far over the 1e8 cap
+
+
+# (case, drop changed, change, the outcomes over the 8 tilings); blocks of
+# 2 drops split the 5 drops 2 + 2 + 1. An exactly repeated row leaves
+# eigvalsh a smallest eigenvalue of rounding size, so its cap decision,
+# and whether solve raises, vary from tiling to tiling.
+BLOCK_CASES = [
+    ("feasible", 0, lambda base: None, {"feasible"}),
+    ("over the cap in the last block", 4, nearly_repeated_user, {"infeasible"}),
+    ("zero row in the first block", 0, zero_user, {"infeasible"}),
+    ("zero row in the middle block", 2, zero_user, {"infeasible"}),
+    ("repeated row in the last block", 4, repeated_user, {"feasible", "infeasible", "raises"}),
+]
+
+
+def outcome_name(result):
+    """"raises", or whether a record, or a (record, beams) task result, is feasible."""
+    if isinstance(result, np.linalg.LinAlgError):
+        return "raises"
+    record = result[0] if isinstance(result, tuple) else result
+    return "feasible" if record.feasible else "infeasible"
+
+
+@pytest.mark.parametrize("table_budget", [opt.TABLE_BUDGET_BYTES, 0])
+@pytest.mark.parametrize(
+    "case,drop,change,outcomes", BLOCK_CASES, ids=[c[0] for c in BLOCK_CASES]
+)
+def test_drop_blocks_keep_every_bit(monkeypatch, table_budget, case, drop, change, outcomes):
+    # the table and the no-table path, in blocks of 2 drops and in one
+    # block, against evaluate_tiling's one pass over the same cover
+    monkeypatch.setattr(opt, "TABLE_BUDGET_BYTES", table_budget)
+    cfg = block_config()
+    stack = with_drop(
+        ChannelStack.assemble(cfg.geometry(), cfg.pattern, sample_drops(cfg.scenario), cfg.channel),
+        drop,
+        change,
+    )
+    blocked, covers = evaluations_in_blocks(monkeypatch, cfg, stack, 2)
+    whole, _ = evaluations_in_blocks(monkeypatch, cfg, stack, 5)
+    budget = cfg.link_budget()
+    assert {outcome_name(result) for result in blocked} == outcomes
+    for t, (result, one_block, cover) in enumerate(zip(blocked, whole, covers), 1):
+        evaluated = outcome(evaluate_tiling, cover, stack, budget, tiling_index=t, drops_key="key")
+        assert outcome_name(result) == outcome_name(one_block) == outcome_name(evaluated)
+        if outcome_name(result) == "raises":
+            continue
+        (record, zf), (one_record, one_zf) = result, one_block
+        assert_same_record(record, one_record)
+        assert_same_record(record, evaluated)
+        assert (zf is None) == (one_zf is None) == (not record.feasible)
+        if record.feasible:
+            assert all(same_bytes(g, w) for g, w in zip(zf, one_zf))
+            precoders = tiling_precoders(cover, stack)
+            assert len(precoders) == len(zf[0]) == cfg.scenario.drops
+            for got, want in zip(opt._precoders(*zf), precoders):
+                assert same_bytes(got.coefficients, want.coefficients)
+
+
+def test_a_singular_block_raises_only_when_no_drop_fails_the_cap(monkeypatch):
+    # One solve over every drop raises when a Gram matrix is exactly
+    # singular, and eigvalsh then passing every drop re-raises. Here the
+    # eigenvalue test passes drop 0's zero row, so the error is raised
+    # unless another drop fails the cap, and blocks must do the same.
+    real = precoding._cap_decision
+
+    def passing_zero_rows(gram, cap):
+        return real(gram, cap) | (gram == 0).all(axis=2).any(axis=1)
+
+    monkeypatch.setattr(precoding, "_cap_decision", passing_zero_rows)
+    cfg = block_config()
+    assembled = ChannelStack.assemble(
+        cfg.geometry(), cfg.pattern, sample_drops(cfg.scenario), cfg.channel
+    )
+    singular = with_drop(assembled, 0, zero_user)
+    cover = baseline_tiling(cfg.aperture_grid())
+    with pytest.raises(np.linalg.LinAlgError):
+        evaluate_tiling(cover, singular, cfg.link_budget())
+    blocked, _ = evaluations_in_blocks(monkeypatch, cfg, singular, 2)
+    assert {outcome_name(result) for result in blocked} == {"raises"}
+    also_over_the_cap = with_drop(singular, 4, nearly_repeated_user)
+    blocked, covers = evaluations_in_blocks(monkeypatch, cfg, also_over_the_cap, 2)
+    for t, ((record, zf), cover) in enumerate(zip(blocked, covers), 1):
+        assert not record.feasible and zf is None
+        evaluated = evaluate_tiling(
+            cover, also_over_the_cap, cfg.link_budget(), tiling_index=t, drops_key="key"
+        )
+        assert_same_record(record, evaluated)
+
+
+def test_a_workers_working_set_does_not_grow_with_the_drops(monkeypatch):
+    # one ledger task on 8x12 P with 16 users, on the no-table path: a
+    # (b, 32, 32) drop block holds 25 drops, and one pass over every drop
+    # held about 0.12 MB per drop
+    monkeypatch.setattr(opt, "TABLE_BUDGET_BYTES", 0)
+    cfg = RunConfig(
+        scenario=ScenarioParams(
+            kind="uma", isd_m=500.0, bs_height_m=25.0, drops=256, users=16, seed=1
+        ),
+        alphabet="P",
+        workers=1,
+    )
+    aperture = cfg.aperture_grid()
+    L = build_incidence_matrix(generate_placements(aperture, cfg.shapes()), aperture)
+    cells = [np.array(p, dtype=np.intp) - 1 for p in L.rows]
+    task = next(_CoverSearch(L).stream(1, 1))
+    drops = sample_drops(cfg.scenario)
+    peaks = {}
+    for count in (32, 256):
+        with opt._in_process((cfg, drops[:count], cells, None)):
+            opt._ledger_task(task)
+            tracemalloc.start()
+            try:
+                assert opt._ledger_task(task).feasible
+                peaks[count] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    assert peaks[256] <= 1.3 * peaks[32], peaks
+
+
+def refuse_assembly(*args):
+    raise ValueError("cannot assemble these drops")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_worker_that_cannot_assemble_its_stack_stops_the_run(monkeypatch, workers):
+    # a Pool whose initializer raises replaces the worker without end, and
+    # optimize would wait for ever; the alarm ends the test if it does
+    def too_long(*_):
+        raise TimeoutError("optimize did not stop")
+
+    monkeypatch.setattr(ChannelStack, "assemble", refuse_assembly)
+    previous = signal.signal(signal.SIGALRM, too_long)
+    signal.alarm(60)
+    started = time.perf_counter()
+    try:
+        with pytest.raises(ValueError, match="cannot assemble these drops"):
+            optimize(p_config(workers=workers))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - started < 10
+
+
+def test_each_worker_assembles_its_own_stack_and_the_parent_none(tmp_path, monkeypatch):
+    log = tmp_path / "assemblies.txt"
+    log.touch()
+    real = ChannelStack.assemble
+
+    def logging(*args):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(*args)
+
+    monkeypatch.setattr(ChannelStack, "assemble", logging)
+    result = optimize(p_config(workers=2))
+    pids = log.read_text().split()
+    assert len(pids) == len(set(pids)) == 2
+    assert str(os.getpid()) not in pids
+    assert result.best is not None and result.baseline.feasible
 
 
 def test_stride_subsamples_but_counts_everything(tmp_path):
