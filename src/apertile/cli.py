@@ -24,7 +24,6 @@ from .optimizer import (
     result_to_json,
     summarize_ledger,
 )
-from .precoding import save_precoders
 from .reports import render_ascii, render_svg, write_distribution_csv
 from .scenario import drops_fingerprint, sample_drops, save_drops
 from .tiling import (
@@ -108,15 +107,14 @@ def cmd_optimize(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     ledger_path = os.path.join(out_dir, "ledger.csv")
 
-    result = optimize(cfg, ledger_path=ledger_path, resume=args.resume, log=print)
+    precoders_path = os.path.join(out_dir, "best_precoders.npz")
+    result = optimize(
+        cfg, ledger_path=ledger_path, precoders_path=precoders_path, resume=args.resume, log=print
+    )
 
     meta = {"config_hash": cfg.config_hash(), "seed": cfg.scenario.seed}
     save_drops(result.drops, os.path.join(out_dir, "drops.json"), meta)
-    if result.best_precoders:
-        save_precoders(
-            result.best_precoders, os.path.join(out_dir, "best_precoders.npz"), meta
-        )
-    # written after the precoders, so that its resources include their peak
+    # its resources include the peak of the worker that wrote the precoders
     with open(os.path.join(out_dir, "result.json"), "w") as fh:
         json.dump(result_to_json(result, cfg), fh, indent=2, allow_nan=False)
         fh.write("\n")
@@ -231,16 +229,8 @@ def cmd_report(args) -> int:
         baseline = float(raw)
     summary = summarize_ledger(rows, baseline)
     print(f"ledger: {args.ledger}")
-    for key in (
-        "config_hash",
-        "seed",
-        "channel_mode",
-        "aperture",
-        "alphabet",
-        "stride",
-        "apertile_version",
-        "numpy_version",
-    ):
+    shown = "config_hash seed channel_mode aperture alphabet stride apertile_version numpy_version"
+    for key in shown.split():
         if key in meta:
             print(f"  {key}: {meta[key]}")
     print(f"  rows: {summary['rows']} (feasible {summary['feasible_rows']})")

@@ -4,20 +4,20 @@ The enumerator streams tilings while a worker pool evaluates each one
 against the pre-assembled per-drop channels (assembled exactly once per
 drop in each evaluating process, never per tiling). Results merge in
 enumeration order, so the ledger is deterministic regardless of worker
-count. Each row is written to the ledger as it merges, through Python's
-file buffer rather than flushed, so a long run resumes from the rows that
-reached the file. Every evaluation is one task over rows of `cells`, the
-placements' pixel sets followed by the baseline's tiles: ledger rows, the
-baseline and the best tilings alike. The pool runs them all; the parent
-samples the drops, counts, streams, merges and writes, and never builds a
-channel stack. Each worker assembles its own stack from the drops while
-the parent counts, keeping each drop's channel as its two factors, the
-(MN, P, U) base and the 2x2 slant coupling, a quarter of the expanded
-channels. It holds that stack, the temporaries of one block of
+count. Each row is written to the ledger as it merges, and the file is
+flushed after every pool chunk of rows, so a killed run resumes from the
+whole chunks it wrote. Every evaluation is one task over rows of `cells`,
+the placements' pixel sets followed by the baseline's tiles: ledger rows,
+the baseline and the best tilings alike. The pool runs them all, and the
+worker that scores the best covered tiling writes its precoders one drop
+block at a time; the parent samples the drops, counts, streams, merges
+and writes the ledger, and never builds a channel stack or holds a beam.
+Each worker assembles its own stack while the parent counts, keeping each
+drop's channel as its two factors, the (MN, P, U) base and the 2x2 slant
+coupling. It holds that stack, the temporaries of one block of
 DROP_BLOCK_BYTES (heap blocks it reuses from tiling to tiling, see
 `_pin_heap`) and, when it fits TABLE_BUDGET_BYTES, the placement-major
-table of every set's aggregated channel columns, built in place, from
-which a task gathers its tiles' columns.
+table of every set's aggregated channel columns, built in place.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .channel import (
 )
 from .config import RunConfig
 from .metrics import EvaluationRecord, eta_statistics
-from .precoding import ChannelRankError, PrecodingMatrix, _precoders, _zero_force
+from .precoding import ChannelRankError, PrecodingMatrix, _precoder_file, _precoders, _zero_force
 from .scenario import UEDrop, drops_fingerprint, sample_drops
 from .tiling import (
     AggregationVector,
@@ -94,7 +94,11 @@ def _score(H, sizes, budget, beams, condition_cap, tiling_index, drops_key):
     """evaluate_tiling's record for effective channels H, plus (V, norms)
     from `_zero_force` when feasible. An infeasible record has NaN rates
     and powers and no per-UE capacities."""
-    ok, V, norms, power = _zero_force(H, sizes, condition_cap)
+    try:
+        ok, V, norms, power = _zero_force(H, sizes, condition_cap)
+    except np.linalg.LinAlgError:
+        # solve met an exactly singular Gram matrix that eigvalsh passed
+        ok = np.zeros(1, bool)
     drops, ports, columns = H.shape
     users = ports // 2
     feasible = bool(ok.all())
@@ -247,22 +251,13 @@ def summarize_ledger(rows: list[LedgerRow], baseline_capacity: float | None = No
         raise ValueError("no feasible rows in ledger")
     caps_f = caps[finite]
     pows_f = pows[np.isfinite(pows)]
+    reductions = {"min": np.min, "max": np.max, "avg": np.mean, "var": np.var}
     out = {
         "rows": len(rows),
         "feasible_rows": int(finite.sum()),
         "coverage_fraction": float(np.mean([r.covered for r in rows])),
-        "capacity": {
-            "min": float(caps_f.min()),
-            "max": float(caps_f.max()),
-            "avg": float(caps_f.mean()),
-            "var": float(caps_f.var()),
-        },
-        "min_power_dbm": {
-            "min": float(pows_f.min()),
-            "max": float(pows_f.max()),
-            "avg": float(pows_f.mean()),
-            "var": float(pows_f.var()),
-        },
+        "capacity": {key: float(f(caps_f)) for key, f in reductions.items()},
+        "min_power_dbm": {key: float(f(pows_f)) for key, f in reductions.items()},
     }
     if baseline_capacity is not None:
         out["baseline_capacity_bps_hz"] = float(baseline_capacity)
@@ -398,55 +393,51 @@ def _in_process(init_args):
 
 def _eval_task(task):
     """Evaluate tiling t, given as rows of `cells` in tile-id order: its
-    record, and its (V, norms) when feasible and `beams` asks for them
-    (else None; they stay in the worker).
+    record. A destination (path, meta), not None, has the precoders of a
+    feasible tiling written to path a drop block at a time.
 
     The drops are scored in blocks of DROP_BLOCK_BYTES per (b, A, 2Q)
     array. A block's effective channels are its drops' columns of the
     placement table or, with no table, a table of just the task's sets
-    built from the block's part of the stack. The blocks' results join
-    into those of one pass over every drop, bit for bit: per-drop values
+    built from the block's part of the stack. The blocks' records join
+    into that of one pass over every drop, bit for bit: per-drop values
     are each drop's own, and the first block with a drop over the cap
-    gives the all-NaN record of an infeasible tiling.
+    gives the all-NaN record of an infeasible tiling, and no file.
     """
-    t, rows, beams = task
+    t, rows, destination = task
     s = _SHARED
     if "error" in s:
         raise s["error"]
     G, index = s["G"], np.array(rows)
     sizes = s["set_sizes"][np.concatenate((index, index))]
-    drops = G.base.shape[1]
-    drop_bytes = 2 * index.size * len(G.coupling) * G.base[0, 0].nbytes
+    drops, ports = G.base.shape[1], len(G.coupling) * G.base.shape[2]
+    drop_bytes = 2 * index.size * ports * G.base.itemsize
     block = max(1, DROP_BLOCK_BYTES // drop_bytes)
-    parts, singular = [], None
-    for start in range(0, drops, block):
-        span = slice(start, start + block)
-        if s["table"] is None:
-            stack = ChannelStack(G.base[:, span], G.coupling)
-            H = effective_channels(placement_table(stack, [s["cells"][k] for k in rows]))
-        else:
-            H = effective_channels(s["table"][:, :, :, span], index)
-        try:
+    records = []
+    with nullcontext() if destination is None else _precoder_file(
+        destination[0], (drops, 2 * index.size, ports), destination[1]
+    ) as write:
+        for start in range(0, drops, block):
+            span = slice(start, start + block)
+            if s["table"] is None:
+                stack = ChannelStack(G.base[:, span], G.coupling)
+                H = effective_channels(placement_table(stack, [s["cells"][k] for k in rows]))
+            else:
+                H = effective_channels(s["table"][:, :, :, span], index)
             record, zf = _score(H, sizes, s["budget"], None, s["condition_cap"], t, s["drops_key"])
-        except np.linalg.LinAlgError as err:
-            # a solve over every drop would raise only if no drop failed
-            # the cap, so the error waits for the other blocks
-            singular = err
-            continue
-        if not record.feasible:
-            return replace(record, per_drop_sum_rates=np.full(drops, np.nan)), None
-        parts.append((record, zf if beams else None))
-    if singular is not None:
-        raise singular
-    return _joined(parts)
+            if not record.feasible:
+                return replace(record, per_drop_sum_rates=np.full(drops, np.nan))
+            if write:
+                write(_precoders(*zf))
+            records.append(record)
+    return _joined(records)
 
 
-def _joined(parts):
-    """The record and (V, norms) of one pass over every drop, from the
-    feasible `_score` results of consecutive drop blocks."""
-    if len(parts) == 1:
-        return parts[0]
-    records, zfs = zip(*parts)
+def _joined(records):
+    """The record of one pass over every drop, from the feasible records
+    of consecutive drop blocks."""
+    if len(records) == 1:
+        return records[0]
     per_drop = np.concatenate([r.per_drop_sum_rates for r in records])
     eta = np.minimum.reduce([r.eta_desired_w for r in records])
     record = replace(
@@ -459,13 +450,13 @@ def _joined(parts):
         covered=all(r.covered for r in records),
         per_ue_capacities=np.concatenate([r.per_ue_capacities for r in records]),
     )
-    return record, (None if zfs[0] is None else tuple(map(np.concatenate, zip(*zfs))))
+    return record
 
 
 def _ledger_task(task) -> LedgerRow:
     """`_eval_task` of a streamed (t, rows) as a ledger row."""
     t, rows = task
-    return _record_to_row(t, _eval_task((t, rows, False))[0])
+    return _record_to_row(t, _eval_task((t, rows, None)))
 
 
 # --- optimization ----------------------------------------------------------
@@ -483,7 +474,6 @@ class OptimizationResult:
     feasible: bool
     best: EvaluationRecord | None
     best_cover: AggregationVector | None
-    best_precoders: list[PrecodingMatrix] | None
     best_unconstrained: EvaluationRecord | None
     best_unconstrained_cover: AggregationVector | None
     baseline: EvaluationRecord | None
@@ -517,6 +507,7 @@ def optimize(
     cfg: RunConfig,
     *,
     ledger_path=None,
+    precoders_path=None,
     resume: bool = False,
     log: Callable[[str], None] | None = None,
 ) -> OptimizationResult:
@@ -543,7 +534,7 @@ def optimize(
     baseline_tasks = []
     if baseline_cover is not None:
         baseline_rows = tuple(range(len(cells), len(cells) + baseline_cover.tile_count))
-        baseline_tasks = [(0, baseline_rows, False)]
+        baseline_tasks = [(0, baseline_rows, None)]
         cells += baseline_cover.tile_cells()
 
     drops = sample_drops(cfg.scenario)
@@ -596,19 +587,6 @@ def optimize(
 
     all_rows = list(existing_rows)
 
-    def consume(result_iter, tasks: int, ledger_fh):
-        started = time.perf_counter()
-        for done, row in enumerate(result_iter, 1):
-            all_rows.append(row)
-            if ledger_fh:
-                ledger_fh.write(_format_row(row) + "\n")
-            if done % PROGRESS_EVERY == 0:
-                rate = done / (time.perf_counter() - started)
-                info(
-                    f"evaluated {done} of {tasks} tilings "
-                    f"({rate:.4g} tilings/s, ETA {(tasks - done) / rate:.0f} s)"
-                )
-
     # Every evaluation runs in the pool, forked before the count fills the
     # memo, which the workers do not need; each worker assembles its own
     # channel stack while the parent counts. Without a pool the stack is
@@ -633,7 +611,7 @@ def optimize(
 
         # the ledger header records the baseline capacity, "none" when the
         # baseline is missing or infeasible
-        baseline_record = next((record for record, _ in baseline_result), None)
+        baseline_record = next(baseline_result, None)
         baseline_ok = baseline_record is not None and baseline_record.feasible
         ledger_scope = (
             open(ledger_path, "a" if existing_rows else "w") if ledger_path else nullcontext()
@@ -656,9 +634,23 @@ def optimize(
                         **versions,
                     },
                 )
-            # small enough that every worker gets about four chunks
+            # small enough that every worker gets about four chunks; the
+            # ledger is flushed after each, so a killed run keeps whole chunks
             chunksize = max(1, min(64, math.ceil(tasks / (4 * workers))))
-            consume(pool.imap(_ledger_task, task_iter, chunksize=chunksize), tasks, ledger_fh)
+            started = time.perf_counter()
+            results = pool.imap(_ledger_task, task_iter, chunksize=chunksize)
+            for done, row in enumerate(results, 1):
+                all_rows.append(row)
+                if ledger_fh:
+                    ledger_fh.write(_format_row(row) + "\n")
+                    if done % chunksize == 0:
+                        ledger_fh.flush()
+                if done % PROGRESS_EVERY == 0:
+                    rate = done / (time.perf_counter() - started)
+                    info(
+                        f"evaluated {done} of {tasks} tilings "
+                        f"({rate:.4g} tilings/s, ETA {(tasks - done) / rate:.0f} s)"
+                    )
 
         # rows are in ascending t and max keeps the first of equal
         # capacities, which realizes the lowest-index tie-break
@@ -669,24 +661,24 @@ def optimize(
 
         # each distinct best tiling is evaluated once, the two in parallel,
         # its rows looked up by index in the memo that the count filled;
-        # only the best covered tiling sends its beams back
+        # the worker that scores the best covered tiling writes its precoders
         best_ts = {r.tiling_index for r in (best_row, best_any_row) if r is not None}
         picks = {t: _rows_by_index(search, t) for t in sorted(best_ts)}
-        kept = best_row.tiling_index if best_row else None
-        best_tasks = [(t, rows, t == kept) for t, rows in picks.items()]
+        kept = best_row.tiling_index if best_row and precoders_path else None
+        meta = {"config_hash": cfg.config_hash(), "seed": cfg.scenario.seed}
+        destinations = {kept: (precoders_path, meta)}
+        best_tasks = [(t, rows, destinations.get(t)) for t, rows in picks.items()]
         evaluated = dict(zip(picks, pool.imap(_eval_task, best_tasks)))
 
     def pick(row: LedgerRow | None):
-        """A best row's record, (V, norms) and cover, or three Nones."""
+        """A best row's record and cover, or two Nones."""
         if row is None:
-            return None, None, None
-        record, zf = evaluated[row.tiling_index]
-        return record, zf, _cover_from_rows(picks[row.tiling_index], cells, aperture.size)
+            return None, None
+        t = row.tiling_index
+        return evaluated[t], _cover_from_rows(picks[t], cells, aperture.size)
 
-    # the precoders come from the same pass
-    best_record, zf, best_cover = pick(best_row)
-    best_any_record, _, best_any_cover = pick(best_any_row)
-    best_precoders = None if zf is None else _precoders(*zf)
+    best_record, best_cover = pick(best_row)
+    best_any_record, best_any_cover = pick(best_any_row)
 
     comparison = None
     if best_record is not None and baseline_ok:
@@ -704,7 +696,6 @@ def optimize(
         feasible=best_row is not None,
         best=best_record,
         best_cover=best_cover,
-        best_precoders=best_precoders,
         best_unconstrained=best_any_record,
         best_unconstrained_cover=best_any_cover,
         baseline=baseline_record,

@@ -314,3 +314,30 @@ def load_drops(path) -> list[UEDrop]:
         users = sorted(by_p[p])
         drops.append(UEDrop(index=p, positions=np.array([pos for _, pos in users])))
     return drops
+
+
+def savez_precoders(precoders, path, meta: dict | None = None) -> None:
+    """The precoder .npz as np.savez writes it from whole stacked arrays:
+    the members `precoding.save_precoders` and optimize's streamed file
+    must reproduce, name for name and byte for byte."""
+    from apertile.precoding import _ORDERING_NOTE
+
+    payload = {
+        "coefficients": np.stack([np.asarray(p.coefficients) for p in precoders]),
+        "ordering": _ORDERING_NOTE,
+    }
+    for key, value in (meta or {}).items():
+        payload[f"meta_{key}"] = np.asarray(str(value))
+    if all(p.scale is not None for p in precoders):
+        payload["scales"] = np.stack([np.asarray(p.scale) for p in precoders])
+    np.savez(str(path), **payload)
+
+
+def same_npz_members(got, want) -> bool:
+    """Whether two .npz files hold the same members in the same order, each
+    the same bytes (the .npy header, so dtype and shape, and the data)."""
+    import zipfile
+
+    with zipfile.ZipFile(got) as g, zipfile.ZipFile(want) as w:
+        names = w.namelist()
+        return g.namelist() == names and all(g.read(n) == w.read(n) for n in names)

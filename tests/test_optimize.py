@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,7 @@ from apertile.tiling import (
 )
 from apertile.shapes import alphabet, builtin_shape, save_alphabet
 
+from oracles import same_npz_members, savez_precoders
 from test_acceptance import PINNED_SCENARIOS
 
 
@@ -609,7 +611,7 @@ def test_the_placement_table_leaves_the_ledger_unchanged(tmp_path, monkeypatch, 
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_optimize_evaluates_without_aggregate_channel(monkeypatch, workers):
+def test_optimize_evaluates_without_aggregate_channel(tmp_path, monkeypatch, workers):
     # the baseline and the best tiling are rows of the placement table,
     # like every ledger row; aggregate_channel serves evaluate_tiling and
     # tiling_precoders
@@ -617,8 +619,8 @@ def test_optimize_evaluates_without_aggregate_channel(monkeypatch, workers):
         raise AssertionError("optimize called aggregate_channel")
 
     monkeypatch.setattr(opt, "aggregate_channel", refuse)
-    result = optimize(p_config(workers=workers))
-    assert result.baseline.feasible and result.best_precoders
+    result = optimize(p_config(workers=workers), precoders_path=tmp_path / "precoders.npz")
+    assert result.baseline.feasible and (tmp_path / "precoders.npz").is_file()
 
 
 @pytest.mark.parametrize("budget", [opt.TABLE_BUDGET_BYTES, 0])
@@ -656,7 +658,7 @@ def test_the_baseline_layout_ties_the_baseline_on_every_path(
 
 # --- drop blocks and worker set-up ------------------------------------------
 
-def block_config():
+def block_config(**overrides):
     # 4x6 P with 5 drops: 8 tilings of 4 tiles, each drop's (A, 2Q) channel
     # 8 x 8, 1 KiB
     return toy_config(
@@ -665,30 +667,28 @@ def block_config():
             kind="uma", isd_m=500.0, bs_height_m=25.0, drops=5, users=4, seed=5
         ),
         alphabet="P",
+        **overrides,
     )
 
 
-def outcome(evaluate, *args, **kwargs):
-    """evaluate(*args, **kwargs), or the LinAlgError that it raises."""
-    try:
-        return evaluate(*args, **kwargs)
-    except np.linalg.LinAlgError as err:
-        return err
-
-
-def evaluations_in_blocks(monkeypatch, cfg, stack, block_drops):
-    """The outcome of opt._eval_task for every tiling of cfg, asking for
-    the beams, in a process whose assembled channel stack is `stack` and
-    whose drop blocks hold `block_drops` drops; and the covers of those
-    tilings."""
+def evaluations_in_blocks(monkeypatch, cfg, stack, block_drops, out=None):
+    """The records of opt._eval_task for every tiling of cfg, in a process
+    whose assembled channel stack is `stack` and whose drop blocks hold
+    `block_drops` drops, each task writing its precoders to out/<t>.npz
+    when `out` is given; and the covers of those tilings."""
     aperture = cfg.aperture_grid()
     L = build_incidence_matrix(generate_placements(aperture, cfg.shapes()), aperture)
     cells = [np.array(p, dtype=np.intp) - 1 for p in L.rows]
-    tasks = [(t, rows, True) for t, rows in _CoverSearch(L).stream(1, 1)]
+    tasks = [
+        (t, rows, out and (out / f"{t}.npz", {"seed": cfg.scenario.seed}))
+        for t, rows in _CoverSearch(L).stream(1, 1)
+    ]
+    if out:
+        out.mkdir()
     monkeypatch.setattr(ChannelStack, "assemble", lambda *args: stack)
     monkeypatch.setattr(opt, "DROP_BLOCK_BYTES", block_drops * 2**10)
     with opt._in_process((cfg, sample_drops(cfg.scenario), cells, "key")):
-        results = [outcome(opt._eval_task, task) for task in tasks]
+        results = [opt._eval_task(task) for task in tasks]
     covers = [_cover_from_rows(rows, cells, aperture.size) for _, rows, _ in tasks]
     return results, covers
 
@@ -727,21 +727,18 @@ def nearly_repeated_user(base):
 # (case, drop changed, change, the outcomes over the 8 tilings); blocks of
 # 2 drops split the 5 drops 2 + 2 + 1. An exactly repeated row leaves
 # eigvalsh a smallest eigenvalue of rounding size, so its cap decision,
-# and whether solve raises, vary from tiling to tiling.
+# and whether solve meets a singular Gram matrix, vary from tiling to
+# tiling; a tiling whose solve does is infeasible.
 BLOCK_CASES = [
     ("feasible", 0, lambda base: None, {"feasible"}),
     ("over the cap in the last block", 4, nearly_repeated_user, {"infeasible"}),
     ("zero row in the first block", 0, zero_user, {"infeasible"}),
     ("zero row in the middle block", 2, zero_user, {"infeasible"}),
-    ("repeated row in the last block", 4, repeated_user, {"feasible", "infeasible", "raises"}),
+    ("repeated row in the last block", 4, repeated_user, {"feasible", "infeasible"}),
 ]
 
 
-def outcome_name(result):
-    """"raises", or whether a record, or a (record, beams) task result, is feasible."""
-    if isinstance(result, np.linalg.LinAlgError):
-        return "raises"
-    record = result[0] if isinstance(result, tuple) else result
+def outcome_name(record):
     return "feasible" if record.feasible else "infeasible"
 
 
@@ -749,9 +746,13 @@ def outcome_name(result):
 @pytest.mark.parametrize(
     "case,drop,change,outcomes", BLOCK_CASES, ids=[c[0] for c in BLOCK_CASES]
 )
-def test_drop_blocks_keep_every_bit(monkeypatch, table_budget, case, drop, change, outcomes):
+def test_drop_blocks_keep_every_bit(
+    tmp_path, monkeypatch, table_budget, case, drop, change, outcomes
+):
     # the table and the no-table path, in blocks of 2 drops and in one
-    # block, against evaluate_tiling's one pass over the same cover
+    # block, against evaluate_tiling's one pass over the same cover; a
+    # feasible tiling's precoders stream to the members that np.savez
+    # writes from tiling_precoders, and an infeasible one leaves no file
     monkeypatch.setattr(opt, "TABLE_BUDGET_BYTES", table_budget)
     cfg = block_config()
     stack = with_drop(
@@ -759,32 +760,28 @@ def test_drop_blocks_keep_every_bit(monkeypatch, table_budget, case, drop, chang
         drop,
         change,
     )
-    blocked, covers = evaluations_in_blocks(monkeypatch, cfg, stack, 2)
-    whole, _ = evaluations_in_blocks(monkeypatch, cfg, stack, 5)
+    blocked, covers = evaluations_in_blocks(monkeypatch, cfg, stack, 2, tmp_path / "blocked")
+    whole, _ = evaluations_in_blocks(monkeypatch, cfg, stack, 5, tmp_path / "whole")
     budget = cfg.link_budget()
-    assert {outcome_name(result) for result in blocked} == outcomes
-    for t, (result, one_block, cover) in enumerate(zip(blocked, whole, covers), 1):
-        evaluated = outcome(evaluate_tiling, cover, stack, budget, tiling_index=t, drops_key="key")
-        assert outcome_name(result) == outcome_name(one_block) == outcome_name(evaluated)
-        if outcome_name(result) == "raises":
-            continue
-        (record, zf), (one_record, one_zf) = result, one_block
-        assert_same_record(record, one_record)
+    assert {outcome_name(record) for record in blocked} == outcomes
+    for t, (record, one_block, cover) in enumerate(zip(blocked, whole, covers), 1):
+        evaluated = evaluate_tiling(cover, stack, budget, tiling_index=t, drops_key="key")
+        assert_same_record(record, one_block)
         assert_same_record(record, evaluated)
-        assert (zf is None) == (one_zf is None) == (not record.feasible)
+        files = [tmp_path / tag / f"{t}.npz" for tag in ("blocked", "whole")]
+        assert [path.exists() for path in files] == [record.feasible] * 2
         if record.feasible:
-            assert all(same_bytes(g, w) for g, w in zip(zf, one_zf))
-            precoders = tiling_precoders(cover, stack)
-            assert len(precoders) == len(zf[0]) == cfg.scenario.drops
-            for got, want in zip(opt._precoders(*zf), precoders):
-                assert same_bytes(got.coefficients, want.coefficients)
+            reference = tmp_path / f"savez-{t}.npz"
+            savez_precoders(tiling_precoders(cover, stack), reference, {"seed": cfg.scenario.seed})
+            assert all(same_npz_members(path, reference) for path in files)
+    assert not list(tmp_path.glob("*/*.part"))
 
 
-def test_a_singular_block_raises_only_when_no_drop_fails_the_cap(monkeypatch):
-    # One solve over every drop raises when a Gram matrix is exactly
-    # singular, and eigvalsh then passing every drop re-raises. Here the
-    # eigenvalue test passes drop 0's zero row, so the error is raised
-    # unless another drop fails the cap, and blocks must do the same.
+def test_a_singular_block_makes_the_tiling_infeasible(monkeypatch):
+    # solve raises on an exactly singular Gram matrix, and _zero_force
+    # re-raises when eigvalsh then passes every drop, as it is made to pass
+    # drop 0's zero row here. The tiling is infeasible, in one pass over
+    # every drop and in blocks, whether or not another drop fails the cap.
     real = precoding._cap_decision
 
     def passing_zero_rows(gram, cap):
@@ -798,23 +795,21 @@ def test_a_singular_block_raises_only_when_no_drop_fails_the_cap(monkeypatch):
     singular = with_drop(assembled, 0, zero_user)
     cover = baseline_tiling(cfg.aperture_grid())
     with pytest.raises(np.linalg.LinAlgError):
-        evaluate_tiling(cover, singular, cfg.link_budget())
-    blocked, _ = evaluations_in_blocks(monkeypatch, cfg, singular, 2)
-    assert {outcome_name(result) for result in blocked} == {"raises"}
-    also_over_the_cap = with_drop(singular, 4, nearly_repeated_user)
-    blocked, covers = evaluations_in_blocks(monkeypatch, cfg, also_over_the_cap, 2)
-    for t, ((record, zf), cover) in enumerate(zip(blocked, covers), 1):
-        assert not record.feasible and zf is None
-        evaluated = evaluate_tiling(
-            cover, also_over_the_cap, cfg.link_budget(), tiling_index=t, drops_key="key"
-        )
-        assert_same_record(record, evaluated)
+        precoding._zero_force(*opt._aggregate(cover, singular), cfg.zf_condition_cap)
+    for stack in (singular, with_drop(singular, 4, nearly_repeated_user)):
+        blocked, covers = evaluations_in_blocks(monkeypatch, cfg, stack, 2)
+        for t, (record, cover) in enumerate(zip(blocked, covers), 1):
+            assert not record.feasible and np.isnan(record.per_drop_sum_rates).all()
+            evaluated = evaluate_tiling(
+                cover, stack, cfg.link_budget(), tiling_index=t, drops_key="key"
+            )
+            assert_same_record(record, evaluated)
 
 
-def test_a_workers_working_set_does_not_grow_with_the_drops(monkeypatch):
-    # one ledger task on 8x12 P with 16 users, on the no-table path: a
-    # (b, 32, 32) drop block holds 25 drops, and one pass over every drop
-    # held about 0.12 MB per drop
+def task_peaks(monkeypatch, run):
+    """tracemalloc's peak during run((t, rows)), which must give a feasible
+    result, for the first tiling of 8x12 P with 16 users on the no-table
+    path, at 32 and at 256 drops; each run once untraced first."""
     monkeypatch.setattr(opt, "TABLE_BUDGET_BYTES", 0)
     cfg = RunConfig(
         scenario=ScenarioParams(
@@ -831,14 +826,32 @@ def test_a_workers_working_set_does_not_grow_with_the_drops(monkeypatch):
     peaks = {}
     for count in (32, 256):
         with opt._in_process((cfg, drops[:count], cells, None)):
-            opt._ledger_task(task)
+            run(task)
             tracemalloc.start()
             try:
-                assert opt._ledger_task(task).feasible
+                assert run(task).feasible
                 peaks[count] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
+    return peaks
+
+
+def test_a_workers_working_set_does_not_grow_with_the_drops(monkeypatch):
+    # one ledger task: a (b, 32, 32) drop block holds 25 drops, and one
+    # pass over every drop held about 0.12 MB per drop
+    peaks = task_peaks(monkeypatch, opt._ledger_task)
     assert peaks[256] <= 1.3 * peaks[32], peaks
+
+
+def test_writing_the_precoders_does_not_grow_the_working_set(tmp_path, monkeypatch):
+    # the best tiling's task: its precoders, 16 KiB a drop, go to the file
+    # one drop block at a time, and no step holds every drop's beams
+    path = tmp_path / "best_precoders.npz"
+    peaks = task_peaks(monkeypatch, lambda task: opt._eval_task((*task, (path, {"seed": 1}))))
+    assert peaks[256] <= 1.3 * peaks[32], peaks
+    with np.load(path) as data:
+        assert data["coefficients"].shape == (256, 32, 32)
+        assert data["scales"].shape == (256, 32)
 
 
 def refuse_assembly(*args):
@@ -1070,7 +1083,7 @@ def test_resume_refuses_a_row_whose_flags_contradict_its_numbers(tmp_path):
     assert path.read_bytes() == before
 
 
-def test_each_best_tiling_is_evaluated_once(monkeypatch):
+def test_each_best_tiling_is_evaluated_once(tmp_path, monkeypatch):
     calls = []
     real = opt._score
 
@@ -1084,7 +1097,7 @@ def test_each_best_tiling_is_evaluated_once(monkeypatch):
     monkeypatch.setattr(opt, "_score", counting)
     monkeypatch.setattr(opt, "tiling_precoders", no_precoders)
     cfg = toy_config()
-    result = optimize(cfg)
+    result = optimize(cfg, precoders_path=tmp_path / "best_precoders.npz")
     # three ledger rows, then the best tiling once (it is also the
     # unconstrained best)
     assert result.best.tiling_index == result.best_unconstrained.tiling_index
@@ -1095,10 +1108,10 @@ def test_each_best_tiling_is_evaluated_once(monkeypatch):
         for d in sample_drops(cfg.scenario)
     ]
     expected = tiling_precoders(result.best_cover, ChannelStack.fill(channels, len(channels)))
-    assert len(result.best_precoders) == len(expected) == cfg.scenario.drops
-    for got, want in zip(result.best_precoders, expected):
-        np.testing.assert_array_equal(got.coefficients, want.coefficients)
-        np.testing.assert_array_equal(got.scale, want.scale)
+    assert len(expected) == cfg.scenario.drops
+    with np.load(tmp_path / "best_precoders.npz") as data:
+        np.testing.assert_array_equal(data["coefficients"], [p.coefficients for p in expected])
+        np.testing.assert_array_equal(data["scales"], [p.scale for p in expected])
 
 
 def test_the_optimize_parent_evaluates_nothing(tmp_path, monkeypatch):
@@ -1118,9 +1131,10 @@ def test_the_optimize_parent_evaluates_nothing(tmp_path, monkeypatch):
         budget=BudgetConfig(coverage_threshold_dbm=-44.7),
         workers=2,
     )
-    result = optimize(cfg, ledger_path=tmp_path / "ledger.csv")
+    precoders = tmp_path / "best_precoders.npz"
+    result = optimize(cfg, ledger_path=tmp_path / "ledger.csv", precoders_path=precoders)
     assert (result.best.tiling_index, result.best_unconstrained.tiling_index) == (40, 41)
-    assert result.baseline is not None and result.best_precoders
+    assert result.baseline is not None and precoders.is_file()
     entries = [line.split() for line in log.read_text().splitlines()]
     assert str(os.getpid()) not in {pid for pid, _ in entries}
     indexes = [int(t) for _, t in entries]
@@ -1130,36 +1144,143 @@ def test_the_optimize_parent_evaluates_nothing(tmp_path, monkeypatch):
     assert sorted(indexes[-2:]) == [40, 41]
 
 
-BEAMS_LOG = {}
+DESTINATIONS_LOG = {}
 
 
 def logging_eval_task(task):
-    """opt._eval_task, logging t, whether the task asks for the beams and
-    whether they come back; module-level, so that the pool can pickle it."""
-    record, zf = BEAMS_LOG["real"](task)
-    with open(BEAMS_LOG["path"], "a") as fh:
-        fh.write(f"{task[0]} {int(task[2])} {int(zf is not None)}\n")
-    return record, zf
+    """opt._eval_task, logging t and whether the task has a destination;
+    module-level, so that the pool can pickle it."""
+    with open(DESTINATIONS_LOG["path"], "a") as fh:
+        fh.write(f"{task[0]} {int(task[2] is not None)}\n")
+    return DESTINATIONS_LOG["real"](task)
 
 
-def test_only_the_best_covered_tiling_sends_its_beams_back(tmp_path, monkeypatch):
-    # the config above: the baseline (t = 0) and the unconstrained best
-    # (t = 41) keep their beams in the worker
-    log = tmp_path / "beams.txt"
-    monkeypatch.setitem(BEAMS_LOG, "real", opt._eval_task)
-    monkeypatch.setitem(BEAMS_LOG, "path", log)
+def test_only_the_best_covered_tiling_writes_precoders(tmp_path, monkeypatch):
+    # the config above: the baseline (t = 0), the ledger rows (t = 1..41)
+    # and the unconstrained best (t = 41 again) write nothing
+    log = tmp_path / "destinations.txt"
+    monkeypatch.setitem(DESTINATIONS_LOG, "real", opt._eval_task)
+    monkeypatch.setitem(DESTINATIONS_LOG, "path", log)
     monkeypatch.setattr(opt, "_eval_task", logging_eval_task)
     cfg = toy_config(
         aperture=ApertureConfig(3, 6),
         budget=BudgetConfig(coverage_threshold_dbm=-44.7),
         workers=2,
     )
-    result = optimize(cfg)
+    precoders = tmp_path / "best_precoders.npz"
+    result = optimize(cfg, precoders_path=precoders)
     assert (result.best.tiling_index, result.best_unconstrained.tiling_index) == (40, 41)
-    entries = {tuple(map(int, line.split())) for line in log.read_text().splitlines()}
-    assert {e for e in entries if e[0] in (0, 40, 41) and e[1] == 1} == {(40, 1, 1)}
-    assert {e for e in entries if e[2]} == {(40, 1, 1)}
-    assert len(result.best_precoders) == cfg.scenario.drops
+    entries = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+    assert sorted(entries) == sorted([(t, 0) for t in range(42)] + [(40, 1), (41, 0)])
+    with np.load(precoders) as data:
+        assert len(data["coefficients"]) == cfg.scenario.drops
+    # without a path no task has a destination, and no file is written
+    log.unlink()
+    optimize(cfg)
+    assert {line.split()[1] for line in log.read_text().splitlines()} == {"0"}
+
+
+def logged_in_pid(log, name, real):
+    """`real`, appending "<pid> <name>" to `log` on each call."""
+
+    def logged(*args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {name}\n")
+        return real(*args, **kwargs)
+
+    return logged
+
+
+def test_the_precoders_are_made_and_written_in_a_worker(tmp_path, monkeypatch):
+    log = tmp_path / "pids.txt"
+    monkeypatch.setattr(opt, "_precoder_file", logged_in_pid(log, "writer", opt._precoder_file))
+    monkeypatch.setattr(opt, "_precoders", logged_in_pid(log, "precoders", opt._precoders))
+    monkeypatch.setattr(opt, "DROP_BLOCK_BYTES", 2 * 2**10)  # 5 drops as 2 + 2 + 1
+    optimize(block_config(workers=2), precoders_path=tmp_path / "best_precoders.npz")
+    entries = [line.split() for line in log.read_text().splitlines()]
+    assert sorted(name for _, name in entries) == ["precoders"] * 3 + ["writer"]
+    assert len({pid for pid, _ in entries}) == 1
+    assert str(os.getpid()) not in {pid for pid, _ in entries}
+    assert (tmp_path / "best_precoders.npz").is_file()
+
+
+@pytest.mark.parametrize("budget", [opt.TABLE_BUDGET_BYTES, 0])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_precoders_stream_bit_for_bit(tmp_path, monkeypatch, workers, budget):
+    # blocks of 2 KiB split the 5 drops of 1 KiB 2 + 2 + 1; the streamed
+    # file has the members of an unblocked run's file and of the np.savez
+    # file of tiling_precoders, byte for byte
+    monkeypatch.setattr(opt, "TABLE_BUDGET_BYTES", budget)
+    cfg = block_config(workers=workers)
+    optimize(cfg, precoders_path=tmp_path / "whole.npz")
+    monkeypatch.setattr(opt, "DROP_BLOCK_BYTES", 2 * 2**10)
+    result = optimize(cfg, precoders_path=tmp_path / "blocked.npz")
+    stack = ChannelStack.assemble(
+        cfg.geometry(), cfg.pattern, sample_drops(cfg.scenario), cfg.channel
+    )
+    meta = {"config_hash": cfg.config_hash(), "seed": cfg.scenario.seed}
+    savez_precoders(tiling_precoders(result.best_cover, stack), tmp_path / "savez.npz", meta)
+    assert same_npz_members(tmp_path / "blocked.npz", tmp_path / "whole.npz")
+    assert same_npz_members(tmp_path / "blocked.npz", tmp_path / "savez.npz")
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "blocked.npz", "savez.npz", "whole.npz"
+    ]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failed_precoder_write_leaves_any_earlier_file_as_it_was(
+    tmp_path, monkeypatch, workers
+):
+    real = opt._precoder_file
+
+    @contextmanager
+    def failing_after_one_block(*args):
+        with real(*args) as write:
+
+            def write_once(precoders):
+                write(precoders)
+                raise OSError("no space left on device")
+
+            yield write_once
+
+    monkeypatch.setattr(opt, "_precoder_file", failing_after_one_block)
+    monkeypatch.setattr(opt, "DROP_BLOCK_BYTES", 2 * 2**10)
+    cfg = block_config(workers=workers)
+    path = tmp_path / "best_precoders.npz"
+    with pytest.raises(OSError, match="no space left"):
+        optimize(cfg, precoders_path=path)
+    assert list(tmp_path.iterdir()) == []
+    path.write_bytes(b"an earlier run's precoders")
+    with pytest.raises(OSError, match="no space left"):
+        optimize(cfg, precoders_path=path)
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == b"an earlier run's precoders"
+
+
+def test_the_ledger_holds_every_merged_chunk(tmp_path, monkeypatch):
+    # 3x6 dominoes in one process: 41 rows in pool chunks of 11. Each task
+    # reads the ledger before its own row merges, and finds the rows of
+    # every chunk merged before it on disk, whole.
+    path = tmp_path / "ledger.csv"
+    seen = []
+    real = opt._ledger_task
+
+    def reading(task):
+        seen.append(path.read_text() if path.exists() else "")
+        return real(task)
+
+    monkeypatch.setattr(opt, "_ledger_task", reading)
+    result = optimize(toy_config(aperture=ApertureConfig(3, 6)), ledger_path=path)
+    lines = path.read_text().splitlines(keepends=True)
+    first = lines.index(LEDGER_COLUMNS + "\n") + 1
+    assert len(seen) == len(result.ledger) == len(lines) - first == 41
+    chunksize = 11
+    for merged, text in enumerate(seen):
+        whole = merged // chunksize * chunksize
+        if whole:
+            assert text.startswith("".join(lines[: first + whole])), merged
+        assert text.endswith("\n") or not text
+    assert seen[-1].count("\n") >= first + 33
 
 
 def test_result_to_json_shape(tmp_path):

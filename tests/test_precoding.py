@@ -10,7 +10,7 @@ from apertile.precoding import (
 )
 from apertile.tiling import AggregationVector, Aperture, baseline_tiling
 
-from oracles import element_weight_norms
+from oracles import element_weight_norms, same_npz_members, savez_precoders
 
 
 def random_full_rank(rng, ports, dof):
@@ -149,3 +149,21 @@ def test_precoder_export_round_trip(rng, tmp_path):
         assert str(data["meta_seed"]) == "7"
         np.testing.assert_array_equal(data["coefficients"], [p.coefficients for p in precoders])
         np.testing.assert_array_equal(data["scales"], [p.scale for p in precoders])
+    assert [f.name for f in tmp_path.iterdir()] == ["precoders.npz"]
+
+
+def test_precoders_are_written_as_np_savez_writes_them(rng, tmp_path):
+    # save_precoders streams one drop at a time; its members match the
+    # np.savez file of the stacked arrays, with scales and without
+    cover = baseline_tiling(Aperture(4, 6))
+    raw = [zero_forcing(random_full_rank(rng, 8, 8)) for _ in range(3)]
+    for tag, precoders in (("scaled", [normalize_beams(v, cover) for v in raw]), ("raw", raw)):
+        meta = {"config_hash": "abc", "seed": 7}
+        save_precoders(precoders, tmp_path / f"{tag}.npz", meta)
+        savez_precoders(precoders, tmp_path / f"{tag}-savez.npz", meta)
+        assert same_npz_members(tmp_path / f"{tag}.npz", tmp_path / f"{tag}-savez.npz"), tag
+    with np.load(tmp_path / "raw.npz") as data:
+        assert "scales" not in data.files
+    # like np.savez, it adds the .npz suffix that a path lacks
+    save_precoders(raw, tmp_path / "suffixless", meta)
+    assert same_npz_members(tmp_path / "suffixless.npz", tmp_path / "raw-savez.npz")
