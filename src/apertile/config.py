@@ -8,14 +8,13 @@ JSON hash stamps every output file.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .channel import ChannelModel, LinkBudget
 from .geometry import ArrayGeometry, ElementPattern
-from .scenario import ScenarioParams
+from .scenario import ScenarioParams, sha256
 from .shapes import PolyominoShape, alphabet, load_alphabet
 from .tiling import Aperture
 
@@ -161,7 +160,7 @@ class RunConfig:
         if self.alphabet_file:
             doc["alphabet_file"] = [asdict(s) for s in self.shapes()]
         canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+        return sha256(canonical.encode()).hexdigest()[:16]
 
     def save(self, path) -> None:
         with open(path, "w") as fh:

@@ -4,14 +4,16 @@ The enumerator streams tilings while a worker pool evaluates each one
 against the pre-assembled per-drop channels (assembled exactly once per
 drop in each evaluating process, never per tiling). Results merge in
 enumeration order, so the ledger is deterministic regardless of worker
-count. Each row is written to the ledger as it merges, and the file is
-flushed after every pool chunk of rows, so a killed run resumes from the
-whole chunks it wrote. Every evaluation is one task over rows of `cells`,
-the placements' pixel sets followed by the baseline's tiles: ledger rows,
-the baseline and the best tilings alike. The pool runs them all, and the
-worker that scores the best covered tiling writes its precoders one drop
-block at a time; the parent samples the drops, counts, streams, merges
-and writes the ledger, and never builds a channel stack or holds a beam.
+count. Each row is written to the ledger and folded into running aggregates
+(count, best rows, rows beating the baseline) as it merges: the file is the
+only copy of the rows. It is flushed after every pool chunk, so a killed run
+resumes from the whole chunks it wrote, and synced every FSYNC_EVERY_S. Every
+evaluation is one task over rows of `cells`, the placements' pixel sets and
+then the baseline's tiles: ledger rows, the baseline and the best tilings
+alike. The pool runs them all, and the worker that scores the best covered
+tiling writes its precoders one drop block at a time; the parent samples
+the drops, counts, streams, merges and writes the ledger, and never builds
+a channel stack, holds a beam or keeps a row.
 Each worker assembles its own stack while the parent counts, keeping each
 drop's channel as its two factors, the (MN, P, U) base and the 2x2 slant
 coupling. It holds that stack, the temporaries of one block of
@@ -28,11 +30,10 @@ import os
 import signal
 import sys
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, replace
-from operator import attrgetter
 from types import SimpleNamespace
-from typing import Callable
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -157,8 +158,7 @@ def tiling_precoders(
 
 # --- ledger ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LedgerRow:
+class LedgerRow(NamedTuple):
     tiling_index: int
     capacity_bps_hz: float
     min_power_dbm: float
@@ -167,29 +167,8 @@ class LedgerRow:
 
 
 LEDGER_COLUMNS = "t,capacity_bps_hz,min_power_dbm,coverage,feasible"
-
-
-def _format_row(row: LedgerRow) -> str:
-    # repr round-trips floats exactly, so resumed ledgers reload losslessly
-    return (
-        f"{row.tiling_index},{row.capacity_bps_hz!r},{row.min_power_dbm!r},"
-        f"{int(row.covered)},{int(row.feasible)}"
-    )
-
-
-def _record_to_row(t: int, record: EvaluationRecord) -> LedgerRow:
-    if record.feasible:
-        with np.errstate(divide="ignore"):
-            min_dbm = float(watts_to_dbm(record.min_desired_power_w))
-    else:
-        min_dbm = float("nan")
-    return LedgerRow(
-        tiling_index=t,
-        capacity_bps_hz=record.average_sum_rate,
-        min_power_dbm=min_dbm,
-        covered=record.covered,
-        feasible=record.feasible,
-    )
+# %r round-trips floats exactly, so resumed ledgers reload losslessly
+_ROW_FORMAT = "%d,%r,%r,%d,%d\n"
 
 
 def write_ledger_header(fh, meta: dict) -> None:
@@ -200,13 +179,13 @@ def write_ledger_header(fh, meta: dict) -> None:
 
 
 def read_ledger(path) -> tuple[dict, list[LedgerRow]]:
-    with open(path) as fh:
-        return _parse_ledger(fh)
-
-
-def _parse_ledger(lines) -> tuple[dict, list[LedgerRow]]:
     meta: dict[str, str] = {}
-    rows: list[LedgerRow] = []
+    with open(path) as fh:
+        return meta, list(_parse_ledger(fh, meta))
+
+
+def _parse_ledger(lines, meta: dict) -> Iterator[LedgerRow]:
+    """The rows of ledger lines as they are read; header key=value lines go into meta."""
     for line in lines:
         line = line.strip()
         if not line:
@@ -236,16 +215,14 @@ def _parse_ledger(lines) -> tuple[dict, list[LedgerRow]]:
             consistent = not row.covered and all(map(math.isnan, numbers))
         if not consistent:
             raise ValueError(f"malformed ledger line: {line!r}")
-        rows.append(row)
-    return meta, rows
+        yield row
 
 
 def summarize_ledger(rows: list[LedgerRow], baseline_capacity: float | None = None) -> dict:
     """min/max/avg/var of capacity and min power, plus baseline comparison."""
     if not rows:
         raise ValueError("empty ledger")
-    caps = np.array([r.capacity_bps_hz for r in rows])
-    pows = np.array([r.min_power_dbm for r in rows])
+    _t, caps, pows, covered, _feasible = np.array(rows, dtype=float).T
     finite = np.isfinite(caps)
     if not finite.any():
         raise ValueError("no feasible rows in ledger")
@@ -255,21 +232,36 @@ def summarize_ledger(rows: list[LedgerRow], baseline_capacity: float | None = No
     out = {
         "rows": len(rows),
         "feasible_rows": int(finite.sum()),
-        "coverage_fraction": float(np.mean([r.covered for r in rows])),
+        "coverage_fraction": float(covered.mean()),
         "capacity": {key: float(f(caps_f)) for key, f in reductions.items()},
         "min_power_dbm": {key: float(f(pows_f)) for key, f in reductions.items()},
     }
     if baseline_capacity is not None:
+        count = int(np.sum(caps_f > baseline_capacity))
         out["baseline_capacity_bps_hz"] = float(baseline_capacity)
-        out["beating_baseline"], out["beating_fraction"] = _beating(rows, baseline_capacity)
+        out["beating_baseline"], out["beating_fraction"] = count, count / len(rows)
     return out
 
 
-def _beating(rows: list[LedgerRow], capacity: float) -> tuple[int, float]:
-    """How many rows have a finite capacity above `capacity`, and their share of all rows."""
-    caps = np.array([r.capacity_bps_hz for r in rows])
-    count = int(np.sum(caps[np.isfinite(caps)] > capacity))
-    return count, count / len(rows)
+class _Fold:
+    """Running aggregates of ledger rows merged in ascending t: their count,
+    how many have a capacity above `baseline` (inf for none), and the best
+    covered and unconstrained rows. Only a higher capacity replaces a best,
+    so ties keep the lowest t."""
+
+    def __init__(self, baseline: float):
+        self.baseline, self.rows, self.beating = baseline, 0, 0
+        self.best = self.best_any = None
+
+    def add(self, row) -> None:
+        _t, capacity, _dbm, covered, _feasible = row
+        self.rows += 1
+        if math.isfinite(capacity):  # an infeasible row's capacity is nan
+            self.beating += capacity > self.baseline
+            if self.best_any is None or capacity > self.best_any[1]:
+                self.best_any = row
+            if covered and (self.best is None or capacity > self.best[1]):
+                self.best = row
 
 
 # --- baseline comparison ---------------------------------------------------
@@ -284,9 +276,10 @@ class BaselineComparison:
 def compare_to_baseline(
     record: EvaluationRecord,
     baseline: EvaluationRecord,
-    ledger: list[LedgerRow] | None = None,
+    beating_count: int = 0,
+    evaluated: int = 0,
 ) -> BaselineComparison:
-    """Relative capacity gain of `record` plus how many tilings beat baseline."""
+    """Relative capacity gain of `record`; `beating_count` of `evaluated` tilings beat baseline."""
     if (
         record.drops_fingerprint is not None
         and baseline.drops_fingerprint is not None
@@ -296,8 +289,8 @@ def compare_to_baseline(
     if len(record.per_drop_sum_rates) != len(baseline.per_drop_sum_rates):
         raise ValueError("records cover different drop counts")
     delta = (record.average_sum_rate - baseline.average_sum_rate) / baseline.average_sum_rate
-    count, fraction = _beating(ledger, baseline.average_sum_rate) if ledger else (0, 0.0)
-    return BaselineComparison(delta=delta, beating_count=count, beating_fraction=fraction)
+    fraction = beating_count / evaluated if evaluated else 0.0
+    return BaselineComparison(delta=delta, beating_count=beating_count, beating_fraction=fraction)
 
 
 # --- worker pool -----------------------------------------------------------
@@ -453,15 +446,22 @@ def _joined(records):
     return record
 
 
-def _ledger_task(task) -> LedgerRow:
-    """`_eval_task` of a streamed (t, rows) as a ledger row."""
+def _ledger_task(task) -> tuple:
+    """`_eval_task` of a streamed (t, rows) as a ledger row: the plain tuple
+    of LedgerRow's fields, which pickles in half a LedgerRow's bytes."""
     t, rows = task
-    return _record_to_row(t, _eval_task((t, rows, None)))
+    record = _eval_task((t, rows, None))
+    with np.errstate(divide="ignore"):  # no power is -inf dBm; an infeasible tiling's is nan
+        min_dbm = float(watts_to_dbm(record.min_desired_power_w))
+    return t, record.average_sum_rate, min_dbm, record.covered, record.feasible
 
 
 # --- optimization ----------------------------------------------------------
 
 PROGRESS_EVERY = 10000  # evaluated tilings between progress lines
+
+# least seconds between fsyncs of the ledger: about what a crashed host loses
+FSYNC_EVERY_S = 10.0
 
 @dataclass
 class OptimizationResult:
@@ -479,7 +479,6 @@ class OptimizationResult:
     baseline: EvaluationRecord | None
     baseline_cover: AggregationVector | None
     comparison: BaselineComparison | None
-    ledger: list[LedgerRow]
     drops: list[UEDrop]
     elapsed_s: float
     usage_at_start: dict  # `_usage()` as the run started
@@ -491,16 +490,49 @@ def _rows_by_index(search: _CoverSearch, target: int) -> tuple[int, ...]:
     raise ValueError(f"tiling index {target} beyond enumeration")
 
 
-def _resume_point(rows: list[LedgerRow], stride: int) -> int:
-    """Index of the next tiling after a ledger's rows t = 1, 1+s, 1+2s, ..."""
-    expected = range(1, 1 + stride * len(rows), stride)
-    for row, t in zip(rows, expected):
-        if row.tiling_index != t:
-            raise ValueError(
-                f"cannot resume: ledger row t={row.tiling_index} where t={t} was "
-                f"expected (rows must be t = 1, 1+{stride}, 1+{2 * stride}, ...)"
-            )
-    return 1 + stride * len(rows)
+def _resume(path, fold: _Fold, cfg: RunConfig, versions: dict, info) -> None:
+    """Fold the ledger's rows at `path` as they are read, trusted, not
+    recomputed, and cut a last line a killed run left unterminated (its
+    tiling is evaluated again). Rows must be t = 1, 1+s, ... under this
+    config's hash; a refused ledger is left untouched, and one written under
+    other versions is resumed, and the log says so."""
+    stride, key, meta = cfg.tiling_stride, cfg.config_hash(), {}
+    complete = 0  # bytes of the ledger up to its last newline
+
+    def terminated(fh):
+        nonlocal complete
+        for line in fh:
+            if line.endswith(b"\n"):
+                complete += len(line)
+                yield line.decode()
+
+    with open(path, "rb") as fh:
+        for row in _parse_ledger(terminated(fh), meta):
+            if meta.get("config_hash") != key:
+                raise ValueError("existing ledger was written by a different config")
+            t = 1 + stride * fold.rows
+            if row.tiling_index != t:
+                raise ValueError(
+                    f"cannot resume: ledger row t={row.tiling_index} where t={t} was "
+                    f"expected (rows must be t = 1, 1+{stride}, 1+{2 * stride}, ...)"
+                )
+            fold.add(row)
+        size = fh.tell()
+    if meta.get("config_hash", key) != key:
+        raise ValueError("existing ledger was written by a different config")
+    moved = [
+        f"{name} {meta.get(name, 'unrecorded')} (running {value})"
+        for name, value in versions.items()
+        if meta.get(name) != value
+    ]
+    if fold.rows and moved:
+        info(
+            f"{path} was written with {', '.join(moved)}; "
+            "resumed and new rows may differ in their last bits"
+        )
+    if complete < size:
+        os.truncate(path, complete)
+        info(f"dropped the unterminated last line of {path} ({size - complete} bytes)")
 
 
 def optimize(
@@ -516,7 +548,8 @@ def optimize(
     The best tiling maximizes the drop-averaged sum rate among tilings that
     pass the coverage floor; ties break toward the lowest enumeration
     index. When no tiling passes, the result is marked infeasible and
-    carries the unconstrained best for diagnosis.
+    carries the unconstrained best for diagnosis. The rows are written to
+    `ledger_path`, if given, and not kept: `read_ledger` reads them back.
     """
     start = time.perf_counter()
     usage_at_start = _usage()
@@ -549,43 +582,11 @@ def optimize(
     from . import __version__
 
     versions = {"apertile_version": __version__, "numpy_version": np.__version__}
-
-    # Resumed rows are trusted, not recomputed. Our writer emits rows in
-    # enumeration order, so an interrupted ledger is a prefix of the strided
-    # sequence, and the stream restarts right after its last row. The checks
-    # run before the pool forks, and a refused ledger is left untouched; a
-    # ledger written under other versions is resumed, and the log says so.
+    meta = {"config_hash": cfg.config_hash(), "seed": cfg.scenario.seed}
     stride = cfg.tiling_stride
-    existing_rows: list[LedgerRow] = []
-    data = b""
-    complete = 0  # bytes of the ledger up to its last newline
-    if resume and ledger_path and os.path.exists(ledger_path):
-        with open(ledger_path, "rb") as fh:
-            data = fh.read()
-        complete = data.rfind(b"\n") + 1
-        meta, existing_rows = _parse_ledger(data[:complete].decode().splitlines())
-        # rows count only under this config's hash; an empty file, or one
-        # cut inside its header, has no rows and is written again
-        written_by = meta.get("config_hash")
-        if (existing_rows or written_by is not None) and written_by != cfg.config_hash():
-            raise ValueError("existing ledger was written by a different config")
-        moved = [
-            f"{key} {meta.get(key, 'unrecorded')} (running {value})"
-            for key, value in versions.items()
-            if meta.get(key) != value
-        ]
-        if existing_rows and moved:
-            info(
-                f"{ledger_path} was written with {', '.join(moved)}; "
-                "resumed and new rows may differ in their last bits"
-            )
-    first_t = _resume_point(existing_rows, stride)
-    if complete < len(data):
-        # a line cut mid-write; a cut row is evaluated again
-        os.truncate(ledger_path, complete)
-        info(f"dropped the unterminated last line of {ledger_path} ({len(data) - complete} bytes)")
-
-    all_rows = list(existing_rows)
+    if precoders_path:  # a killed run's part file, which a new file may never replace
+        with suppress(FileNotFoundError):
+            os.remove(f"{precoders_path}.part")
 
     # Every evaluation runs in the pool, forked before the count fills the
     # memo, which the workers do not need; each worker assembles its own
@@ -604,47 +605,50 @@ def optimize(
     with pool_scope as pool:
         baseline_result = pool.imap(_eval_task, baseline_tasks)
         total = search.count()
-        tasks = len(range(first_t, total + 1, stride))
-        resumed = f"; resuming at t={first_t}" if existing_rows else ""
-        info(f"{total} tilings, {tasks} to evaluate (stride {stride}){resumed}")
-        task_iter = search.stream(first_t, stride)
-
         # the ledger header records the baseline capacity, "none" when the
-        # baseline is missing or infeasible
+        # baseline is missing or infeasible; every row, resumed or new, is
+        # folded against it as it merges
         baseline_record = next(baseline_result, None)
         baseline_ok = baseline_record is not None and baseline_record.feasible
+        fold = _Fold(baseline_record.average_sum_rate if baseline_ok else math.inf)
+        if resume and ledger_path and os.path.exists(ledger_path):
+            _resume(ledger_path, fold, cfg, versions, info)
+        first_t = 1 + stride * fold.rows
+        tasks = len(range(first_t, total + 1, stride))
+        resumed = f"; resuming at t={first_t}" if fold.rows else ""
+        info(f"{total} tilings, {tasks} to evaluate (stride {stride}){resumed}")
         ledger_scope = (
-            open(ledger_path, "a" if existing_rows else "w") if ledger_path else nullcontext()
+            open(ledger_path, "a" if fold.rows else "w") if ledger_path else nullcontext()
         )
         with ledger_scope as ledger_fh:
-            if ledger_fh and not existing_rows:
+            if ledger_fh and not fold.rows:
                 write_ledger_header(
                     ledger_fh,
                     {
-                        "config_hash": cfg.config_hash(),
-                        "seed": cfg.scenario.seed,
+                        **meta,
                         "channel_mode": cfg.channel.tag,
                         "aperture": f"{aperture.columns}x{aperture.rows}",
                         "alphabet": cfg.alphabet_file or cfg.alphabet,
                         "stride": cfg.tiling_stride,
                         "drops_fingerprint": drops_key,
-                        "baseline_capacity_bps_hz": (
-                            repr(baseline_record.average_sum_rate) if baseline_ok else "none"
-                        ),
+                        "baseline_capacity_bps_hz": repr(fold.baseline) if baseline_ok else "none",
                         **versions,
                     },
                 )
             # small enough that every worker gets about four chunks; the
             # ledger is flushed after each, so a killed run keeps whole chunks
             chunksize = max(1, min(64, math.ceil(tasks / (4 * workers))))
-            started = time.perf_counter()
-            results = pool.imap(_ledger_task, task_iter, chunksize=chunksize)
+            started = synced = time.perf_counter()
+            results = pool.imap(_ledger_task, search.stream(first_t, stride), chunksize=chunksize)
             for done, row in enumerate(results, 1):
-                all_rows.append(row)
+                fold.add(row)
                 if ledger_fh:
-                    ledger_fh.write(_format_row(row) + "\n")
+                    ledger_fh.write(_ROW_FORMAT % row)
                     if done % chunksize == 0:
                         ledger_fh.flush()
+                        if time.perf_counter() - synced >= FSYNC_EVERY_S:
+                            os.fsync(ledger_fh.fileno())
+                            synced = time.perf_counter()
                 if done % PROGRESS_EVERY == 0:
                     rate = done / (time.perf_counter() - started)
                     info(
@@ -652,48 +656,39 @@ def optimize(
                         f"({rate:.4g} tilings/s, ETA {(tasks - done) / rate:.0f} s)"
                     )
 
-        # rows are in ascending t and max keeps the first of equal
-        # capacities, which realizes the lowest-index tie-break
-        scored = [r for r in all_rows if r.feasible and math.isfinite(r.capacity_bps_hz)]
-        capacity = attrgetter("capacity_bps_hz")
-        best_row = max((r for r in scored if r.covered), key=capacity, default=None)
-        best_any_row = max(scored, key=capacity, default=None)
-
         # each distinct best tiling is evaluated once, the two in parallel,
         # its rows looked up by index in the memo that the count filled;
         # the worker that scores the best covered tiling writes its precoders
-        best_ts = {r.tiling_index for r in (best_row, best_any_row) if r is not None}
+        best_ts = {row[0] for row in (fold.best, fold.best_any) if row is not None}
         picks = {t: _rows_by_index(search, t) for t in sorted(best_ts)}
-        kept = best_row.tiling_index if best_row and precoders_path else None
-        meta = {"config_hash": cfg.config_hash(), "seed": cfg.scenario.seed}
+        kept = fold.best[0] if fold.best and precoders_path else None
         destinations = {kept: (precoders_path, meta)}
         best_tasks = [(t, rows, destinations.get(t)) for t, rows in picks.items()]
         evaluated = dict(zip(picks, pool.imap(_eval_task, best_tasks)))
 
-    def pick(row: LedgerRow | None):
+    def pick(row):
         """A best row's record and cover, or two Nones."""
         if row is None:
             return None, None
-        t = row.tiling_index
-        return evaluated[t], _cover_from_rows(picks[t], cells, aperture.size)
+        return evaluated[row[0]], _cover_from_rows(picks[row[0]], cells, aperture.size)
 
-    best_record, best_cover = pick(best_row)
-    best_any_record, best_any_cover = pick(best_any_row)
+    best_record, best_cover = pick(fold.best)
+    best_any_record, best_any_cover = pick(fold.best_any)
 
     comparison = None
     if best_record is not None and baseline_ok:
-        comparison = compare_to_baseline(best_record, baseline_record, all_rows)
+        comparison = compare_to_baseline(best_record, baseline_record, fold.beating, fold.rows)
 
-    best_text = f"{best_row.capacity_bps_hz:.6g} bps/Hz" if best_row else "none"
-    info(f"done: {len(all_rows)} tilings evaluated, best covered capacity {best_text}")
+    best_text = f"{fold.best[1]:.6g} bps/Hz" if fold.best else "none"
+    info(f"done: {fold.rows} tilings evaluated, best covered capacity {best_text}")
     return OptimizationResult(
         config_hash=cfg.config_hash(),
         seed=cfg.scenario.seed,
         channel_mode=cfg.channel.tag,
         total_tilings=total,
-        evaluated_tilings=len(all_rows),
+        evaluated_tilings=fold.rows,
         exhaustive=cfg.tiling_stride == 1,
-        feasible=best_row is not None,
+        feasible=fold.best is not None,
         best=best_record,
         best_cover=best_cover,
         best_unconstrained=best_any_record,
@@ -701,7 +696,6 @@ def optimize(
         baseline=baseline_record,
         baseline_cover=baseline_cover,
         comparison=comparison,
-        ledger=all_rows,
         drops=drops,
         elapsed_s=time.perf_counter() - start,
         usage_at_start=usage_at_start,

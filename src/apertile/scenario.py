@@ -17,6 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+try:  # CPython's own SHA-256, as random.py's SHA-512: hashlib loads OpenSSL, 3.4 MB
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
+
 
 @dataclass(frozen=True)
 class ScenarioParams:
@@ -126,22 +134,21 @@ def sample_drops(params: ScenarioParams) -> list[UEDrop]:
 
 def drops_fingerprint(drops: list[UEDrop]) -> str:
     """Stable digest of all drop coordinates, for replay consistency checks."""
-    import hashlib
-
-    h = hashlib.sha256()
+    h = sha256()
     for drop in drops:
         h.update(np.ascontiguousarray(drop.positions).tobytes())
     return h.hexdigest()[:16]
 
 
 def save_drops(drops: list[UEDrop], path, meta: dict | None = None) -> None:
-    rows = [
-        {"p": d.index, "u": u + 1, "x": x, "y": y, "z": z}
-        for d in drops
-        for u, (x, y, z) in enumerate(np.asarray(d.positions).tolist())
-    ]
-    doc = {"kind": "ue_drops", **(meta or {}), "drops": rows}
+    """Write drops.json a row (one user) at a time, in the bytes of one json.dump."""
+    head = json.dumps({"kind": "ue_drops", **(meta or {}), "drops": []})
     with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(head[:-2])  # up to the rows' opening bracket
+        separator = ""
+        for d in drops:
+            for u, (x, y, z) in enumerate(np.asarray(d.positions).tolist(), 1):
+                fh.write(separator + json.dumps({"p": d.index, "u": u, "x": x, "y": y, "z": z}))
+                separator = ", "
+        fh.write("]}\n")
 

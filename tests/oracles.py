@@ -300,6 +300,20 @@ def linear_to_db(x):
     return 10.0 * np.log10(np.asarray(x, dtype=float))
 
 
+def dump_drops(drops: list[UEDrop], path, meta: dict | None = None) -> None:
+    """drops.json as one json.dump of the whole document, rows in a list:
+    the bytes `scenario.save_drops` must write a row at a time."""
+    rows = [
+        {"p": d.index, "u": u + 1, "x": x, "y": y, "z": z}
+        for d in drops
+        for u, (x, y, z) in enumerate(np.asarray(d.positions).tolist())
+    ]
+    doc = {"kind": "ue_drops", **(meta or {}), "drops": rows}
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+        fh.write("\n")
+
+
 def load_drops(path) -> list[UEDrop]:
     """Read back the drops `scenario.save_drops` wrote, users in order."""
     with open(path) as fh:

@@ -1,5 +1,9 @@
+import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,6 +73,32 @@ def test_config_hash_tracks_content():
     assert a.config_hash() != c.config_hash()
     # how and where a run goes does not change its results
     assert tiny_config(workers=3, output_dir="elsewhere").config_hash() == a.config_hash()
+
+
+def test_config_hash_is_the_sha256_of_the_canonical_config():
+    # CPython's own SHA-256 gives OpenSSL's digest
+    cfg = tiny_config()
+    doc = cfg.to_dict()
+    del doc["workers"], doc["output_dir"]
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    assert cfg.config_hash() == hashlib.sha256(canonical.encode()).hexdigest()[:16]
+
+
+def test_enumerate_does_not_import_openssl(tmp_path):
+    # hashlib loads OpenSSL's _hashlib, about 3.4 MB resident
+    path = write_config(tmp_path, tiny_config())
+    code = (
+        "import sys\n"
+        "from apertile.cli import main\n"
+        f"main(['enumerate', '--config', {str(path)!r}, '--dump-json', {str(tmp_path / 'covers.jsonl')!r}])\n"
+        "print('_hashlib' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["3", "False"]
 
 
 def test_unknown_keys_rejected():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -14,7 +15,7 @@ from apertile.scenario import (
     save_drops,
 )
 
-from oracles import load_drops, point_in_hexagon_crossings, scenario_defaults
+from oracles import dump_drops, load_drops, point_in_hexagon_crossings, scenario_defaults
 
 
 def uma(**overrides):
@@ -114,6 +115,9 @@ def test_same_seed_is_bit_identical():
         np.testing.assert_array_equal(da.positions, db.positions)
     c = sample_drops(uma(drops=4, users=8, seed=43))
     assert drops_fingerprint(a) != drops_fingerprint(c)
+    # CPython's own SHA-256 gives OpenSSL's digest
+    digest = hashlib.sha256(b"".join(d.positions.tobytes() for d in a)).hexdigest()
+    assert drops_fingerprint(a) == digest[:16]
 
 
 def test_floor_heights_hit_exact_support(rng):
@@ -167,6 +171,14 @@ def test_radial_density_matches_truncated_uniform_law(rng):
     analytic = np.interp(radii, grid, cdf)
     ks = np.max(np.abs(empirical - analytic))
     assert ks < 0.01  # 1.36/sqrt(1e5) ~ 0.0043 at the 5% level
+
+
+@pytest.mark.parametrize("meta", [None, {"config_hash": "28b8f472e7cb782f", "seed": 3}])
+def test_save_drops_writes_the_bytes_of_one_json_dump(tmp_path, meta):
+    drops = sample_drops(uma(drops=5, users=16, seed=3))
+    save_drops(drops, tmp_path / "streamed.json", meta)
+    dump_drops(drops, tmp_path / "dumped.json", meta)
+    assert (tmp_path / "streamed.json").read_bytes() == (tmp_path / "dumped.json").read_bytes()
 
 
 def test_drop_json_round_trip(tmp_path, rng):
