@@ -10,7 +10,7 @@ import argparse
 import json
 import os
 import sys
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -18,9 +18,9 @@ from .channel import ChannelStack
 from .config import RunConfig
 from .metrics import distribution, eta_statistics
 from .optimizer import (
+    _parse_ledger,
     evaluate_tiling,
     optimize,
-    read_ledger,
     result_to_json,
     summarize_ledger,
 )
@@ -190,9 +190,8 @@ def cmd_evaluate(args) -> int:
     if record.feasible:
         doc["capacity_bps_hz"] = record.average_sum_rate
         doc["per_drop_sum_rates"] = np.asarray(record.per_drop_sum_rates).tolist()
-        with np.errstate(divide="ignore"):
-            doc["min_power_dbm"] = float(watts_to_dbm(record.min_desired_power_w))
-            doc["eta_dbm"] = eta_statistics(record.eta_desired_dbm())
+        doc["min_power_dbm"] = float(watts_to_dbm(record.min_desired_power_w))
+        doc["eta_dbm"] = eta_statistics(record.eta_desired_dbm())
     if args.output:
         with open(args.output, "w") as fh:
             json.dump(doc, fh, indent=2, allow_nan=False)
@@ -222,12 +221,16 @@ def _run_resources(ledger_path: str, meta: dict) -> dict | None:
 def cmd_report(args) -> int:
     if not os.path.exists(args.ledger):
         raise ValueError(f"ledger not found: {args.ledger}")
-    meta, rows = read_ledger(args.ledger)
-    baseline = None
-    raw = meta.get("baseline_capacity_bps_hz")
-    if raw not in (None, "none", "nan"):  # "nan": an infeasible baseline in older ledgers
-        baseline = float(raw)
-    summary = summarize_ledger(rows, baseline)
+    meta: dict = {}
+    with open(args.ledger) as fh:
+        rows = _parse_ledger(fh, meta)
+        # the header lines precede every row, so meta holds them once one row is read
+        first = next(rows, None)
+        baseline = None
+        raw = meta.get("baseline_capacity_bps_hz")
+        if raw not in (None, "none", "nan"):  # "nan": an infeasible baseline in older ledgers
+            baseline = float(raw)
+        summary = summarize_ledger(chain([] if first is None else [first], rows), baseline)
     print(f"ledger: {args.ledger}")
     shown = "config_hash seed channel_mode aperture alphabet stride apertile_version numpy_version"
     for key in shown.split():

@@ -68,7 +68,6 @@ class EvaluationRecord:
     """Everything measured for one tiling against one drop set."""
 
     tiling_index: int
-    tile_count: int
     per_drop_sum_rates: np.ndarray  # (P,)
     average_sum_rate: float
     eta_desired_w: np.ndarray  # (A,) per-port minimum desired power over drops

@@ -10,10 +10,11 @@ only copy of the rows. It is flushed after every pool chunk, so a killed run
 resumes from the whole chunks it wrote, and synced every FSYNC_EVERY_S. Every
 evaluation is one task over rows of `cells`, the placements' pixel sets and
 then the baseline's tiles: ledger rows, the baseline and the best tilings
-alike. The pool runs them all, and the worker that scores the best covered
-tiling writes its precoders one drop block at a time; the parent samples
-the drops, counts, streams, merges and writes the ledger, and never builds
-a channel stack, holds a beam or keeps a row.
+alike. Each, like `evaluate_tiling`, is scored and recorded by one loop,
+`_evaluate`, over drop blocks. The pool runs them all, and the worker that
+scores the best covered tiling writes its precoders one drop block at a
+time; the parent samples the drops, counts, streams, merges and writes
+the ledger, and never builds a channel stack, holds a beam or keeps a row.
 Each worker assembles its own stack while the parent counts, keeping each
 drop's channel as its two factors, the (MN, P, U) base and the 2x2 slant
 coupling. It holds that stack, the temporaries of one block of
@@ -30,8 +31,9 @@ import os
 import signal
 import sys
 import time
+from array import array
 from contextlib import contextmanager, nullcontext, suppress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Iterator, NamedTuple
 
@@ -55,12 +57,6 @@ from .tiling import (
 from .units import watts_to_dbm
 
 
-def _check_channels(channels) -> None:
-    """Refuse channels that are neither a ChannelStack nor a (P, 2U, 2MN) array."""
-    if not isinstance(channels, ChannelStack) and np.ndim(channels) != 3:
-        raise ValueError("channels must be a ChannelStack or a (P, 2U, 2MN) array")
-
-
 def evaluate_tiling(
     cover: AggregationVector,
     channels,
@@ -77,33 +73,42 @@ def evaluate_tiling(
     or too-ill-conditioned drop makes the whole record infeasible (capacity
     NaN) instead of contributing numerical noise.
     """
-    _check_channels(channels)
     H, sizes = _aggregate(cover, channels)
-    return _score(H, sizes, budget, beams, condition_cap, tiling_index, drops_key)[0]
+    return _evaluate([H], len(H), sizes, budget, beams, condition_cap, tiling_index, drops_key)
 
 
 def _aggregate(cover, channels):
     """The (P, A, 2Q) effective channels of one tiling, and the (2Q,) tile
     sizes that weight `_zero_force`'s norms."""
+    if not isinstance(channels, ChannelStack) and np.ndim(channels) != 3:
+        raise ValueError("channels must be a ChannelStack or a (P, 2U, 2MN) array")
     # called through this module's global, which perfbench's tracer wraps
     H = aggregate_channel(channels, cover)
     sizes = cover.tile_sizes().astype(float)
     return H, np.concatenate((sizes, sizes))
 
 
-def _score(H, sizes, budget, beams, condition_cap, tiling_index, drops_key):
-    """evaluate_tiling's record for effective channels H, plus (V, norms)
-    from `_zero_force` when feasible. An infeasible record has NaN rates
-    and powers and no per-UE capacities."""
-    try:
-        ok, V, norms, power = _zero_force(H, sizes, condition_cap)
-    except np.linalg.LinAlgError:
-        # solve met an exactly singular Gram matrix that eigvalsh passed
-        ok = np.zeros(1, bool)
-    drops, ports, columns = H.shape
-    users = ports // 2
-    feasible = bool(ok.all())
-    if feasible:
+def _evaluate(
+    blocks, drops, sizes, budget, beams, condition_cap, tiling_index, drops_key, write=None
+):
+    """The one record of a tiling, scored on its effective channels given
+    as consecutive (b, A, 2Q) blocks of its `drops` drops, each block as
+    its own batch: per-drop values are each drop's own, and the per-port
+    minimum desired power runs over the blocks. `write`, if given, takes
+    each block's normalized precoders. The first block with a drop over
+    the cap, or whose `solve` meets an exactly singular Gram matrix, ends
+    the loop with the infeasible record (NaN rates and powers, no per-UE
+    capacities), and neither it nor a later block is written."""
+    rates, capacities, eta = [], [], None
+    for H in blocks:
+        try:
+            ok, V, norms, power = _zero_force(H, sizes, condition_cap)
+        except np.linalg.LinAlgError:
+            ok = np.zeros(1, bool)
+        if not ok.all():
+            rates, capacities, eta = [np.full(drops, np.nan)], None, np.full(H.shape[1], np.nan)
+            break
+        users = H.shape[1] // 2
         diagonal = np.einsum("paa->pa", power)
         per_beam_power = budget.tx_power_w / (users if beams is None else beams)
         p_des = per_beam_power * diagonal
@@ -114,26 +119,28 @@ def _score(H, sizes, budget, beams, condition_cap, tiling_index, drops_key):
         port_capacity += budget.noise_power_w
         np.divide(p_des, port_capacity, out=port_capacity)
         port_capacity += 1.0
-        np.log2(port_capacity, out=port_capacity)  # (P, A)
-        per_drop = port_capacity.sum(axis=1)
-        eta = p_des.min(axis=0)
-        per_ue = port_capacity.reshape(drops, users, 2).sum(axis=2)
-    else:
-        per_drop, eta, per_ue = np.full(drops, np.nan), np.full(ports, np.nan), None
+        np.log2(port_capacity, out=port_capacity)  # (b, A)
+        rates.append(port_capacity.sum(axis=1))
+        capacities.append(port_capacity.reshape(-1, users, 2).sum(axis=2))
+        block_eta = p_des.min(axis=0)
+        eta = block_eta if eta is None else np.minimum(eta, block_eta)
+        if write:
+            write(_precoders(V, norms))
+        del power, diagonal  # so the next block's zero forcing does not hold them too
+    per_drop = np.concatenate(rates)
     min_power = float(eta.min())
-    record = EvaluationRecord(
+    feasible = capacities is not None
+    return EvaluationRecord(
         tiling_index=tiling_index,
-        tile_count=columns // 2,
         per_drop_sum_rates=per_drop,
         average_sum_rate=float(per_drop.sum()) / drops,
         eta_desired_w=eta,
         min_desired_power_w=min_power,
         covered=feasible and bool(min_power >= budget.coverage_threshold_w),
         feasible=feasible,
-        per_ue_capacities=per_ue,
+        per_ue_capacities=np.concatenate(capacities) if feasible else None,
         drops_fingerprint=drops_key,
     )
-    return record, ((V, norms) if feasible else None)
 
 
 def tiling_precoders(
@@ -146,7 +153,6 @@ def tiling_precoders(
     `channels` is a ChannelStack or a (P, 2U, 2MN) array. Raises
     ChannelRankError when a drop is rank deficient or over the cap.
     """
-    _check_channels(channels)
     ok, V, norms, _ = _zero_force(*_aggregate(cover, channels), condition_cap)
     if not ok.all():
         raise ChannelRankError(
@@ -218,28 +224,34 @@ def _parse_ledger(lines, meta: dict) -> Iterator[LedgerRow]:
         yield row
 
 
-def summarize_ledger(rows: list[LedgerRow], baseline_capacity: float | None = None) -> dict:
-    """min/max/avg/var of capacity and min power, plus baseline comparison."""
-    if not rows:
+def summarize_ledger(rows, baseline_capacity: float | None = None) -> dict:
+    """min/max/avg/var of capacity and min power, plus baseline comparison,
+    of any iterable of rows; only their finite numbers are kept."""
+    caps, pows, count, covered = array("d"), array("d"), 0, 0
+    for _t, capacity, dbm, cov, _feasible in rows:
+        count += 1
+        covered += cov
+        if math.isfinite(capacity):
+            caps.append(capacity)
+        if math.isfinite(dbm):
+            pows.append(dbm)
+    if not count:
         raise ValueError("empty ledger")
-    _t, caps, pows, covered, _feasible = np.array(rows, dtype=float).T
-    finite = np.isfinite(caps)
-    if not finite.any():
+    if not caps:
         raise ValueError("no feasible rows in ledger")
-    caps_f = caps[finite]
-    pows_f = pows[np.isfinite(pows)]
+    caps_f, pows_f = np.frombuffer(caps), np.frombuffer(pows)
     reductions = {"min": np.min, "max": np.max, "avg": np.mean, "var": np.var}
     out = {
-        "rows": len(rows),
-        "feasible_rows": int(finite.sum()),
-        "coverage_fraction": float(covered.mean()),
+        "rows": count,
+        "feasible_rows": len(caps),
+        "coverage_fraction": covered / count,
         "capacity": {key: float(f(caps_f)) for key, f in reductions.items()},
         "min_power_dbm": {key: float(f(pows_f)) for key, f in reductions.items()},
     }
     if baseline_capacity is not None:
-        count = int(np.sum(caps_f > baseline_capacity))
+        beating = int(np.sum(caps_f > baseline_capacity))
         out["baseline_capacity_bps_hz"] = float(baseline_capacity)
-        out["beating_baseline"], out["beating_fraction"] = count, count / len(rows)
+        out["beating_baseline"], out["beating_fraction"] = beating, beating / count
     return out
 
 
@@ -386,16 +398,14 @@ def _in_process(init_args):
 
 def _eval_task(task):
     """Evaluate tiling t, given as rows of `cells` in tile-id order: its
-    record. A destination (path, meta), not None, has the precoders of a
-    feasible tiling written to path a drop block at a time.
+    record from `_evaluate`. A destination (path, meta), not None, has the
+    precoders of a feasible tiling written to path a drop block at a time.
 
-    The drops are scored in blocks of DROP_BLOCK_BYTES per (b, A, 2Q)
-    array. A block's effective channels are its drops' columns of the
-    placement table or, with no table, a table of just the task's sets
-    built from the block's part of the stack. The blocks' records join
-    into that of one pass over every drop, bit for bit: per-drop values
-    are each drop's own, and the first block with a drop over the cap
-    gives the all-NaN record of an infeasible tiling, and no file.
+    The drops go to `_evaluate` in blocks of DROP_BLOCK_BYTES per (b, A, 2Q)
+    array, each formed only when the loop asks for it. A block's effective
+    channels are its drops' columns of the placement table or, with no
+    table, a table of just the task's sets built from the block's part of
+    the stack. An infeasible tiling writes no file.
     """
     t, rows, destination = task
     s = _SHARED
@@ -406,44 +416,22 @@ def _eval_task(task):
     drops, ports = G.base.shape[1], len(G.coupling) * G.base.shape[2]
     drop_bytes = 2 * index.size * ports * G.base.itemsize
     block = max(1, DROP_BLOCK_BYTES // drop_bytes)
-    records = []
-    with nullcontext() if destination is None else _precoder_file(
-        destination[0], (drops, 2 * index.size, ports), destination[1]
-    ) as write:
+
+    def blocks():
         for start in range(0, drops, block):
             span = slice(start, start + block)
             if s["table"] is None:
                 stack = ChannelStack(G.base[:, span], G.coupling)
-                H = effective_channels(placement_table(stack, [s["cells"][k] for k in rows]))
+                yield effective_channels(placement_table(stack, [s["cells"][k] for k in rows]))
             else:
-                H = effective_channels(s["table"][:, :, :, span], index)
-            record, zf = _score(H, sizes, s["budget"], None, s["condition_cap"], t, s["drops_key"])
-            if not record.feasible:
-                return replace(record, per_drop_sum_rates=np.full(drops, np.nan))
-            if write:
-                write(_precoders(*zf))
-            records.append(record)
-    return _joined(records)
+                yield effective_channels(s["table"][:, :, :, span], index)
 
-
-def _joined(records):
-    """The record of one pass over every drop, from the feasible records
-    of consecutive drop blocks."""
-    if len(records) == 1:
-        return records[0]
-    per_drop = np.concatenate([r.per_drop_sum_rates for r in records])
-    eta = np.minimum.reduce([r.eta_desired_w for r in records])
-    record = replace(
-        records[0],
-        per_drop_sum_rates=per_drop,
-        average_sum_rate=float(per_drop.sum()) / per_drop.size,
-        eta_desired_w=eta,
-        min_desired_power_w=float(eta.min()),
-        # the minimum over all drops passes the floor when each block's does
-        covered=all(r.covered for r in records),
-        per_ue_capacities=np.concatenate([r.per_ue_capacities for r in records]),
-    )
-    return record
+    with nullcontext() if destination is None else _precoder_file(
+        destination[0], (drops, 2 * index.size, ports), destination[1]
+    ) as write:
+        return _evaluate(
+            blocks(), drops, sizes, s["budget"], None, s["condition_cap"], t, s["drops_key"], write
+        )
 
 
 def _ledger_task(task) -> tuple:
@@ -451,8 +439,7 @@ def _ledger_task(task) -> tuple:
     of LedgerRow's fields, which pickles in half a LedgerRow's bytes."""
     t, rows = task
     record = _eval_task((t, rows, None))
-    with np.errstate(divide="ignore"):  # no power is -inf dBm; an infeasible tiling's is nan
-        min_dbm = float(watts_to_dbm(record.min_desired_power_w))
+    min_dbm = float(watts_to_dbm(record.min_desired_power_w))
     return t, record.average_sum_rate, min_dbm, record.covered, record.feasible
 
 
@@ -737,18 +724,17 @@ def result_to_json(result: OptimizationResult, cfg: RunConfig) -> dict:
     def record_doc(record: EvaluationRecord | None, cover: AggregationVector | None):
         if record is None:
             return None
-        with np.errstate(divide="ignore"):
-            doc = {
-                "tiling_index": record.tiling_index,
-                "capacity_bps_hz": record.average_sum_rate if record.feasible else None,
-                "min_power_dbm": float(watts_to_dbm(record.min_desired_power_w))
-                if record.feasible
-                else None,
-                "covered": record.covered,
-                "feasible": record.feasible,
-            }
-            if record.feasible:
-                doc["eta_dbm"] = eta_statistics(record.eta_desired_dbm())
+        doc = {
+            "tiling_index": record.tiling_index,
+            "capacity_bps_hz": record.average_sum_rate if record.feasible else None,
+            "min_power_dbm": float(watts_to_dbm(record.min_desired_power_w))
+            if record.feasible
+            else None,
+            "covered": record.covered,
+            "feasible": record.feasible,
+        }
+        if record.feasible:
+            doc["eta_dbm"] = eta_statistics(record.eta_desired_dbm())
         if cover is not None:
             doc["tile_count"] = cover.tile_count
             doc["values_row_major"] = np.asarray(cover.values).tolist()

@@ -12,7 +12,9 @@ def dbm_to_watts(dbm):
 
 
 def watts_to_dbm(watts):
-    return 10.0 * np.log10(np.asarray(watts, dtype=float) / 1e-3)
+    """dBm of a power in watts: 0 W is -inf dBm, without numpy's divide warning."""
+    with np.errstate(divide="ignore"):
+        return 10.0 * np.log10(np.asarray(watts, dtype=float) / 1e-3)
 
 
 def db_to_linear(db):

@@ -224,9 +224,10 @@ def normal_equations_zero_force(H, sizes, condition_cap):
 
 
 def normal_equations_record(H, sizes, budget, beams, condition_cap):
-    """`optimizer._score`'s record fields as they stood before its in-place
-    rewrite, arithmetic copied verbatim: (per-drop sum rates, average,
-    eta, min power, covered, feasible, per-UE capacities)."""
+    """The record fields of `optimizer._evaluate` on one block of every
+    drop, with the scoring arithmetic as it stood before its in-place
+    rewrite, copied verbatim: (per-drop sum rates, average, eta, min power,
+    covered, feasible, per-UE capacities)."""
     ok, V, norms, power = normal_equations_zero_force(H, sizes, condition_cap)
     drops, ports, columns = H.shape
     users = ports // 2
@@ -262,6 +263,32 @@ def eigvalsh_first_capacities(H, sizes, condition_cap, budget, beams):
     p_des = budget.tx_power_w / beams * diagonal
     p_mui = budget.tx_power_w / beams * (power.sum(axis=2) - diagonal)
     return np.log2(1.0 + p_des / (p_mui + budget.noise_power_w)), p_des
+
+
+def summarize_ledger_rows(rows, baseline_capacity=None) -> dict:
+    """`optimizer.summarize_ledger` as it stood when it took a list of
+    rows and summarized their (rows, 5) float array."""
+    if not rows:
+        raise ValueError("empty ledger")
+    _t, caps, pows, covered, _feasible = np.array(rows, dtype=float).T
+    finite = np.isfinite(caps)
+    if not finite.any():
+        raise ValueError("no feasible rows in ledger")
+    caps_f = caps[finite]
+    pows_f = pows[np.isfinite(pows)]
+    reductions = {"min": np.min, "max": np.max, "avg": np.mean, "var": np.var}
+    out = {
+        "rows": len(rows),
+        "feasible_rows": int(finite.sum()),
+        "coverage_fraction": float(covered.mean()),
+        "capacity": {key: float(f(caps_f)) for key, f in reductions.items()},
+        "min_power_dbm": {key: float(f(pows_f)) for key, f in reductions.items()},
+    }
+    if baseline_capacity is not None:
+        count = int(np.sum(caps_f > baseline_capacity))
+        out["baseline_capacity_bps_hz"] = float(baseline_capacity)
+        out["beating_baseline"], out["beating_fraction"] = count, count / len(rows)
+    return out
 
 
 def hexagon_vertices(center, edge):

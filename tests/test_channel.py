@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from apertile.tiling import (
     enumerate_exact_covers,
     generate_placements,
 )
+from apertile.units import watts_to_dbm
 
 from oracles import element_position, linear_to_db, los_green, reduceat_aggregate
 from test_geometry import reference_geometry
@@ -37,6 +40,13 @@ def test_budget_from_dbm():
     assert budget.tx_power_w == pytest.approx(10 ** 1.3)
     assert budget.noise_power_w == pytest.approx(10 ** -12.2)
     assert budget.coverage_threshold_w == pytest.approx(1e-15)
+
+
+def test_zero_watts_is_minus_infinite_dbm_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert watts_to_dbm(0.0) == -np.inf
+        np.testing.assert_array_equal(watts_to_dbm([0.0, 1e-3]), [-np.inf, 0.0])
 
 
 def test_budget_rejects_nonpositive():

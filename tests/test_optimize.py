@@ -51,7 +51,7 @@ from apertile.tiling import (
 )
 from apertile.shapes import alphabet, builtin_shape, save_alphabet
 
-from oracles import same_npz_members, savez_precoders
+from oracles import same_npz_members, savez_precoders, summarize_ledger_rows
 from test_acceptance import PINNED_SCENARIOS
 
 
@@ -951,7 +951,6 @@ def test_optimize_logs_progress(monkeypatch):
 def fake_record(capacity, fingerprint="abc", drops=4):
     return EvaluationRecord(
         tiling_index=1,
-        tile_count=4,
         per_drop_sum_rates=np.full(drops, capacity),
         average_sum_rate=capacity,
         eta_desired_w=np.full(8, 1e-9),
@@ -1041,6 +1040,43 @@ def test_summarize_rejects_empty_and_all_nan():
         summarize_ledger([LedgerRow(1, float("nan"), float("nan"), False, False)])
 
 
+def test_a_stream_of_rows_has_the_summary_of_their_list(rng):
+    # 500 rows, every 7th infeasible and every 11th at 0 W (-inf dBm)
+    rows = [
+        LedgerRow(t, float("nan"), float("nan"), False, False)
+        if t % 7 == 0
+        else LedgerRow(
+            t, float(rng.normal(280.0, 5.0)),
+            -np.inf if t % 11 == 0 else float(rng.normal(-100.0, 3.0)),
+            bool(t % 3), True,
+        )
+        for t in range(1, 501)
+    ]
+    for baseline in (None, 280.0):
+        want = summarize_ledger_rows(rows, baseline)
+        assert repr(summarize_ledger((row for row in rows), baseline)) == repr(want)
+        assert repr(summarize_ledger(rows, baseline)) == repr(want)
+
+
+def test_summarizing_a_full_ledger_holds_less_than_its_rows():
+    def rows():  # the 85926 rows of a full 8x12 P ledger
+        for t in range(1, 85927):
+            yield LedgerRow(t, 280.0 + (t % 97) / 10.0, -100.0 - (t % 13) / 4.0, t % 3 > 0, True)
+
+    tracemalloc.start()
+    try:
+        summarize_ledger(rows(), 285.0)
+        summary_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        held = list(rows())
+        held_bytes = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 85926
+    assert summary_peak < held_bytes, (summary_peak, held_bytes)
+
+
 def test_read_ledger_rejects_malformed(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("# apertile ledger v1\n" + "t,capacity_bps_hz,min_power_dbm,coverage,feasible\n1,notanumber\n")
@@ -1109,17 +1145,19 @@ def test_resume_refuses_a_row_whose_flags_contradict_its_numbers(tmp_path):
 
 
 def test_each_best_tiling_is_evaluated_once(tmp_path, monkeypatch):
+    # one drop per block: the loop runs once per tiling, not once per block
+    monkeypatch.setattr(opt, "DROP_BLOCK_BYTES", 1)
     calls = []
-    real = opt._score
+    real = opt._evaluate
 
-    def counting(H, *args):
-        calls.append(args[-2])  # tiling_index
-        return real(H, *args)
+    def counting(blocks, drops, sizes, budget, beams, cap, t, *rest):
+        calls.append(t)
+        return real(blocks, drops, sizes, budget, beams, cap, t, *rest)
 
     def no_precoders(*args, **kwargs):
         raise AssertionError("optimize takes the precoders from its evaluation")
 
-    monkeypatch.setattr(opt, "_score", counting)
+    monkeypatch.setattr(opt, "_evaluate", counting)
     monkeypatch.setattr(opt, "tiling_precoders", no_precoders)
     cfg = toy_config()
     result = optimize(cfg, precoders_path=tmp_path / "best_precoders.npz")
@@ -1143,14 +1181,14 @@ def test_the_optimize_parent_evaluates_nothing(tmp_path, monkeypatch):
     # 3x6 dominoes: 41 tilings and a baseline; under a -44.7 dBm floor the
     # best covered tiling (t = 40) is not the unconstrained best (t = 41)
     log = tmp_path / "evaluations.txt"
-    real = opt._score
+    real = opt._evaluate
 
-    def logging(H, *args):
+    def logging(blocks, drops, sizes, budget, beams, cap, t, *rest):
         with open(log, "a") as fh:
-            fh.write(f"{os.getpid()} {args[-2]}\n")  # tiling_index
-        return real(H, *args)
+            fh.write(f"{os.getpid()} {t}\n")
+        return real(blocks, drops, sizes, budget, beams, cap, t, *rest)
 
-    monkeypatch.setattr(opt, "_score", logging)
+    monkeypatch.setattr(opt, "_evaluate", logging)
     cfg = toy_config(
         aperture=ApertureConfig(3, 6),
         budget=BudgetConfig(coverage_threshold_dbm=-44.7),

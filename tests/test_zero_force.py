@@ -10,7 +10,7 @@ import pytest
 import apertile.precoding as precoding
 from apertile.channel import ChannelStack, LinkBudget, aggregate_channel, assemble_channel
 from apertile.config import ApertureConfig, RunConfig
-from apertile.optimizer import _cover_from_rows, _score, evaluate_tiling, tiling_precoders
+from apertile.optimizer import _cover_from_rows, _evaluate, evaluate_tiling, tiling_precoders
 from apertile.precoding import ChannelRankError, _zero_force, normalize_beams, zero_forcing
 from apertile.scenario import ScenarioParams, sample_drops
 from apertile.tiling import _CoverSearch, build_incidence_matrix, generate_placements
@@ -124,7 +124,7 @@ def test_the_kernel_keeps_every_bit_of_the_normal_equations_reference(rng, ports
     for batch in batches:
         got, want = _zero_force(batch, w, cap), normal_equations_zero_force(batch, w, cap)
         assert all(same_bytes(g, r) for g, r in zip(got, want))
-        record = _score(batch, w, budget, None, cap, 0, None)[0]
+        record = _evaluate([batch], len(batch), w, budget, None, cap, 0, None)
         per_drop, average, eta, min_power, covered, feasible, per_ue = normal_equations_record(
             batch, w, budget, None, cap
         )
@@ -136,6 +136,53 @@ def test_the_kernel_keeps_every_bit_of_the_normal_equations_reference(rng, ports
         assert same_bytes(record.per_ue_capacities, per_ue)
     # a zero row makes the Gram matrix exactly singular
     assert _zero_force(zero_row, w, cap)[1] is None
+
+
+@pytest.mark.parametrize("block", [1, 2, 5])
+def test_any_split_of_the_drops_gives_the_record_of_one_block(rng, block):
+    # seven drops under the cap, scored in consecutive blocks of `block`
+    H = channels_with_conditions(rng, 8, 10, CONDS[:7])
+    w = weights(rng, 10)
+    budget = LinkBudget.from_dbm(43.0, -92.0, -120.0)
+    whole = _evaluate([H], len(H), w, budget, None, 1e8, 3, "key")
+    written = []
+    blocks = [H[start : start + block] for start in range(0, len(H), block)]
+    split = _evaluate(blocks, len(H), w, budget, None, 1e8, 3, "key", written.extend)
+    assert split.feasible and (split.tiling_index, split.drops_fingerprint) == (3, "key")
+    for name in (
+        "per_drop_sum_rates", "average_sum_rate", "eta_desired_w",
+        "min_desired_power_w", "covered", "per_ue_capacities",
+    ):
+        assert same_bytes(getattr(split, name), getattr(whole, name)), name
+    _, V, norms, _ = _zero_force(H, w, 1e8)
+    assert same_bytes([p.coefficients for p in written], V / norms[:, None, :])
+    assert same_bytes([p.scale for p in written], 1.0 / norms)
+
+
+def test_the_first_block_over_the_cap_ends_the_loop(rng):
+    # drop 2 of 5 is over the cap: the second of three blocks of two drops
+    H = channels_with_conditions(rng, 8, 10, (1.0, 10.0, 1e10, 3.0, 1e2))
+    w = weights(rng, 10)
+    budget = LinkBudget.from_dbm(43.0, -92.0, -120.0)
+    formed, written = [], []
+
+    def blocks():
+        for start in range(0, len(H), 2):
+            formed.append(start)
+            yield H[start : start + 2]
+
+    record = _evaluate(blocks(), len(H), w, budget, None, 1e8, 7, None, written.extend)
+    # the first block's precoders are written, and the last block is never formed
+    assert formed == [0, 2] and len(written) == 2
+    per_drop, average, eta, min_power, covered, feasible, per_ue = normal_equations_record(
+        H, w, budget, None, 1e8
+    )
+    assert not feasible and per_ue is None
+    assert same_bytes(record.per_drop_sum_rates, per_drop)
+    assert same_bytes(record.average_sum_rate, average)
+    assert same_bytes(record.eta_desired_w, eta)
+    assert same_bytes(record.min_desired_power_w, min_power)
+    assert (record.covered, record.feasible, record.per_ue_capacities) == (False, False, None)
 
 
 def test_certificate_checks_the_solve_it_is_given(rng, monkeypatch):
