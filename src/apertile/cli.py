@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import pickle
 import sys
 from itertools import chain, islice
 
@@ -42,6 +43,8 @@ EXIT_CONFIG = 1
 EXIT_INFEASIBLE = 2
 EXIT_INTERNAL = 3
 
+DUMP_BATCH = 512  # most covers per pickle sent from the walk to the dump writer
+
 
 def _load_config(path: str) -> RunConfig:
     if not os.path.exists(path):
@@ -65,6 +68,79 @@ def _resolve_cover(cfg: RunConfig, spec: str):
     return cover, aperture
 
 
+def _write_dumps(source, matrix, meta: dict, dump_json, dump_ascii) -> None:
+    """Write the dump files: their headers, then one entry per cover whose
+    rows arrive from `source` in pickled batches, until it ends; then close
+    them."""
+    aperture = matrix.aperture
+    try:
+        if dump_json:
+            dump_json.write(json.dumps(meta) + "\n")
+            json_line = _cover_json_line(matrix)
+        if dump_ascii:
+            dump_ascii.write(f"# config_hash={meta['config_hash']} seed={meta['seed']}\n")
+            cells = [np.array(pixels, dtype=np.intp) - 1 for pixels in matrix.rows]
+        while True:
+            try:
+                batch = pickle.load(source)
+            except EOFError:
+                return
+            for rows in batch:
+                if dump_json:
+                    dump_json.write(json_line(rows))
+                if dump_ascii:
+                    cover = _cover_from_rows(rows, cells, aperture.size)
+                    dump_ascii.write(render_ascii(cover, aperture) + "\n\n")
+    finally:
+        for fh in (dump_json, dump_ascii):
+            if fh:
+                fh.close()
+
+
+def _feed_writer(covers, write) -> None:
+    """Run write(source) in a forked process while this one sends it the
+    rows of `covers`, (t, rows) pairs, through a pipe; return once the
+    writer has exited, raising the writer's error if it failed.
+
+    The rows go in pickled batches that double from one cover up to
+    DUMP_BATCH covers, so the first covers reach the writer at once."""
+    data_r, data_w = os.pipe()
+    error_r, error_w = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the writer: never returns into the caller's stack
+        status = 1
+        try:
+            os.close(data_w)
+            os.close(error_r)
+            with open(data_r, "rb") as source:
+                write(source)
+            status = 0
+        except BaseException as err:
+            os.write(error_w, pickle.dumps(err))
+        finally:
+            os._exit(status)
+    os.close(data_r)
+    os.close(error_w)
+    size = 1
+    try:
+        while batch := [rows for _t, rows in islice(covers, size)]:
+            data = memoryview(pickle.dumps(batch))
+            while data:
+                data = data[os.write(data_w, data):]
+            size = min(2 * size, DUMP_BATCH)
+    except BrokenPipeError:
+        pass  # the writer stopped reading; its own error is raised below
+    finally:
+        os.close(data_w)
+        _, status = os.waitpid(pid, 0)
+        with open(error_r, "rb") as errors:
+            report = errors.read()
+    if report:
+        raise pickle.loads(report)
+    if status:
+        raise RuntimeError(f"dump writer ended with status {os.waitstatus_to_exitcode(status)}")
+
+
 def cmd_enumerate(args) -> int:
     cfg = _load_config(args.config)
     cfg.validate()
@@ -75,28 +151,19 @@ def cmd_enumerate(args) -> int:
     search = _CoverSearch(matrix)
     dump_json = open(args.dump_json, "w") if args.dump_json else None
     dump_ascii = open(args.dump_ascii, "w") if args.dump_ascii else None
-    if dump_json:
-        dump_json.write(
-            json.dumps({"config_hash": cfg.config_hash(), "seed": cfg.scenario.seed})
-            + "\n"
-        )
-        json_line = _cover_json_line(matrix)
-    if dump_ascii:
-        dump_ascii.write(f"# config_hash={cfg.config_hash()} seed={cfg.scenario.seed}\n")
-        cells = [np.array(pixels, dtype=np.intp) - 1 for pixels in matrix.rows]
-
-    # the first line is written before anything is counted; the count then
+    # this process walks the covers and a forked writer formats and writes
+    # them, so the two overlap on two cores; the first cover is written
+    # before anything is counted, and once the writer has exited the count
     # reads the memo the stream left behind (complete subtrees only)
     if dump_json or dump_ascii:
-        for _t, rows in islice(search.stream(), max(args.limit, 0)):
-            if dump_json:
-                dump_json.write(json_line(rows))
-            if dump_ascii:
-                cover = _cover_from_rows(rows, cells, aperture.size)
-                dump_ascii.write(render_ascii(cover, aperture) + "\n\n")
-    for fh in (dump_json, dump_ascii):
-        if fh:
-            fh.close()
+        meta = {"config_hash": cfg.config_hash(), "seed": cfg.scenario.seed}
+        covers = islice(search.stream(), max(args.limit, 0))
+        try:
+            _feed_writer(covers, lambda source: _write_dumps(source, matrix, meta, dump_json, dump_ascii))
+        finally:
+            for fh in (dump_json, dump_ascii):
+                if fh:
+                    fh.close()  # this process's copy; it holds nothing unwritten
     print(search.count())
     return EXIT_OK
 

@@ -8,9 +8,11 @@ tilings are exactly the exact covers of that matrix and are streamed lazily
 by a backtracking enumerator that always branches on the uncovered pixel
 with the fewest remaining candidate placements (lowest pixel index on ties,
 candidate placements tried in increasing placement id). One depth-first
-walk counts and streams the covers; a memo of every node with a cover below
-it (its cover count and its live branches) lets the walk pass a subtree it
-has met before in one step, or enter it without searching it again.
+walk counts and streams the covers: a single loop over an explicit stack of
+frames, so a cover leaves the walk straight from that loop. A memo of every
+node with a cover below it (its cover count and its live branches) lets the
+walk pass a subtree it has met before in one step, or enter it without
+searching it again.
 """
 
 from __future__ import annotations
@@ -179,7 +181,7 @@ class _CoverSearch:
     """Exact-cover search over one incidence matrix, with a memo of live nodes.
 
     Rows and pixels live in integer bitmasks, so backtracking restores state
-    exactly by construction (the masks passed down are immutable). The rows
+    exactly by construction (each frame keeps its node's own masks). The rows
     still active at a node are the rows disjoint from its covered pixels,
     and the branching pixel depends only on those, so everything below a
     node is a function of its covered mask.
@@ -190,6 +192,15 @@ class _CoverSearch:
     come before that index adds its count without being entered; a node met
     for the first time is expanded by the branching rule, and stored once
     the walk has left it. `count()` is the walk with no cover wanted.
+
+    The walk is one loop over an explicit stack, not a recursion: the node
+    being expanded lives in local variables, and descending pushes its
+    frame (masks, rows to try, next index, whether it is new, `seen` on
+    entry, live rows so far, `seen` before the child). Covers and passed
+    children are settled in the loop without a frame, and a cover is
+    yielded from the loop itself, not handed up through one generator per
+    level. The branching rule is read from `self._branch` when a walk
+    starts.
 
     `memo` maps the covered mask of every node with a cover below it to the
     tuple (covers below, *live rows): the rows tried at the node, in search
@@ -267,39 +278,53 @@ class _CoverSearch:
         cell_bits = self.cell_bits
         memo = self.memo
         branch = self._branch
-        chosen: list[int] = []
-        seen = 0  # covers reached so far
-
-        def walk(active: int, covered: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-            nonlocal seen, want
-            if covered == full:
-                seen += 1
-                if seen == want:
-                    yield seen, tuple(chosen)
-                    want += step
-                return
-            entry = memo.get(covered)
-            if entry is None:
-                rows = branch(active, covered)
-            elif seen + entry[0] < want:
-                seen += entry[0]  # passed without entering
-                return
-            else:
-                rows = entry[1:]
-            first = seen
-            live = []
-            for k in rows:
-                before = seen
+        entry = memo.get(0)
+        if entry is not None and entry[0] < want:
+            return entry[0]  # the whole search passed without entering
+        active = self.rows_all  # the frame of the node being expanded
+        covered = 0
+        new = entry is None
+        rows = branch(active, covered) if new else entry[1:]
+        i = 0
+        seen = first = 0  # seen: covers reached so far
+        live: list[int] = []
+        stack = []  # the frames of the nodes above, each with `seen` before its child
+        chosen: list[int] = []  # the row taken at each of those nodes
+        while True:
+            if i < len(rows):
+                k = rows[i]
+                i += 1
+                child = covered | cell_bits[k]
+                if child == full:
+                    seen += 1
+                    if seen == want:
+                        yield seen, (*chosen, k)
+                        want += step
+                    live.append(k)
+                    continue
+                entry = memo.get(child)
+                if entry is not None and seen + entry[0] < want:
+                    seen += entry[0]  # passed without entering
+                    live.append(k)
+                    continue
+                stack.append((active, covered, rows, i, new, first, live, seen))
                 chosen.append(k)
-                yield from walk(active & ~conflict[k], covered | cell_bits[k])
-                chosen.pop()
+                active &= ~conflict[k]
+                covered = child
+                new = entry is None
+                rows = branch(active, covered) if new else entry[1:]
+                i = 0
+                first = seen
+                live = []
+            else:
+                if live and new:
+                    memo[covered] = (seen - first, *live)
+                if not stack:
+                    return seen
+                active, covered, rows, i, new, first, live, before = stack.pop()
+                k = chosen.pop()
                 if seen != before:
                     live.append(k)
-            if live and entry is None:
-                memo[covered] = (seen - first, *live)
-
-        yield from walk(self.rows_all, 0)
-        return seen
 
     def count(self) -> int:
         """Number of exact covers of the whole matrix."""
@@ -382,22 +407,38 @@ def cover_to_json(cover: AggregationVector, aperture: Aperture) -> dict:
 def _cover_json_line(L: IncidenceMatrix) -> Callable[[tuple[int, ...]], str]:
     """Return line(rows): the JSON line (with its newline) of the cover with
     these 0-based rows of L, byte for byte `json.dumps(cover_to_json(...))`
-    of that cover, filled into a template without building the cover."""
+    of that cover, filled into a template without building the cover.
+
+    `line` keeps the previous cover's id strings and rewrites them only
+    from the first tile where the two covers differ. That is exact for
+    exact covers in any order: two covers that share their first j tiles
+    leave the same pixels to the rest, and the rest of the new cover
+    covers every one of those pixels once, so no string of the previous
+    cover survives there."""
     aperture = L.aperture
     cells = [[i - 1 for i in pixels] for pixels in L.rows]
     text = [str(i) for i in range(max(len(L.rows), aperture.size) + 1)]
     head = f'{{"columns": {aperture.columns}, "rows": {aperture.rows}, "tile_count": '
-    values = [""] * aperture.size  # refilled completely by every exact cover
+    values = [""] * aperture.size  # pixel -> tile id string of the previous cover
+    previous: list[int] = []  # the previous cover's rows
+    placements: list[str] = []  # and their placement id strings
 
     def line(rows: tuple[int, ...]) -> str:
-        for q, k in enumerate(rows, start=1):
-            tile = text[q]
+        j = 0
+        for k, old in zip(rows, previous):
+            if k != old:
+                break
+            j += 1
+        for q in range(j, len(rows)):
+            k = rows[q]
+            tile = text[q + 1]
             for i in cells[k]:
                 values[i] = tile
-        placements = ", ".join([text[k + 1] for k in rows])
+        previous[j:] = rows[j:]
+        placements[j:] = [text[k + 1] for k in rows[j:]]
         return (
             f'{head}{len(rows)}, "values_row_major": [{", ".join(values)}], '
-            f'"placements": [{placements}]}}\n'
+            f'"placements": [{", ".join(placements)}]}}\n'
         )
 
     return line

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -84,21 +85,26 @@ def test_config_hash_is_the_sha256_of_the_canonical_config():
     assert cfg.config_hash() == hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
+def run_python(code, check=True):
+    """Run `code` in a fresh interpreter that imports apertile from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=check
+    )
+
+
 def test_enumerate_does_not_import_openssl(tmp_path):
-    # hashlib loads OpenSSL's _hashlib, about 3.4 MB resident
+    # hashlib loads OpenSSL's _hashlib, about 3.4 MB resident; the dump
+    # writer is a bare fork, not a multiprocessing process
     path = write_config(tmp_path, tiny_config())
-    code = (
+    out = run_python(
         "import sys\n"
         "from apertile.cli import main\n"
         f"main(['enumerate', '--config', {str(path)!r}, '--dump-json', {str(tmp_path / 'covers.jsonl')!r}])\n"
-        "print('_hashlib' in sys.modules)\n"
+        "print('_hashlib' in sys.modules, 'multiprocessing' in sys.modules)\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.split() == ["3", "False"]
+    assert out.stdout.split() == ["3", "False", "False"]
 
 
 def test_unknown_keys_rejected():
@@ -314,6 +320,73 @@ def test_cli_enumerate_limit_stops_the_dump_but_not_the_count(tmp_path, capsys):
     assert main(["enumerate", "--config", path, "--dump-json", str(dump)]) == 0
     assert capsys.readouterr().out.strip() == count
     assert dump.read_text().splitlines()[1:] == expected
+
+
+def test_cli_enumerate_leaves_no_child_process(tmp_path):
+    path = write_config(tmp_path, tiny_config(aperture=ApertureConfig(6, 6), alphabet="P"))
+    out = run_python(
+        "import os\n"
+        "from apertile.cli import main\n"
+        f"main(['enumerate', '--config', {path!r}, '--dump-json', {str(tmp_path / 'c.jsonl')!r},"
+        f" '--dump-ascii', {str(tmp_path / 'c.txt')!r}])\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "except ChildProcessError:\n"
+        "    print('reaped')\n"
+    )
+    assert out.stdout.split() == ["48", "reaped"]
+    assert len((tmp_path / "c.jsonl").read_text().splitlines()) == 49
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("limit", ["0", "3", str(1 << 62)])
+def test_cli_enumerate_reports_the_writers_error(tmp_path, limit):
+    # the dump writer's own error, not the broken pipe the walk then meets
+    path = write_config(tmp_path, tiny_config(aperture=ApertureConfig(8, 12), alphabet="P"))
+    out = run_python(
+        "import sys\n"
+        "from apertile.cli import main\n"
+        f"sys.exit(main(['enumerate', '--config', {path!r}, '--dump-json', '/dev/full',"
+        f" '--limit', {limit!r}]))\n",
+        check=False,
+    )
+    assert out.returncode == 3
+    assert out.stdout == ""
+    assert out.stderr == "internal error: OSError: [Errno 28] No space left on device\n"
+
+
+def test_cli_enumerate_reaps_the_writer_when_the_walk_fails(tmp_path, capsys, monkeypatch):
+    import apertile.cli as cli
+
+    path = write_config(tmp_path, tiny_config(aperture=ApertureConfig(8, 12), alphabet="P"))
+    forked = []
+    walk = cli._CoverSearch.stream
+    real_fork = os.fork
+
+    def fork():
+        forked.append(real_fork())
+        return forked[-1]
+
+    def failing_stream(self, start=1, step=1):
+        yield from islice(walk(self, start, step), cli.DUMP_BATCH + 5)
+        raise RuntimeError("walk failed")
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(cli._CoverSearch, "stream", failing_stream)
+    dump = tmp_path / "covers.jsonl"
+    assert main(["enumerate", "--config", path, "--dump-json", str(dump)]) == 3
+    assert capsys.readouterr().err == "internal error: RuntimeError: walk failed\n"
+    assert len(forked) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(forked[0], os.WNOHANG)
+    # the writer wrote the batches it was sent, then ended on the closed pipe
+    lines = dump.read_text().splitlines()
+    assert lines[0].startswith('{"config_hash"')
+    assert 1 < len(lines) <= 1 + cli.DUMP_BATCH + 5
+    aperture = Aperture(8, 12)
+    matrix = build_incidence_matrix(generate_placements(aperture, alphabet("P")), aperture)
+    line = cli._cover_json_line(matrix)
+    assert lines[1:] == [line(rows)[:-1] for _t, rows in islice(walk(cli._CoverSearch(matrix)), len(lines) - 1)]
 
 
 def test_cli_optimize_writes_outputs_and_is_deterministic(tmp_path, capsys):

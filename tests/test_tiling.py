@@ -288,17 +288,60 @@ def test_cold_step_one_stream_counts_nothing():
     assert expansions(lambda search: sum(1 for _ in search.stream())) == counting
 
 
+def expected_memo(matrix):
+    """The memo a search of `matrix` holds once it has met every node: for
+    each covered mask with a cover below it, (covers below, *live rows in
+    ascending order), derived from the unmemoized reference. Every proper
+    prefix of a cover is such a node, and the covers below it are the
+    distinct suffixes of its prefixes."""
+    suffixes = {}
+    live = {}
+    for cover in reference_covers(matrix):
+        mask = 0
+        for depth, k in enumerate(cover):
+            suffixes.setdefault(mask, set()).add(cover[depth:])
+            live.setdefault(mask, set()).add(k)
+            mask |= sum(1 << (i - 1) for i in matrix.rows[k])
+    return {mask: (len(suffixes[mask]), *sorted(live[mask])) for mask in suffixes}
+
+
+@pytest.mark.parametrize(
+    "columns,rows,selector",
+    [(4, 6, "P"), (4, 6, "P+L"), (6, 6, "P"), (6, 6, "P+L"), (6, 8, "P"), (6, 8, "P+L")],
+)
+def test_the_memo_holds_every_live_node_with_its_count_and_live_rows(columns, rows, selector):
+    matrix, _ = matrix_for(columns, rows, selector)
+    expected = expected_memo(matrix)
+    total = expected[0][0]
+    for state in ("count", "stream", "half"):
+        search = _CoverSearch(matrix)
+        warm_memo(search, state, total)
+        assert search.count() == total
+        assert search.memo == expected, state
+
+
 @pytest.mark.parametrize(
     "columns,rows,selector", [(6, 6, "P"), (6, 6, "P+L"), (6, 4, "domino")]
 )
 def test_cover_json_lines_equal_json_dumps(columns, rows, selector):
     matrix, aperture = matrix_for(columns, rows, selector)
-    line = _cover_json_line(matrix)
-    covers = list(enumerate_exact_covers(matrix))
-    assert len(covers) > 1
-    assert [line(r) for _, r in _CoverSearch(matrix).stream()] == [
-        json.dumps(cover_to_json(cover, aperture)) + "\n" for cover in covers
+    covers = [r for _, r in _CoverSearch(matrix).stream()]
+    lines = [
+        json.dumps(cover_to_json(cover, aperture)) + "\n"
+        for cover in enumerate_exact_covers(matrix)
     ]
+    assert len(covers) > 7
+    # each line is rewritten from the first tile that differs from the
+    # previous call's cover, so any order of calls gives the same lines
+    first = len(covers) // 2
+    for order in (
+        range(len(covers)),
+        range(0, len(covers), 7),
+        range(len(covers) - 1, -1, -1),
+        [0, first, first, 1, 1],
+    ):
+        line = _cover_json_line(matrix)
+        assert [line(covers[t]) for t in order] == [lines[t] for t in order]
 
 
 def test_stream_rejects_nonpositive_start_or_step():
