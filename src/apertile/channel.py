@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import POLARIZATIONS, ArrayGeometry, ElementPattern
+from .config import ChannelModel, ElementPattern
+from .geometry import POLARIZATIONS, ArrayGeometry
 from .tiling import AggregationVector
 from .units import dbm_to_watts
 
@@ -47,48 +48,6 @@ class LinkBudget:
             noise_power_w=float(dbm_to_watts(noise_power_dbm)),
             coverage_threshold_w=float(dbm_to_watts(coverage_threshold_dbm)),
         )
-
-
-@dataclass(frozen=True)
-class ChannelModel:
-    """Propagation settings: "fspl" or a path-loss-exponent override.
-
-    Exponent 2 reproduces free space; other exponents rescale the amplitude
-    as (lambda / 4 pi) d^(-alpha/2) with a 1 m pivot. The penetration loss
-    (dB) models indoor users and defaults to 0.
-    """
-
-    mode: str = "fspl"
-    path_loss_exponent: float = 2.0
-    penetration_loss_db: float = 0.0
-
-    def __post_init__(self):
-        if self.mode not in ("fspl", "ploss_exp"):
-            raise ValueError(f"unknown channel mode {self.mode!r}")
-        if not 0 < self.path_loss_exponent < math.inf:
-            raise ValueError("path-loss exponent must be positive and finite")
-        if not math.isfinite(self.penetration_loss_db):
-            raise ValueError("penetration loss must be finite")
-
-    @property
-    def tag(self) -> str:
-        if self.mode == "fspl":
-            base = "fspl"
-        else:
-            base = f"ploss_exp({self.path_loss_exponent:g})"
-        if self.penetration_loss_db:
-            base += f"+pen({self.penetration_loss_db:g}dB)"
-        return base
-
-    def amplitude(self, distance_m, wavelength_m):
-        """Linear field amplitude of the path gain at the given distance."""
-        d = np.asarray(distance_m, dtype=float)
-        lam = wavelength_m
-        if self.mode == "fspl":
-            amp = lam / (4.0 * np.pi * d)
-        else:
-            amp = lam / (4.0 * np.pi) * d ** (-self.path_loss_exponent / 2.0)
-        return amp * 10.0 ** (-self.penetration_loss_db / 20.0)
 
 
 @dataclass

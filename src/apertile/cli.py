@@ -1,7 +1,8 @@
 """Command-line entry points.
 
 Exit codes: 0 success, 1 configuration/usage error, 2 infeasible problem,
-3 internal failure.
+3 internal failure. `enumerate` runs without numpy: each command that
+evaluates or draws imports its modules itself, before it starts work.
 """
 
 from __future__ import annotations
@@ -13,30 +14,8 @@ import pickle
 import sys
 from itertools import chain, islice
 
-import numpy as np
-
-from .channel import ChannelStack
 from .config import RunConfig
-from .metrics import distribution, eta_statistics
-from .optimizer import (
-    _parse_ledger,
-    evaluate_tiling,
-    optimize,
-    result_to_json,
-    summarize_ledger,
-)
-from .reports import render_ascii, render_svg, write_distribution_csv
-from .scenario import drops_fingerprint, sample_drops, save_drops
-from .tiling import (
-    _cover_from_rows,
-    _cover_json_line,
-    _CoverSearch,
-    baseline_tiling,
-    build_incidence_matrix,
-    generate_placements,
-    load_cover,
-)
-from .units import watts_to_dbm
+from .search import _cover_json_line, _CoverSearch, build_incidence_matrix, generate_placements
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -53,6 +32,8 @@ def _load_config(path: str) -> RunConfig:
 
 
 def _resolve_cover(cfg: RunConfig, spec: str):
+    from .tiling import baseline_tiling, load_cover
+
     aperture = cfg.aperture_grid()
     if spec == "baseline":
         return baseline_tiling(aperture), aperture
@@ -78,6 +59,10 @@ def _write_dumps(source, matrix, meta: dict, dump_json, dump_ascii) -> None:
             dump_json.write(json.dumps(meta) + "\n")
             json_line = _cover_json_line(matrix)
         if dump_ascii:
+            import numpy as np
+
+            from .tiling import _cover_from_rows, cover_to_ascii
+
             dump_ascii.write(f"# config_hash={meta['config_hash']} seed={meta['seed']}\n")
             cells = [np.array(pixels, dtype=np.intp) - 1 for pixels in matrix.rows]
         while True:
@@ -90,7 +75,7 @@ def _write_dumps(source, matrix, meta: dict, dump_json, dump_ascii) -> None:
                     dump_json.write(json_line(rows))
                 if dump_ascii:
                     cover = _cover_from_rows(rows, cells, aperture.size)
-                    dump_ascii.write(render_ascii(cover, aperture) + "\n\n")
+                    dump_ascii.write(cover_to_ascii(cover, aperture) + "\n\n")
     finally:
         for fh in (dump_json, dump_ascii):
             if fh:
@@ -169,6 +154,14 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    # all before the pool forks, so that no worker imports a module
+    from .metrics import distribution
+    from .optimizer import optimize, result_to_json
+    from .reports import render_svg, write_distribution_csv
+    from .scenario import save_drops
+    from .tiling import cover_to_ascii
+    from .units import watts_to_dbm
+
     cfg = _load_config(args.config)
     out_dir = args.output_dir or cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)
@@ -196,7 +189,7 @@ def cmd_optimize(args) -> int:
             continue
         with open(os.path.join(out_dir, f"{tag}_tiling.txt"), "w") as fh:
             fh.write(f"# config_hash={meta['config_hash']} seed={meta['seed']}\n")
-            fh.write(render_ascii(cover, aperture) + "\n")
+            fh.write(cover_to_ascii(cover, aperture) + "\n")
         svg = render_svg(
             cover,
             aperture,
@@ -233,6 +226,14 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    import numpy as np
+
+    from .channel import ChannelStack
+    from .metrics import eta_statistics
+    from .optimizer import evaluate_tiling
+    from .scenario import drops_fingerprint, sample_drops
+    from .units import watts_to_dbm
+
     cfg = _load_config(args.config)
     cfg.validate()
     cover, _aperture = _resolve_cover(cfg, args.tiling)
@@ -286,6 +287,8 @@ def _run_resources(ledger_path: str, meta: dict) -> dict | None:
 
 
 def cmd_report(args) -> int:
+    from .optimizer import _parse_ledger, summarize_ledger
+
     if not os.path.exists(args.ledger):
         raise ValueError(f"ledger not found: {args.ledger}")
     meta: dict = {}
@@ -338,10 +341,13 @@ def cmd_report(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from .reports import render_svg
+    from .tiling import cover_to_ascii
+
     cfg = _load_config(args.config)
     cover, aperture = _resolve_cover(cfg, args.tiling)
     if args.ascii or not args.svg:
-        print(render_ascii(cover, aperture))
+        print(cover_to_ascii(cover, aperture))
     if args.svg:
         svg = render_svg(
             cover,

@@ -3,7 +3,8 @@
 Keys carry explicit units in their names (frequency_ghz, tx_power_dbm,
 spacing in wavelengths) so unit mistakes surface as key errors rather than
 silent scale bugs. Serialization round-trips exactly and the canonical
-JSON hash stamps every output file.
+JSON hash stamps every output file. Every section that `RunConfig.load`
+builds is defined here, without numpy; their few array methods import it.
 """
 
 from __future__ import annotations
@@ -12,11 +13,16 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 
-from .channel import ChannelModel, LinkBudget
-from .geometry import ArrayGeometry, ElementPattern
-from .scenario import ScenarioParams, sha256
+from .search import Aperture
 from .shapes import PolyominoShape, alphabet, load_alphabet
-from .tiling import Aperture
+
+try:  # CPython's own SHA-256, as random.py's SHA-512: hashlib loads OpenSSL, 3.4 MB
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 @dataclass(frozen=True)
@@ -33,6 +39,131 @@ class BudgetConfig:
     tx_power_dbm: float = 43.0
     noise_power_dbm: float = -92.0
     coverage_threshold_dbm: float = -120.0
+
+
+@dataclass(frozen=True)
+class ScenarioParams:
+    kind: str  # "uma" | "umi" | free-form tag
+    isd_m: float
+    bs_height_m: float
+    ue_height_mode: str = "fixed"  # "fixed" | "floor"
+    ue_height_m: float = 1.5
+    drops: int = 200
+    users: int = 16
+    seed: int = 1
+    # cell centroid override; defaults to (d_H, 0) when None
+    centroid_x_m: float | None = None
+    centroid_y_m: float | None = None
+
+    def __post_init__(self):
+        if self.isd_m <= 0:
+            raise ValueError("ISD must be positive")
+        if self.drops < 1 or self.users < 1:
+            raise ValueError("need at least one drop and one user")
+        if self.ue_height_mode not in ("fixed", "floor"):
+            raise ValueError(f"unknown UE height mode {self.ue_height_mode!r}")
+
+    @property
+    def hex_edge_m(self) -> float:
+        return self.isd_m / 3.0
+
+    @property
+    def centroid(self) -> np.ndarray:
+        import numpy as np
+
+        x = self.hex_edge_m if self.centroid_x_m is None else self.centroid_x_m
+        y = 0.0 if self.centroid_y_m is None else self.centroid_y_m
+        return np.array([x, y])
+
+
+@dataclass(frozen=True)
+class ElementPattern:
+    """Parabolic-in-dB directional element with slant linear polarization.
+
+    Azimuth and elevation cuts each roll off as 12 (angle / beamwidth)^2 dB,
+    clamped at the front-to-back attenuation; the combined rolloff is clamped
+    there too. Slant angles define the ideal +-45 deg polarization basis.
+    """
+
+    boresight_gain_dbi: float = 8.0
+    azimuth_beamwidth_deg: float = 65.0
+    elevation_beamwidth_deg: float = 65.0
+    front_to_back_db: float = 30.0
+    slant_v_deg: float = -45.0
+    slant_h_deg: float = 45.0
+
+    def __post_init__(self):
+        for bw in (self.azimuth_beamwidth_deg, self.elevation_beamwidth_deg):
+            if not (0.0 < bw < 180.0):
+                raise ValueError(f"beamwidth {bw} outside (0, 180) deg")
+
+    def slant_deg(self, pol: str) -> float:
+        from .geometry import port_offset
+
+        port_offset(pol)
+        return self.slant_v_deg if pol == "V" else self.slant_h_deg
+
+    def power_gain_db(self, theta, phi):
+        """Directional power gain in dBi; accepts scalars or arrays (rad)."""
+        import numpy as np
+
+        phi_deg = np.degrees(np.arctan2(np.sin(phi), np.cos(phi)))
+        theta_deg = np.degrees(theta)
+        fb = self.front_to_back_db
+        a_az = -np.minimum(12.0 * (phi_deg / self.azimuth_beamwidth_deg) ** 2, fb)
+        a_el = -np.minimum(
+            12.0 * ((theta_deg - 90.0) / self.elevation_beamwidth_deg) ** 2, fb
+        )
+        return self.boresight_gain_dbi - np.minimum(-(a_az + a_el), fb)
+
+    def power_gain(self, theta, phi):
+        from .units import db_to_linear
+
+        return db_to_linear(self.power_gain_db(theta, phi))
+
+
+@dataclass(frozen=True)
+class ChannelModel:
+    """Propagation settings: "fspl" or a path-loss-exponent override.
+
+    Exponent 2 reproduces free space; other exponents rescale the amplitude
+    as (lambda / 4 pi) d^(-alpha/2) with a 1 m pivot. The penetration loss
+    (dB) models indoor users and defaults to 0.
+    """
+
+    mode: str = "fspl"
+    path_loss_exponent: float = 2.0
+    penetration_loss_db: float = 0.0
+
+    def __post_init__(self):
+        if self.mode not in ("fspl", "ploss_exp"):
+            raise ValueError(f"unknown channel mode {self.mode!r}")
+        if not 0 < self.path_loss_exponent < math.inf:
+            raise ValueError("path-loss exponent must be positive and finite")
+        if not math.isfinite(self.penetration_loss_db):
+            raise ValueError("penetration loss must be finite")
+
+    @property
+    def tag(self) -> str:
+        if self.mode == "fspl":
+            base = "fspl"
+        else:
+            base = f"ploss_exp({self.path_loss_exponent:g})"
+        if self.penetration_loss_db:
+            base += f"+pen({self.penetration_loss_db:g}dB)"
+        return base
+
+    def amplitude(self, distance_m, wavelength_m):
+        """Linear field amplitude of the path gain at the given distance."""
+        import numpy as np
+
+        d = np.asarray(distance_m, dtype=float)
+        lam = wavelength_m
+        if self.mode == "fspl":
+            amp = lam / (4.0 * np.pi * d)
+        else:
+            amp = lam / (4.0 * np.pi) * d ** (-self.path_loss_exponent / 2.0)
+        return amp * 10.0 ** (-self.penetration_loss_db / 20.0)
 
 
 def _numbers(doc: dict, prefix: str = ""):
@@ -77,6 +208,7 @@ class RunConfig:
         return Aperture(self.aperture.columns, self.aperture.rows)
 
     def geometry(self) -> ArrayGeometry:
+        from .geometry import ArrayGeometry
         from .units import SPEED_OF_LIGHT_M_S
 
         f_hz = self.frequency_ghz * 1e9
@@ -91,6 +223,8 @@ class RunConfig:
         )
 
     def link_budget(self) -> LinkBudget:
+        from .channel import LinkBudget
+
         return LinkBudget.from_dbm(
             self.budget.tx_power_dbm,
             self.budget.noise_power_dbm,

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ElementPattern
 from .tiling import AggregationVector
-from .units import SPEED_OF_LIGHT_M_S, db_to_linear
+from .units import SPEED_OF_LIGHT_M_S
 
 
 @dataclass(frozen=True)
@@ -66,46 +67,6 @@ def port_offset(pol: str) -> int:
     if pol not in POLARIZATIONS:
         raise ValueError(f"polarization must be one of {POLARIZATIONS}, got {pol!r}")
     return POLARIZATIONS.index(pol) + 1
-
-
-@dataclass(frozen=True)
-class ElementPattern:
-    """Parabolic-in-dB directional element with slant linear polarization.
-
-    Azimuth and elevation cuts each roll off as 12 (angle / beamwidth)^2 dB,
-    clamped at the front-to-back attenuation; the combined rolloff is clamped
-    there too. Slant angles define the ideal +-45 deg polarization basis.
-    """
-
-    boresight_gain_dbi: float = 8.0
-    azimuth_beamwidth_deg: float = 65.0
-    elevation_beamwidth_deg: float = 65.0
-    front_to_back_db: float = 30.0
-    slant_v_deg: float = -45.0
-    slant_h_deg: float = 45.0
-
-    def __post_init__(self):
-        for bw in (self.azimuth_beamwidth_deg, self.elevation_beamwidth_deg):
-            if not (0.0 < bw < 180.0):
-                raise ValueError(f"beamwidth {bw} outside (0, 180) deg")
-
-    def slant_deg(self, pol: str) -> float:
-        port_offset(pol)
-        return self.slant_v_deg if pol == "V" else self.slant_h_deg
-
-    def power_gain_db(self, theta, phi):
-        """Directional power gain in dBi; accepts scalars or arrays (rad)."""
-        phi_deg = np.degrees(np.arctan2(np.sin(phi), np.cos(phi)))
-        theta_deg = np.degrees(theta)
-        fb = self.front_to_back_db
-        a_az = -np.minimum(12.0 * (phi_deg / self.azimuth_beamwidth_deg) ** 2, fb)
-        a_el = -np.minimum(
-            12.0 * ((theta_deg - 90.0) / self.elevation_beamwidth_deg) ** 2, fb
-        )
-        return self.boresight_gain_dbi - np.minimum(-(a_az + a_el), fb)
-
-    def power_gain(self, theta, phi):
-        return db_to_linear(self.power_gain_db(theta, phi))
 
 
 def element_field(pattern: ElementPattern, theta, phi, pol: str) -> np.ndarray:

@@ -44,6 +44,8 @@ def _palette(count: int) -> list[str]:
 
 
 def render_ascii(cover: AggregationVector, aperture: Aperture) -> str:
+    """Alias of `tiling.cover_to_ascii`, kept for the benchmark tracer, its
+    only caller; it goes when the tracer stops re-running the pipeline."""
     return cover_to_ascii(cover, aperture)
 
 

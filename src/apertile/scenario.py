@@ -17,46 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-try:  # CPython's own SHA-256, as random.py's SHA-512: hashlib loads OpenSSL, 3.4 MB
-    from _sha2 import sha256  # 3.12+
-except ImportError:
-    try:
-        from _sha256 import sha256  # 3.10-3.11
-    except ImportError:
-        from hashlib import sha256
-
-
-@dataclass(frozen=True)
-class ScenarioParams:
-    kind: str  # "uma" | "umi" | free-form tag
-    isd_m: float
-    bs_height_m: float
-    ue_height_mode: str = "fixed"  # "fixed" | "floor"
-    ue_height_m: float = 1.5
-    drops: int = 200
-    users: int = 16
-    seed: int = 1
-    # cell centroid override; defaults to (d_H, 0) when None
-    centroid_x_m: float | None = None
-    centroid_y_m: float | None = None
-
-    def __post_init__(self):
-        if self.isd_m <= 0:
-            raise ValueError("ISD must be positive")
-        if self.drops < 1 or self.users < 1:
-            raise ValueError("need at least one drop and one user")
-        if self.ue_height_mode not in ("fixed", "floor"):
-            raise ValueError(f"unknown UE height mode {self.ue_height_mode!r}")
-
-    @property
-    def hex_edge_m(self) -> float:
-        return self.isd_m / 3.0
-
-    @property
-    def centroid(self) -> np.ndarray:
-        x = self.hex_edge_m if self.centroid_x_m is None else self.centroid_x_m
-        y = 0.0 if self.centroid_y_m is None else self.centroid_y_m
-        return np.array([x, y])
+from .config import ScenarioParams, sha256
 
 
 # outward edge normals of the hexagon, at 30 + k*60 deg

@@ -96,15 +96,30 @@ def run_python(code, check=True):
 
 def test_enumerate_does_not_import_openssl(tmp_path):
     # hashlib loads OpenSSL's _hashlib, about 3.4 MB resident; the dump
-    # writer is a bare fork, not a multiprocessing process
+    # writer is a bare fork, not a multiprocessing process; and neither
+    # process loads numpy or an apertile module that evaluates
     path = write_config(tmp_path, tiny_config())
-    out = run_python(
-        "import sys\n"
-        "from apertile.cli import main\n"
-        f"main(['enumerate', '--config', {str(path)!r}, '--dump-json', {str(tmp_path / 'covers.jsonl')!r}])\n"
-        "print('_hashlib' in sys.modules, 'multiprocessing' in sys.modules)\n"
-    )
-    assert out.stdout.split() == ["3", "False", "False"]
+    dump = ["--dump-json", str(tmp_path / "covers.jsonl")]
+    searching = ["apertile", "apertile.cli", "apertile.config", "apertile.search", "apertile.shapes"]
+    for extra in ([], dump, [*dump, "--limit", "0"], [*dump, "--limit", "17"]):
+        out = run_python(
+            "import sys\n"
+            "import apertile.cli as cli\n"
+            "def loaded():\n"
+            "    names = ('_hashlib', 'multiprocessing', 'numpy')\n"
+            "    apertile = [m for m in sys.modules if m.startswith('apertile')]\n"
+            "    print(*(n in sys.modules for n in names), *sorted(apertile), flush=True)\n"
+            "write = cli._write_dumps\n"
+            "cli._write_dumps = lambda *args: (write(*args), loaded())\n"
+            f"cli.main(['enumerate', '--config', {str(path)!r}, *{extra!r}])\n"
+            "loaded()\n"
+        )
+        lines = out.stdout.splitlines()
+        # the writer's line, if any, then the count, then this process's line
+        assert lines[-2:-1] == ["3"]
+        assert len(lines) == (3 if extra else 2)
+        for line in lines[:-2] + lines[-1:]:
+            assert line.split() == ["False", "False", "False", *searching], extra
 
 
 def test_unknown_keys_rejected():

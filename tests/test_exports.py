@@ -1,8 +1,11 @@
 """Every public name of the package has a caller outside the tests."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
+
+import apertile
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "apertile"
@@ -38,13 +41,22 @@ def names_used_in_code() -> set[str]:
 
 
 def test_every_export_has_a_caller_outside_the_tests():
-    exported = imported_names(PACKAGE / "__init__.py")
+    exported = list(apertile._EXPORTS)
     used = names_used_in_code()
     readme = (ROOT / "README.md").read_text()
     library_use = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
     used |= set(re.findall(r"\w+", library_use))
     assert exported
     assert [name for name in exported if name not in used] == []
+
+
+def test_every_export_resolves_to_its_defining_module():
+    listed = dir(apertile)
+    for name, module in apertile._EXPORTS.items():
+        defining = importlib.import_module(f"apertile.{module}")
+        assert getattr(apertile, name) is getattr(defining, name), name
+        assert getattr(defining, name).__module__ == defining.__name__, name
+        assert name in listed, name
 
 
 def test_every_public_function_and_class_has_a_caller_outside_the_tests():

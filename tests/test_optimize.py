@@ -1267,6 +1267,40 @@ def test_the_precoders_are_made_and_written_in_a_worker(tmp_path, monkeypatch):
     assert (tmp_path / "best_precoders.npz").is_file()
 
 
+def test_no_pool_worker_imports_a_module(tmp_path):
+    # `apertile optimize` imports every module its workers use before the
+    # pool forks: a module a worker imported would be compiled, and cost
+    # CPU, in every worker of every run
+    config = tmp_path / "config.json"
+    p_config(workers=2).save(config)
+    code = (
+        "import functools, os, sys\n"
+        "import apertile.optimizer as opt\n"
+        "from apertile.cli import main\n"
+        "at_fork = set()\n"
+        "os.register_at_fork(after_in_child=lambda: at_fork.update(sys.modules))\n"
+        "task = opt._eval_task\n"
+        "@functools.wraps(task)\n"
+        "def first_task(*args):\n"
+        "    result = task(*args)\n"
+        "    if at_fork:\n"
+        "        print('worker', os.getpid(), *sorted(set(sys.modules) ^ at_fork), flush=True)\n"
+        "        at_fork.clear()\n"
+        "    return result\n"
+        "opt._eval_task = first_task\n"
+        f"sys.exit(main(['optimize', '--config', {str(config)!r}, '--output-dir', {str(tmp_path)!r}]))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    workers = [line.split()[1:] for line in out.stdout.splitlines() if line.startswith("worker ")]
+    assert workers
+    assert [imported for _pid, *imported in workers] == [[]] * len(workers)
+
+
 @pytest.mark.parametrize("budget", [opt.TABLE_BUDGET_BYTES, 0])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_precoders_stream_bit_for_bit(tmp_path, monkeypatch, workers, budget):

@@ -190,7 +190,8 @@ def test_certificate_checks_the_solve_it_is_given(rng, monkeypatch):
     # condition number is over the cap: the residual ||HV - I|| catches it
     H = channels_with_conditions(rng, 8, 8, (1e3, 1e12))
     H *= 1e-3 / np.linalg.norm(H, axis=(1, 2))[:, None, None]
-    monkeypatch.setattr(np.linalg, "solve", lambda gram, H: H)
+    # a copy, as a real solve returns: _zero_force may reuse the buffer
+    monkeypatch.setattr(np.linalg, "solve", lambda gram, H: H.copy())
     ok = _zero_force(H, weights(rng, 8), 1e8)[0]
     np.testing.assert_array_equal(ok, eigvalsh_cap_decision(H, 1e8))
 
