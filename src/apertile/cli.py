@@ -12,10 +12,12 @@ import json
 import os
 import pickle
 import sys
-from itertools import chain, islice
+from itertools import islice
 
 from .config import RunConfig
-from .search import _cover_json_line, _CoverSearch, build_incidence_matrix, generate_placements
+from .search import (
+    _cover_ascii, _cover_json_line, _CoverSearch, build_incidence_matrix, generate_placements,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -53,18 +55,13 @@ def _write_dumps(source, matrix, meta: dict, dump_json, dump_ascii) -> None:
     """Write the dump files: their headers, then one entry per cover whose
     rows arrive from `source` in pickled batches, until it ends; then close
     them."""
-    aperture = matrix.aperture
     try:
         if dump_json:
             dump_json.write(json.dumps(meta) + "\n")
             json_line = _cover_json_line(matrix)
         if dump_ascii:
-            import numpy as np
-
-            from .tiling import _cover_from_rows, cover_to_ascii
-
             dump_ascii.write(f"# config_hash={meta['config_hash']} seed={meta['seed']}\n")
-            cells = [np.array(pixels, dtype=np.intp) - 1 for pixels in matrix.rows]
+            grid = _cover_ascii(matrix)
         while True:
             try:
                 batch = pickle.load(source)
@@ -74,8 +71,7 @@ def _write_dumps(source, matrix, meta: dict, dump_json, dump_ascii) -> None:
                 if dump_json:
                     dump_json.write(json_line(rows))
                 if dump_ascii:
-                    cover = _cover_from_rows(rows, cells, aperture.size)
-                    dump_ascii.write(cover_to_ascii(cover, aperture) + "\n\n")
+                    dump_ascii.write(grid(rows))
     finally:
         for fh in (dump_json, dump_ascii):
             if fh:
@@ -287,20 +283,11 @@ def _run_resources(ledger_path: str, meta: dict) -> dict | None:
 
 
 def cmd_report(args) -> int:
-    from .optimizer import _parse_ledger, summarize_ledger
+    from .ledger import summarize_ledger_file
 
     if not os.path.exists(args.ledger):
         raise ValueError(f"ledger not found: {args.ledger}")
-    meta: dict = {}
-    with open(args.ledger) as fh:
-        rows = _parse_ledger(fh, meta)
-        # the header lines precede every row, so meta holds them once one row is read
-        first = next(rows, None)
-        baseline = None
-        raw = meta.get("baseline_capacity_bps_hz")
-        if raw not in (None, "none", "nan"):  # "nan": an infeasible baseline in older ledgers
-            baseline = float(raw)
-        summary = summarize_ledger(chain([] if first is None else [first], rows), baseline)
+    meta, summary = summarize_ledger_file(args.ledger)
     print(f"ledger: {args.ledger}")
     shown = "config_hash seed channel_mode aperture alphabet stride apertile_version numpy_version"
     for key in shown.split():

@@ -31,11 +31,10 @@ import os
 import signal
 import sys
 import time
-from array import array
 from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -43,6 +42,8 @@ from .channel import (
     ChannelStack, LinkBudget, aggregate_channel, effective_channels, placement_table
 )
 from .config import RunConfig
+from .ledger import _ROW_FORMAT, _Fold, _resume, write_ledger_header
+from .ledger import read_ledger, summarize_ledger  # re-exported
 from .metrics import EvaluationRecord, eta_statistics
 from .precoding import ChannelRankError, PrecodingMatrix, _precoder_file, _precoders, _zero_force
 from .scenario import UEDrop, drops_fingerprint, sample_drops
@@ -160,120 +161,6 @@ def tiling_precoders(
             f"cap {condition_cap:.3e}"
         )
     return _precoders(V, norms)
-
-
-# --- ledger ---------------------------------------------------------------
-
-class LedgerRow(NamedTuple):
-    tiling_index: int
-    capacity_bps_hz: float
-    min_power_dbm: float
-    covered: bool
-    feasible: bool
-
-
-LEDGER_COLUMNS = "t,capacity_bps_hz,min_power_dbm,coverage,feasible"
-# %r round-trips floats exactly, so resumed ledgers reload losslessly
-_ROW_FORMAT = "%d,%r,%r,%d,%d\n"
-
-
-def write_ledger_header(fh, meta: dict) -> None:
-    fh.write("# apertile ledger v1\n")
-    for key, value in meta.items():
-        fh.write(f"# {key}={value}\n")
-    fh.write(LEDGER_COLUMNS + "\n")
-
-
-def read_ledger(path) -> tuple[dict, list[LedgerRow]]:
-    meta: dict[str, str] = {}
-    with open(path) as fh:
-        return meta, list(_parse_ledger(fh, meta))
-
-
-def _parse_ledger(lines, meta: dict) -> Iterator[LedgerRow]:
-    """The rows of ledger lines as they are read; header key=value lines go into meta."""
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, value = body.split("=", 1)
-                meta[key.strip()] = value.strip()
-            continue
-        if line == LEDGER_COLUMNS:
-            continue
-        fields = line.split(",")
-        if len(fields) != 5 or fields[3] not in ("0", "1") or fields[4] not in ("0", "1"):
-            raise ValueError(f"malformed ledger line: {line!r}")
-        t, cap, minp, cov, feas = fields
-        try:
-            row = LedgerRow(int(t), float(cap), float(minp), cov == "1", feas == "1")
-        except ValueError as err:
-            raise ValueError(f"malformed ledger line: {line!r}") from err
-        # the flags must agree with the numbers: a feasible row has a
-        # capacity, an infeasible one is uncovered and all NaN
-        if row.feasible:
-            consistent = not math.isnan(row.capacity_bps_hz)
-        else:
-            numbers = (row.capacity_bps_hz, row.min_power_dbm)
-            consistent = not row.covered and all(map(math.isnan, numbers))
-        if not consistent:
-            raise ValueError(f"malformed ledger line: {line!r}")
-        yield row
-
-
-def summarize_ledger(rows, baseline_capacity: float | None = None) -> dict:
-    """min/max/avg/var of capacity and min power, plus baseline comparison,
-    of any iterable of rows; only their finite numbers are kept."""
-    caps, pows, count, covered = array("d"), array("d"), 0, 0
-    for _t, capacity, dbm, cov, _feasible in rows:
-        count += 1
-        covered += cov
-        if math.isfinite(capacity):
-            caps.append(capacity)
-        if math.isfinite(dbm):
-            pows.append(dbm)
-    if not count:
-        raise ValueError("empty ledger")
-    if not caps:
-        raise ValueError("no feasible rows in ledger")
-    caps_f, pows_f = np.frombuffer(caps), np.frombuffer(pows)
-    reductions = {"min": np.min, "max": np.max, "avg": np.mean, "var": np.var}
-    out = {
-        "rows": count,
-        "feasible_rows": len(caps),
-        "coverage_fraction": covered / count,
-        "capacity": {key: float(f(caps_f)) for key, f in reductions.items()},
-        "min_power_dbm": {key: float(f(pows_f)) for key, f in reductions.items()},
-    }
-    if baseline_capacity is not None:
-        beating = int(np.sum(caps_f > baseline_capacity))
-        out["baseline_capacity_bps_hz"] = float(baseline_capacity)
-        out["beating_baseline"], out["beating_fraction"] = beating, beating / count
-    return out
-
-
-class _Fold:
-    """Running aggregates of ledger rows merged in ascending t: their count,
-    how many have a capacity above `baseline` (inf for none), and the best
-    covered and unconstrained rows. Only a higher capacity replaces a best,
-    so ties keep the lowest t."""
-
-    def __init__(self, baseline: float):
-        self.baseline, self.rows, self.beating = baseline, 0, 0
-        self.best = self.best_any = None
-
-    def add(self, row) -> None:
-        _t, capacity, _dbm, covered, _feasible = row
-        self.rows += 1
-        if math.isfinite(capacity):  # an infeasible row's capacity is nan
-            self.beating += capacity > self.baseline
-            if self.best_any is None or capacity > self.best_any[1]:
-                self.best_any = row
-            if covered and (self.best is None or capacity > self.best[1]):
-                self.best = row
 
 
 # --- baseline comparison ---------------------------------------------------
@@ -477,51 +364,6 @@ def _rows_by_index(search: _CoverSearch, target: int) -> tuple[int, ...]:
     raise ValueError(f"tiling index {target} beyond enumeration")
 
 
-def _resume(path, fold: _Fold, cfg: RunConfig, versions: dict, info) -> None:
-    """Fold the ledger's rows at `path` as they are read, trusted, not
-    recomputed, and cut a last line a killed run left unterminated (its
-    tiling is evaluated again). Rows must be t = 1, 1+s, ... under this
-    config's hash; a refused ledger is left untouched, and one written under
-    other versions is resumed, and the log says so."""
-    stride, key, meta = cfg.tiling_stride, cfg.config_hash(), {}
-    complete = 0  # bytes of the ledger up to its last newline
-
-    def terminated(fh):
-        nonlocal complete
-        for line in fh:
-            if line.endswith(b"\n"):
-                complete += len(line)
-                yield line.decode()
-
-    with open(path, "rb") as fh:
-        for row in _parse_ledger(terminated(fh), meta):
-            if meta.get("config_hash") != key:
-                raise ValueError("existing ledger was written by a different config")
-            t = 1 + stride * fold.rows
-            if row.tiling_index != t:
-                raise ValueError(
-                    f"cannot resume: ledger row t={row.tiling_index} where t={t} was "
-                    f"expected (rows must be t = 1, 1+{stride}, 1+{2 * stride}, ...)"
-                )
-            fold.add(row)
-        size = fh.tell()
-    if meta.get("config_hash", key) != key:
-        raise ValueError("existing ledger was written by a different config")
-    moved = [
-        f"{name} {meta.get(name, 'unrecorded')} (running {value})"
-        for name, value in versions.items()
-        if meta.get(name) != value
-    ]
-    if fold.rows and moved:
-        info(
-            f"{path} was written with {', '.join(moved)}; "
-            "resumed and new rows may differ in their last bits"
-        )
-    if complete < size:
-        os.truncate(path, complete)
-        info(f"dropped the unterminated last line of {path} ({size - complete} bytes)")
-
-
 def optimize(
     cfg: RunConfig,
     *,
@@ -592,14 +434,15 @@ def optimize(
     with pool_scope as pool:
         baseline_result = pool.imap(_eval_task, baseline_tasks)
         total = search.count()
-        # the ledger header records the baseline capacity, "none" when the
+        # the ledger header records the baseline capacity, None when the
         # baseline is missing or infeasible; every row, resumed or new, is
         # folded against it as it merges
         baseline_record = next(baseline_result, None)
         baseline_ok = baseline_record is not None and baseline_record.feasible
-        fold = _Fold(baseline_record.average_sum_rate if baseline_ok else math.inf)
+        baseline = baseline_record.average_sum_rate if baseline_ok else None
+        fold = _Fold(baseline)
         if resume and ledger_path and os.path.exists(ledger_path):
-            _resume(ledger_path, fold, cfg, versions, info)
+            _resume(ledger_path, fold, meta["config_hash"], stride, versions, info)
         first_t = 1 + stride * fold.rows
         tasks = len(range(first_t, total + 1, stride))
         resumed = f"; resuming at t={first_t}" if fold.rows else ""
@@ -618,9 +461,9 @@ def optimize(
                         "alphabet": cfg.alphabet_file or cfg.alphabet,
                         "stride": cfg.tiling_stride,
                         "drops_fingerprint": drops_key,
-                        "baseline_capacity_bps_hz": repr(fold.baseline) if baseline_ok else "none",
-                        **versions,
                     },
+                    baseline,
+                    versions,
                 )
             # small enough that every worker gets about four chunks; the
             # ledger is flushed after each, so a killed run keeps whole chunks

@@ -307,37 +307,43 @@ def count_exact_covers(L: IncidenceMatrix) -> int:
     return _CoverSearch(L).count()
 
 
-def _cover_json_line(L: IncidenceMatrix) -> Callable[[tuple[int, ...]], str]:
-    """Return line(rows): the JSON line (with its newline) of the cover with
-    these 0-based rows of L, byte for byte `json.dumps(cover_to_json(...))`
-    of that cover, filled into a template without building the cover.
-
-    `line` keeps the previous cover's id strings and rewrites them only
-    from the first tile where the two covers differ. That is exact for
-    exact covers in any order: two covers that share their first j tiles
-    leave the same pixels to the rest, and the rest of the new cover
-    covers every one of those pixels once, so no string of the previous
-    cover survives there."""
-    aperture = L.aperture
-    cells = [[i - 1 for i in pixels] for pixels in L.rows]
-    text = [str(i) for i in range(max(len(L.rows), aperture.size) + 1)]
-    head = f'{{"columns": {aperture.columns}, "rows": {aperture.rows}, "tile_count": '
-    values = [""] * aperture.size  # pixel -> tile id string of the previous cover
+def _relabeller(cells, slots: list[str], labels: list[str]) -> Callable[[tuple[int, ...]], int]:
+    """Return relabel(rows): write labels[q] into `slots` at cells[k] for
+    each tile q, row k of this cover, from the first tile where it differs
+    from the previous call's cover; return that q. That is exact for exact
+    covers in any order: two covers that share their first q tiles leave
+    the same pixels to the rest, which the new cover's rest covers once."""
     previous: list[int] = []  # the previous cover's rows
-    placements: list[str] = []  # and their placement id strings
 
-    def line(rows: tuple[int, ...]) -> str:
+    def relabel(rows: tuple[int, ...]) -> int:
         j = 0
         for k, old in zip(rows, previous):
             if k != old:
                 break
             j += 1
         for q in range(j, len(rows)):
-            k = rows[q]
-            tile = text[q + 1]
-            for i in cells[k]:
-                values[i] = tile
+            label = labels[q]
+            for i in cells[rows[q]]:
+                slots[i] = label
         previous[j:] = rows[j:]
+        return j
+
+    return relabel
+
+
+def _cover_json_line(L: IncidenceMatrix) -> Callable[[tuple[int, ...]], str]:
+    """Return line(rows): the JSON line (with its newline) of the cover with
+    these 0-based rows of L, byte for byte `json.dumps(cover_to_json(...))`
+    of that cover, filled into a template without building the cover."""
+    aperture = L.aperture
+    text = [str(i) for i in range(max(len(L.rows), aperture.size) + 1)]
+    head = f'{{"columns": {aperture.columns}, "rows": {aperture.rows}, "tile_count": '
+    values = [""] * aperture.size  # pixel -> tile id string of the previous cover
+    relabel = _relabeller([[i - 1 for i in pixels] for pixels in L.rows], values, text[1:])
+    placements: list[str] = []  # the previous cover's placement id strings
+
+    def line(rows: tuple[int, ...]) -> str:
+        j = relabel(rows)
         placements[j:] = [text[k + 1] for k in rows[j:]]
         return (
             f'{head}{len(rows)}, "values_row_major": [{", ".join(values)}], '
@@ -345,3 +351,25 @@ def _cover_json_line(L: IncidenceMatrix) -> Callable[[tuple[int, ...]], str]:
         )
 
     return line
+
+
+_ASCII_SYMBOLS = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+
+
+def _cover_ascii(L: IncidenceMatrix) -> Callable[[tuple[int, ...]], str]:
+    """Return grid(rows): `tiling.cover_to_ascii` of the cover with these
+    0-based rows of L and a blank line, byte for byte, filled into a template."""
+    M, N = L.aperture.columns, L.aperture.rows
+    # the grid's lines, top row (n = N) first, and the blank line; 0-based
+    # pixel i sits in column i % M of row n = i // M + 1
+    chars = ([""] * M + ["\n"]) * N + ["\n"]
+    where = [(N - 1 - i // M) * (M + 1) + i % M for i in range(M * N)]
+    cells = [[where[i - 1] for i in pixels] for pixels in L.rows]
+    symbols = [_ASCII_SYMBOLS[q % len(_ASCII_SYMBOLS)] for q in range(M * N)]
+    relabel = _relabeller(cells, chars, symbols)
+
+    def grid(rows: tuple[int, ...]) -> str:
+        relabel(rows)
+        return "".join(chars)
+
+    return grid

@@ -11,8 +11,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .search import (  # re-exported
-    Aperture, IncidenceMatrix, Placement, _cover_json_line, _CoverSearch,
+from .search import (  # re-exported, but for _ASCII_SYMBOLS
+    _ASCII_SYMBOLS, Aperture, IncidenceMatrix, Placement, _cover_json_line, _CoverSearch,
     build_incidence_matrix, count_exact_covers, generate_placements,
 )
 
@@ -98,9 +98,6 @@ def baseline_tiling(aperture: Aperture) -> AggregationVector:
 
 
 # --- cover import/export -------------------------------------------------
-
-_ASCII_SYMBOLS = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
-
 
 def cover_to_json(cover: AggregationVector, aperture: Aperture) -> dict:
     return {

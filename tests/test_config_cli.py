@@ -14,7 +14,7 @@ from apertile.cli import main
 from apertile.config import ApertureConfig, BudgetConfig, RunConfig
 from apertile.geometry import BeamWeights, ElementPattern
 from apertile.metrics import distribution
-from apertile.optimizer import read_ledger
+from apertile.ledger import read_ledger
 from apertile.reports import (
     classify_tiles,
     far_field_cut,
@@ -100,8 +100,12 @@ def test_enumerate_does_not_import_openssl(tmp_path):
     # process loads numpy or an apertile module that evaluates
     path = write_config(tmp_path, tiny_config())
     dump = ["--dump-json", str(tmp_path / "covers.jsonl")]
+    grids = ["--dump-ascii", str(tmp_path / "covers.txt")]
     searching = ["apertile", "apertile.cli", "apertile.config", "apertile.search", "apertile.shapes"]
-    for extra in ([], dump, [*dump, "--limit", "0"], [*dump, "--limit", "17"]):
+    for extra in (
+        [], dump, [*dump, "--limit", "0"], [*dump, "--limit", "17"], grids,
+        [*grids, "--limit", "1"], [*dump, *grids, "--limit", "17"],
+    ):
         out = run_python(
             "import sys\n"
             "import apertile.cli as cli\n"
@@ -120,6 +124,30 @@ def test_enumerate_does_not_import_openssl(tmp_path):
         assert len(lines) == (3 if extra else 2)
         for line in lines[:-2] + lines[-1:]:
             assert line.split() == ["False", "False", "False", *searching], extra
+
+
+def test_report_does_not_import_the_evaluation_modules(tmp_path):
+    # the ledger module reads the file; summarizing it adds numpy alone
+    ledger = tmp_path / "ledger.csv"
+    ledger.write_text(
+        "# apertile ledger v1\n# config_hash=0123\n# baseline_capacity_bps_hz=2.0\n"
+        "t,capacity_bps_hz,min_power_dbm,coverage,feasible\n"
+        "1,nan,nan,0,0\n2,1.5,-inf,0,1\n3,2.5,-60.0,1,1\n"
+    )
+    summary = tmp_path / "summary.json"
+    out = run_python(
+        "import sys\n"
+        "from apertile.cli import main\n"
+        f"print(main(['report', '--ledger', {str(ledger)!r}, '--json', {str(summary)!r}]))\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('apertile')))\n"
+    )
+    *_, code, loaded = out.stdout.splitlines()
+    assert code == "0"
+    assert loaded.split() == [
+        "apertile", "apertile.cli", "apertile.config", "apertile.ledger", "apertile.search",
+        "apertile.shapes",
+    ]
+    assert json.loads(summary.read_text())["summary"]["beating_baseline"] == 1
 
 
 def test_unknown_keys_rejected():

@@ -24,16 +24,13 @@ from apertile.channel import (
     assemble_channel,
 )
 from apertile.config import ApertureConfig, BudgetConfig, RunConfig
+from apertile.ledger import LEDGER_COLUMNS, LedgerRow, read_ledger, summarize_ledger
 from apertile.metrics import EvaluationRecord, port_powers
 from apertile.optimizer import (
-    LEDGER_COLUMNS,
-    LedgerRow,
     compare_to_baseline,
     evaluate_tiling,
     optimize,
-    read_ledger,
     result_to_json,
-    summarize_ledger,
     tiling_precoders,
 )
 from apertile.precoding import normalize_beams, zero_forcing
@@ -1079,9 +1076,14 @@ def test_summarizing_a_full_ledger_holds_less_than_its_rows():
 
 def test_read_ledger_rejects_malformed(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("# apertile ledger v1\n" + "t,capacity_bps_hz,min_power_dbm,coverage,feasible\n1,notanumber\n")
-    with pytest.raises(ValueError, match="malformed"):
-        read_ledger(path)
+    header = "# apertile ledger v1\n" + "t,capacity_bps_hz,min_power_dbm,coverage,feasible\n"
+    # a feasible row has a finite capacity and a power (a covered row with
+    # none could become the best); only an uncovered one may have 0 W
+    malformed = ("1,5.0,nan,1,1", "1,inf,-80.0,1,1", "1,-inf,-80,0,1", "1,5.0,-inf,1,1")
+    for bad in ("1,notanumber", *malformed):
+        path.write_text(header + bad + "\n")
+        with pytest.raises(ValueError, match="malformed"):
+            read_ledger(path)
 
 
 def test_read_ledger_rejects_row_cut_after_its_last_comma(tmp_path):

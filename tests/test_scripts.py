@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from apertile.optimizer import read_ledger
+from apertile.ledger import read_ledger
 
 ROOT = Path(__file__).resolve().parents[1]
 

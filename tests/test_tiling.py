@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from apertile.search import _cover_ascii
 from apertile.shapes import alphabet, builtin_shape
 from apertile.tiling import (
     AggregationVector,
@@ -342,6 +343,32 @@ def test_cover_json_lines_equal_json_dumps(columns, rows, selector):
     ):
         line = _cover_json_line(matrix)
         assert [line(covers[t]) for t in order] == [lines[t] for t in order]
+
+
+@pytest.mark.parametrize(
+    "columns,rows,selector", [(6, 6, "P"), (6, 6, "P+L"), (6, 4, "domino")]
+)
+def test_cover_ascii_grids_equal_cover_to_ascii(columns, rows, selector):
+    matrix, aperture = matrix_for(columns, rows, selector)
+    covers = [r for _, r in _CoverSearch(matrix).stream()]
+    grids = [cover_to_ascii(cover, aperture) + "\n\n" for cover in enumerate_exact_covers(matrix)]
+    # rewritten from the first tile that differs, like the JSON lines
+    first = len(covers) // 2
+    for order in (
+        range(len(covers)),
+        range(0, len(covers), 7),
+        range(len(covers) - 1, -1, -1),
+        [0, first, first, 1, 1],
+    ):
+        grid = _cover_ascii(matrix)
+        assert [grid(covers[t]) for t in order] == [grids[t] for t in order]
+
+
+def test_cover_ascii_grid_reuses_symbols_past_the_last():
+    matrix, aperture = matrix_for(1, 130, "domino")  # one cover: 65 tiles, 62 symbols
+    ((_t, rows),) = _CoverSearch(matrix).stream()
+    (cover,) = enumerate_exact_covers(matrix)
+    assert _cover_ascii(matrix)(rows) == cover_to_ascii(cover, aperture) + "\n\n"
 
 
 def test_stream_rejects_nonpositive_start_or_step():
