@@ -294,6 +294,8 @@ def cmd_report(args) -> int:
         if key in meta:
             print(f"  {key}: {meta[key]}")
     print(f"  rows: {summary['rows']} (feasible {summary['feasible_rows']})")
+    if "unterminated_bytes" in summary:  # what a killed run left mid-write
+        print(f"  left out: an unterminated last line of {summary['unterminated_bytes']} bytes")
     print(f"  coverage fraction: {summary['coverage_fraction']:.4f}")
     cap = summary["capacity"]
     print(

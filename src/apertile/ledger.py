@@ -2,9 +2,10 @@
 
 `optimize` writes the header and the rows as they merge, and resumes from
 the rows of a killed run; `apertile report` summarizes them. This module
-holds the format, its parser, the resume and the running fold of rows, and
-imports nothing of apertile: `report` reads a ledger without the
-evaluation modules, and numpy loads only when `summarize_ledger` runs.
+holds the format, its one reader and parser, the resume and the running
+fold of rows, and imports nothing of apertile: `report` reads a ledger
+without the evaluation modules, and numpy loads only when
+`summarize_ledger` runs.
 """
 
 from __future__ import annotations
@@ -39,10 +40,24 @@ def write_ledger_header(fh, meta: dict, baseline: float | None, versions: dict) 
     fh.write(LEDGER_COLUMNS + "\n")
 
 
+def _ledger_lines(path, extent: dict) -> Iterator[str]:
+    """The decoded lines of the ledger at `path` that end in a newline, as
+    they are read, so not a last line that a killed run left unterminated.
+    Once all are read, extent holds the "complete" bytes up to the last
+    newline and the "torn" bytes after it. No other reader opens a ledger."""
+    complete = 0
+    with open(path, "rb") as fh:
+        for line in fh:
+            if line.endswith(b"\n"):
+                complete += len(line)
+                yield line.decode()
+        extent.update(complete=complete, torn=fh.tell() - complete)
+
+
 def read_ledger(path) -> tuple[dict, list[LedgerRow]]:
+    """The header and the rows of the ledger at `path`, but an unterminated last line."""
     meta: dict[str, str] = {}
-    with open(path) as fh:
-        return meta, list(_parse_ledger(fh, meta))
+    return meta, list(_parse_ledger(_ledger_lines(path, {}), meta))
 
 
 def _parse_ledger(lines, meta: dict) -> Iterator[LedgerRow]:
@@ -116,14 +131,18 @@ def summarize_ledger(rows, baseline_capacity: float | None = None) -> dict:
 
 def summarize_ledger_file(path) -> tuple[dict, dict]:
     """The header of the ledger at `path`, and `summarize_ledger` of its
-    rows, streamed, against the baseline capacity that the header records."""
+    rows, streamed, against the baseline capacity that the header records.
+    An unterminated last line is left out, and "unterminated_bytes" counts it."""
     meta: dict[str, str] = {}
-    with open(path) as fh:
-        rows = _parse_ledger(fh, meta)
-        first = next(rows, None)  # the header precedes every row: meta is whole once one is read
-        raw = meta.get("baseline_capacity_bps_hz")  # "nan": an infeasible baseline in older ledgers
-        baseline = None if raw in (None, "none", "nan") else float(raw)
-        return meta, summarize_ledger(chain([] if first is None else [first], rows), baseline)
+    extent: dict[str, int] = {}
+    rows = _parse_ledger(_ledger_lines(path, extent), meta)
+    first = next(rows, None)  # the header precedes every row: meta is whole once one is read
+    raw = meta.get("baseline_capacity_bps_hz")  # "nan": an infeasible baseline in older ledgers
+    baseline = None if raw in (None, "none", "nan") else float(raw)
+    summary = summarize_ledger(chain([] if first is None else [first], rows), baseline)
+    if extent["torn"]:
+        summary["unterminated_bytes"] = extent["torn"]
+    return meta, summary
 
 
 class _Fold:
@@ -147,34 +166,25 @@ class _Fold:
                 self.best = row
 
 
-def _resume(path, fold: _Fold, key: str, stride: int, versions: dict, info) -> None:
+def _resume(path, fold: _Fold, key: str, stride: int, versions: dict, info) -> bool:
     """Fold the ledger's rows at `path` as they are read, trusted, not
     recomputed, and cut a last line a killed run left unterminated (its
     tiling is evaluated again). Rows must be t = 1, 1+s, ... for stride s,
     under config hash `key`; a refused ledger is left untouched, and one
-    written under other `versions` is resumed, and the log says so."""
+    written under other `versions` is resumed, the log says so, and True
+    is returned."""
     meta: dict[str, str] = {}
-    complete = 0  # bytes of the ledger up to its last newline
-
-    def terminated(fh):
-        nonlocal complete
-        for line in fh:
-            if line.endswith(b"\n"):
-                complete += len(line)
-                yield line.decode()
-
-    with open(path, "rb") as fh:
-        for row in _parse_ledger(terminated(fh), meta):
-            if meta.get("config_hash") != key:
-                raise ValueError("existing ledger was written by a different config")
-            t = 1 + stride * fold.rows
-            if row.tiling_index != t:
-                raise ValueError(
-                    f"cannot resume: ledger row t={row.tiling_index} where t={t} was "
-                    f"expected (rows must be t = 1, 1+{stride}, 1+{2 * stride}, ...)"
-                )
-            fold.add(row)
-        size = fh.tell()
+    extent: dict[str, int] = {}
+    for row in _parse_ledger(_ledger_lines(path, extent), meta):
+        if meta.get("config_hash") != key:
+            raise ValueError("existing ledger was written by a different config")
+        t = 1 + stride * fold.rows
+        if row.tiling_index != t:
+            raise ValueError(
+                f"cannot resume: ledger row t={row.tiling_index} where t={t} was "
+                f"expected (rows must be t = 1, 1+{stride}, 1+{2 * stride}, ...)"
+            )
+        fold.add(row)
     if meta.get("config_hash", key) != key:
         raise ValueError("existing ledger was written by a different config")
     moved = [
@@ -187,6 +197,7 @@ def _resume(path, fold: _Fold, key: str, stride: int, versions: dict, info) -> N
             f"{path} was written with {', '.join(moved)}; "
             "resumed and new rows may differ in their last bits"
         )
-    if complete < size:
-        os.truncate(path, complete)
-        info(f"dropped the unterminated last line of {path} ({size - complete} bytes)")
+    if extent["torn"]:
+        os.truncate(path, extent["complete"])
+        info(f"dropped the unterminated last line of {path} ({extent['torn']} bytes)")
+    return bool(fold.rows and moved)

@@ -321,13 +321,17 @@ def _eval_task(task):
         )
 
 
-def _ledger_task(task) -> tuple:
-    """`_eval_task` of a streamed (t, rows) as a ledger row: the plain tuple
-    of LedgerRow's fields, which pickles in half a LedgerRow's bytes."""
-    t, rows = task
-    record = _eval_task((t, rows, None))
+def _ledger_row(record: EvaluationRecord) -> tuple:
+    """A record's ledger row: the plain tuple of LedgerRow's fields, which
+    pickles in half a LedgerRow's bytes."""
     min_dbm = float(watts_to_dbm(record.min_desired_power_w))
-    return t, record.average_sum_rate, min_dbm, record.covered, record.feasible
+    return record.tiling_index, record.average_sum_rate, min_dbm, record.covered, record.feasible
+
+
+def _ledger_task(task) -> tuple:
+    """`_eval_task` of a streamed (t, rows) as a ledger row."""
+    t, rows = task
+    return _ledger_row(_eval_task((t, rows, None)))
 
 
 # --- optimization ----------------------------------------------------------
@@ -339,12 +343,8 @@ FSYNC_EVERY_S = 10.0
 
 @dataclass
 class OptimizationResult:
-    config_hash: str
-    seed: int
-    channel_mode: str
     total_tilings: int
     evaluated_tilings: int
-    exhaustive: bool
     feasible: bool
     best: EvaluationRecord | None
     best_cover: AggregationVector | None
@@ -441,8 +441,9 @@ def optimize(
         baseline_ok = baseline_record is not None and baseline_record.feasible
         baseline = baseline_record.average_sum_rate if baseline_ok else None
         fold = _Fold(baseline)
+        moved = False  # whether resumed rows were written under other versions
         if resume and ledger_path and os.path.exists(ledger_path):
-            _resume(ledger_path, fold, meta["config_hash"], stride, versions, info)
+            moved = _resume(ledger_path, fold, meta["config_hash"], stride, versions, info)
         first_t = 1 + stride * fold.rows
         tasks = len(range(first_t, total + 1, stride))
         resumed = f"; resuming at t={first_t}" if fold.rows else ""
@@ -489,12 +490,22 @@ def optimize(
         # each distinct best tiling is evaluated once, the two in parallel,
         # its rows looked up by index in the memo that the count filled;
         # the worker that scores the best covered tiling writes its precoders
-        best_ts = {row[0] for row in (fold.best, fold.best_any) if row is not None}
-        picks = {t: _rows_by_index(search, t) for t in sorted(best_ts)}
+        best_rows = {row[0]: row for row in (fold.best, fold.best_any) if row is not None}
+        picks = {t: _rows_by_index(search, t) for t in sorted(best_rows)}
         kept = fold.best[0] if fold.best and precoders_path else None
         destinations = {kept: (precoders_path, meta)}
         best_tasks = [(t, rows, destinations.get(t)) for t, rows in picks.items()]
         evaluated = dict(zip(picks, pool.imap(_eval_task, best_tasks)))
+
+    # each best row, as the ledger holds it, must equal its re-score bit for
+    # bit; a resumed row written under other versions may differ, and is logged
+    for t, row in best_rows.items():
+        line, again = _ROW_FORMAT % tuple(row), _ROW_FORMAT % _ledger_row(evaluated[t])
+        if line != again:
+            message = f"t={t}: ledger row {line.strip()} re-scores as {again.strip()}"
+            if not (moved and t < first_t):
+                raise ValueError(message)
+            info(message)
 
     def pick(row):
         """A best row's record and cover, or two Nones."""
@@ -512,12 +523,8 @@ def optimize(
     best_text = f"{fold.best[1]:.6g} bps/Hz" if fold.best else "none"
     info(f"done: {fold.rows} tilings evaluated, best covered capacity {best_text}")
     return OptimizationResult(
-        config_hash=cfg.config_hash(),
-        seed=cfg.scenario.seed,
-        channel_mode=cfg.channel.tag,
         total_tilings=total,
         evaluated_tilings=fold.rows,
-        exhaustive=cfg.tiling_stride == 1,
         feasible=fold.best is not None,
         best=best_record,
         best_cover=best_cover,
@@ -584,14 +591,14 @@ def result_to_json(result: OptimizationResult, cfg: RunConfig) -> dict:
         return doc
 
     return {
-        "config_hash": result.config_hash,
-        "seed": result.seed,
-        "channel_mode": result.channel_mode,
+        "config_hash": cfg.config_hash(),
+        "seed": cfg.scenario.seed,
+        "channel_mode": cfg.channel.tag,
         "aperture": {"columns": cfg.aperture.columns, "rows": cfg.aperture.rows},
         "alphabet": cfg.alphabet_file or cfg.alphabet,
         "total_tilings": result.total_tilings,
         "evaluated_tilings": result.evaluated_tilings,
-        "exhaustive": result.exhaustive,
+        "exhaustive": cfg.tiling_stride == 1,
         "feasible": result.feasible,
         "elapsed_s": result.elapsed_s,
         "resources": _resources(result.usage_at_start),

@@ -628,6 +628,42 @@ def test_cli_report(tmp_path, capsys):
     assert summary["summary"]["rows"] == 8
 
 
+def test_cli_report_leaves_out_the_unterminated_last_line_of_a_killed_run(tmp_path, capsys):
+    # a killed run's ledger, cut mid-line, reads as the same ledger cut at
+    # its last newline, and the report says how many bytes it left out
+    cfg = tiny_config(
+        aperture=ApertureConfig(6, 6),
+        scenario=ScenarioParams(
+            kind="uma", isd_m=500.0, bs_height_m=25.0, drops=2, users=4, seed=5
+        ),
+        alphabet="P",
+        workers=2,
+        output_dir=str(tmp_path / "out"),
+    )
+    assert main(["optimize", "--config", write_config(tmp_path, cfg)]) == 0
+    full = (tmp_path / "out" / "ledger.csv").read_bytes()
+    half = len(full) // 2
+    last_newline = full.rindex(b"\n", 0, half) + 1
+    assert full.index(b"\nt,") < last_newline < half
+    reports = {}
+    for name, size in (("torn", half), ("whole", last_newline)):
+        ledger = tmp_path / name / "ledger.csv"
+        ledger.parent.mkdir()
+        ledger.write_bytes(full[:size])
+        capsys.readouterr()
+        summary = tmp_path / name / "summary.json"
+        assert main(["report", "--ledger", str(ledger), "--json", str(summary)]) == 0
+        out = capsys.readouterr().out.replace(str(ledger), "ledger.csv")
+        reports[name] = read_ledger(ledger), out, json.loads(summary.read_text())
+    rows, out, doc = reports["torn"]
+    note = f"  left out: an unterminated last line of {half - last_newline} bytes\n"
+    assert note in out
+    assert doc["summary"].pop("unterminated_bytes") == half - last_newline
+    assert (rows, out.replace(note, ""), doc) == reports["whole"]
+    assert "left out" not in reports["whole"][1]
+    assert len(rows[1]) == reports["whole"][2]["summary"]["rows"] > 0
+
+
 def test_cli_render(tmp_path, capsys):
     cfg = tiny_config(
         aperture=ApertureConfig(4, 6),

@@ -23,7 +23,7 @@ from apertile.channel import (
     aggregate_channel,
     assemble_channel,
 )
-from apertile.config import ApertureConfig, BudgetConfig, RunConfig
+from apertile.config import ApertureConfig, BudgetConfig, ChannelModel, RunConfig
 from apertile.ledger import LEDGER_COLUMNS, LedgerRow, read_ledger, summarize_ledger
 from apertile.metrics import EvaluationRecord, port_powers
 from apertile.optimizer import (
@@ -213,7 +213,7 @@ def test_toy_optimize_argmax_matches_hand_evaluation(tmp_path):
     result = optimize(cfg, ledger_path=tmp_path / "ledger.csv")
     assert result.total_tilings == 3
     assert result.evaluated_tilings == 3
-    assert result.exhaustive
+    assert result_to_json(result, cfg)["exhaustive"]
 
     # independent pass: public single-matrix operations, drop by drop
     geometry = cfg.geometry()
@@ -493,6 +493,70 @@ def test_resume_drops_an_unterminated_last_line(tmp_path, cut):
     assert resumed.evaluated_tilings == full.evaluated_tilings
     assert resumed.best.tiling_index == full.best.tiling_index
     assert any("unterminated last line" in m for m in messages)
+
+
+def rescored_with_one_bit_moved(monkeypatch):
+    """Patch `_eval_task` so that the best covered tiling's re-score, the
+    one task given a precoders destination, comes back one bit higher."""
+    real = opt._eval_task
+
+    def nudged(task):
+        record = real(task)
+        if task[2] is None:
+            return record
+        capacity = np.nextafter(record.average_sum_rate, np.inf)
+        return dataclasses.replace(record, average_sum_rate=float(capacity))
+
+    monkeypatch.setattr(opt, "_eval_task", nudged)
+
+
+def test_a_best_row_that_re_scores_to_other_bits_ends_the_run(tmp_path, monkeypatch):
+    cfg = resume_config()  # the best covered tiling is t = 7
+    full_path = tmp_path / "full.csv"
+    optimize(cfg, ledger_path=full_path)
+    lines, first = ledger_lines(full_path)
+    row = lines[first + 6].strip()
+    cap = float(row.split(",")[1])
+    moved = row.replace(repr(cap), repr(float(np.nextafter(cap, np.inf))))
+    rescored_with_one_bit_moved(monkeypatch)
+    precoders = tmp_path / "precoders.npz"
+    with pytest.raises(ValueError) as err:
+        optimize(cfg, ledger_path=tmp_path / "ledger.csv", precoders_path=precoders)
+    assert str(err.value) == f"t=7: ledger row {row} re-scores as {moved}"
+
+    # a row resumed from a ledger of the running versions is held to its bits
+    path = tmp_path / "resumed.csv"
+    write_partial_ledger(full_path, path, 8)
+    with pytest.raises(ValueError, match=f"^t=7: ledger row {row} re-scores as"):
+        optimize(cfg, ledger_path=path, precoders_path=precoders, resume=True)
+
+
+def test_a_best_row_resumed_from_other_versions_is_logged_when_it_re_scores_apart(
+    tmp_path, monkeypatch
+):
+    cfg = resume_config()
+    full_path = tmp_path / "full.csv"
+    optimize(cfg, ledger_path=full_path)
+    rescored_with_one_bit_moved(monkeypatch)
+    current, other = f"# numpy_version={np.__version__}\n", "# numpy_version=1.0.0\n"
+    path = tmp_path / "resumed.csv"
+    messages = []
+
+    def resume(keep):
+        write_partial_ledger(full_path, path, keep)
+        path.write_text(path.read_text().replace(current, other))
+        return optimize(
+            cfg, ledger_path=path, precoders_path=tmp_path / "p.npz", resume=True,
+            log=messages.append,
+        )
+
+    # the best covered tiling, t = 7, among the resumed rows: logged
+    assert resume(8).best.tiling_index == 7
+    assert len([m for m in messages if m.startswith("t=7: ledger row 7,")]) == 1
+    assert path.read_text().replace(other, current) == full_path.read_text()
+    # t = 7 scored in this run, under the running versions: refused
+    with pytest.raises(ValueError, match="^t=7: ledger row"):
+        resume(4)
 
 
 def test_resume_refuses_a_malformed_line_that_is_terminated(tmp_path):
@@ -905,7 +969,7 @@ def test_stride_subsamples_but_counts_everything(tmp_path):
     result = optimize(cfg, ledger_path=tmp_path / "strided.csv")
     assert result.total_tilings == 3
     assert result.evaluated_tilings == 2
-    assert not result.exhaustive
+    assert not result_to_json(result, cfg)["exhaustive"]
     meta, rows = read_ledger(tmp_path / "strided.csv")
     assert meta["stride"] == "2"
     assert [r.tiling_index for r in rows] == [1, 3]
@@ -974,13 +1038,13 @@ def test_beating_count_against_counting_oracle(tmp_path, monkeypatch, rng):
     baseline = optimize(cfg).baseline.average_sum_rate
     caps = rng.uniform(0.5 * baseline, 1.5 * baseline, size=42)
 
-    def row(task):
-        t = task[0]
+    def row(record):  # the ledger row of each record, the best tilings' re-scores too
+        t = record.tiling_index
         if t % 5 == 0:
             return t, float("nan"), float("nan"), False, False
         return t, float(caps[t]), -70.0, True, True
 
-    monkeypatch.setattr(opt, "_ledger_task", row)
+    monkeypatch.setattr(opt, "_ledger_row", row)
     result = optimize(cfg, ledger_path=tmp_path / "ledger.csv")
     rows = read_ledger(tmp_path / "ledger.csv")[1]
     expected = sum(1 for r in rows if r.capacity_bps_hz > baseline)
@@ -991,7 +1055,10 @@ def test_beating_count_against_counting_oracle(tmp_path, monkeypatch, rng):
 
 def test_equal_capacities_keep_the_lowest_t(monkeypatch):
     # every row has the same capacity; the rows before t = 4 are uncovered
-    monkeypatch.setattr(opt, "_ledger_task", lambda task: (task[0], 100.0, -70.0, task[0] >= 4, True))
+    def row(record):
+        return record.tiling_index, 100.0, -70.0, record.tiling_index >= 4, True
+
+    monkeypatch.setattr(opt, "_ledger_row", row)
     result = optimize(toy_config(aperture=ApertureConfig(3, 6)))
     assert result.best.tiling_index == 4
     assert result.best_unconstrained.tiling_index == 1
@@ -1425,7 +1492,12 @@ def test_the_parents_peak_does_not_grow_with_the_rows(tmp_path, monkeypatch):
     # rows as it reads them back. Traced from the end of the count, the
     # peaks differ by less than a byte a row; holding the rows took about
     # 190 bytes apiece.
-    monkeypatch.setattr(opt, "_ledger_task", lambda task: (task[0], 100.0 + task[0] % 7, -60.0, True, True))
+    def row(t):
+        return t, 100.0 + t % 7, -60.0, True, True
+
+    # the best rows' re-scores give their stub rows again
+    monkeypatch.setattr(opt, "_ledger_task", lambda task: row(task[0]))
+    monkeypatch.setattr(opt, "_ledger_row", lambda record: row(record.tiling_index))
     count = _CoverSearch.count
 
     def count_then_trace(search):
@@ -1480,6 +1552,17 @@ def test_result_to_json_shape(tmp_path):
         result.baseline.average_sum_rate
     )
     assert "delta_pct" in doc["comparison"]
+
+
+def test_result_to_json_takes_the_run_identity_from_the_config():
+    # the result holds no copy of these: they are read from the config
+    other = ChannelModel(mode="ploss_exp", path_loss_exponent=2.5)
+    for cfg in (p_config(), p_config(tiling_stride=3, channel=other)):
+        doc = result_to_json(optimize(cfg), cfg)
+        assert list(doc)[:3] == ["config_hash", "seed", "channel_mode"]
+        assert [doc[key] for key in ("config_hash", "seed", "channel_mode", "exhaustive")] == [
+            cfg.config_hash(), cfg.scenario.seed, cfg.channel.tag, cfg.tiling_stride == 1
+        ]
 
 
 def test_an_in_process_run_leaves_no_shared_state():
