@@ -5,7 +5,7 @@ Mirrors the reference setup (8 columns x 12 rows, 0.5/0.7 wavelength
 spacing, 3.5 GHz, 43 dBm, 16 users = 16 sub-arrays, -120 dBm floor) with
 the deterministic line-of-sight channel. The P alphabet enumerates 85926
 tilings; expect minutes to hours depending on --drops and cores. The
-ledger is flushed after every pool chunk of rows and synced at most once
+ledger is flushed after every chunk of rows and synced at most once
 every ten seconds, so an interrupted run continues with --resume from the
 whole chunks that reached the file.
 """

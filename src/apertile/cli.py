@@ -85,39 +85,24 @@ def _feed_writer(covers, write) -> None:
 
     The rows go in pickled batches that double from one cover up to
     DUMP_BATCH covers, so the first covers reach the writer at once."""
-    data_r, data_w = os.pipe()
-    error_r, error_w = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # the writer: never returns into the caller's stack
-        status = 1
-        try:
-            os.close(data_w)
-            os.close(error_r)
-            with open(data_r, "rb") as source:
-                write(source)
-            status = 0
-        except BaseException as err:
-            os.write(error_w, pickle.dumps(err))
-        finally:
-            os._exit(status)
-    os.close(data_r)
-    os.close(error_w)
+    from .forked import fork  # here, so that report never loads it
+
+    pid, source, errors = fork(lambda inbox, _outbox: write(inbox))
     size = 1
     try:
-        while batch := [rows for _t, rows in islice(covers, size)]:
-            data = memoryview(pickle.dumps(batch))
-            while data:
-                data = data[os.write(data_w, data):]
-            size = min(2 * size, DUMP_BATCH)
+        with source:
+            while batch := [rows for _t, rows in islice(covers, size)]:
+                pickle.dump(batch, source)
+                source.flush()
+                size = min(2 * size, DUMP_BATCH)
     except BrokenPipeError:
         pass  # the writer stopped reading; its own error is raised below
     finally:
-        os.close(data_w)
-        _, status = os.waitpid(pid, 0)
-        with open(error_r, "rb") as errors:
+        with errors:
             report = errors.read()
+        _, status = os.waitpid(pid, 0)
     if report:
-        raise pickle.loads(report)
+        raise pickle.loads(report)[1]
     if status:
         raise RuntimeError(f"dump writer ended with status {os.waitstatus_to_exitcode(status)}")
 

@@ -1,26 +1,26 @@
 """Exhaustive capacity-driven layout search over all complete tilings.
 
-The enumerator streams tilings while a worker pool evaluates each one
-against the pre-assembled per-drop channels (assembled exactly once per
+The enumerator streams tilings while forked workers (`_Workers`) evaluate each
+one against the pre-assembled per-drop channels (assembled exactly once per
 drop in each evaluating process, never per tiling). Results merge in
-enumeration order, so the ledger is deterministic regardless of worker
-count. Each row is written to the ledger and folded into running aggregates
-(count, best rows, rows beating the baseline) as it merges: the file is the
-only copy of the rows. It is flushed after every pool chunk, so a killed run
-resumes from the whole chunks it wrote, and synced every FSYNC_EVERY_S. Every
-evaluation is one task over rows of `cells`, the placements' pixel sets and
-then the baseline's tiles: ledger rows, the baseline and the best tilings
-alike. Each, like `evaluate_tiling`, is scored and recorded by one loop,
-`_evaluate`, over drop blocks. The pool runs them all, and the worker that
-scores the best covered tiling writes its precoders one drop block at a
-time; the parent samples the drops, counts, streams, merges and writes
-the ledger, and never builds a channel stack, holds a beam or keeps a row.
-Each worker assembles its own stack while the parent counts, keeping each
-drop's channel as its two factors, the (MN, P, U) base and the 2x2 slant
+enumeration order, so the ledger is deterministic regardless of worker count.
+Each row is written to the ledger and folded into running aggregates (count,
+best rows, rows beating the baseline) as it merges: the file is the only copy
+of the rows. It is flushed after every chunk of rows, so a run that is killed,
+or whose worker dies, resumes from the whole chunks it wrote, and synced every
+FSYNC_EVERY_S. Every evaluation is one task over rows of `cells`, the
+placements' pixel sets and then the baseline's tiles: ledger rows, the
+baseline and the best tilings alike. Each, like `evaluate_tiling`, is scored
+and recorded by one loop, `_evaluate`, over drop blocks. The workers run them
+all, and the one that scores the best covered tiling writes its precoders one
+drop block at a time; the parent samples the drops, counts, streams, merges
+and writes the ledger, and never builds a channel stack, holds a beam or keeps
+a row. Each worker assembles its own stack while the parent counts, keeping
+each drop's channel as its two factors, the (MN, P, U) base and the 2x2 slant
 coupling. It holds that stack, the temporaries of one block of
 DROP_BLOCK_BYTES (heap blocks it reuses from tiling to tiling, see
-`_pin_heap`) and, when it fits TABLE_BUDGET_BYTES, the placement-major
-table of every set's aggregated channel columns, built in place.
+`_pin_heap`) and, when it fits TABLE_BUDGET_BYTES, the placement-major table
+of every set's aggregated channel columns, built in place.
 """
 
 from __future__ import annotations
@@ -28,12 +28,14 @@ from __future__ import annotations
 import ctypes
 import math
 import os
+import pickle
 import signal
 import sys
 import time
-from contextlib import contextmanager, nullcontext, suppress
+from contextlib import AbstractContextManager, nullcontext, suppress
 from dataclasses import dataclass
-from types import SimpleNamespace
+from functools import partial
+from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -42,6 +44,7 @@ from .channel import (
     ChannelStack, LinkBudget, aggregate_channel, effective_channels, placement_table
 )
 from .config import RunConfig
+from .forked import fork
 from .ledger import _ROW_FORMAT, _Fold, _resume, write_ledger_header
 from .ledger import read_ledger, summarize_ledger  # re-exported
 from .metrics import EvaluationRecord, eta_statistics
@@ -192,7 +195,7 @@ def compare_to_baseline(
     return BaselineComparison(delta=delta, beating_count=beating_count, beating_fraction=fraction)
 
 
-# --- worker pool -----------------------------------------------------------
+# --- workers ---------------------------------------------------------------
 
 _SHARED: dict = {}
 
@@ -257,30 +260,73 @@ def _init_worker(cfg, drops, cells, drops_key):
     )
 
 
-def _init_pool_worker(*init_args):
-    # A fork worker inherits its parent's SIGTERM handler, and Pool.terminate
-    # stops workers with SIGTERM. A Python handler that is still pending when
-    # the worker blocks on the task-queue lock (which terminate holds) never
-    # runs, so the worker never exits and the pool's join hangs.
+def _serve(init_args, inbox, outbox):
+    """A worker's life: SIGTERM's default action (not the caller's handler),
+    set-up, then (True, [fn(t) for t in batch]) for each (fn, batch) until EOF."""
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    try:
-        _init_worker(*init_args)
-    except Exception as err:
-        # A Pool replaces a worker whose initializer raises, without end,
-        # and its tasks wait for ever; this worker lives on and fails each
-        # task with the error instead, so that the parent raises it.
-        _SHARED["error"] = err
-
-
-@contextmanager
-def _in_process(init_args):
-    """Stands in for the pool when the tasks run in this process, in order;
-    what they share is dropped on the way out, error or not."""
     _init_worker(*init_args)
-    try:
-        yield SimpleNamespace(imap=lambda task, tasks, chunksize=1: map(task, tasks))
-    finally:
+    with suppress(EOFError):  # the parent closed the inbox
+        while True:
+            fn, batch = pickle.load(inbox)
+            pickle.dump((True, [fn(task) for task in batch]), outbox)
+            outbox.flush()
+
+
+class _Workers(AbstractContextManager):
+    """A run's evaluating processes: `count` forked workers, each set up by
+    `_init_worker(*init_args)`, or with a `count` of 0 this process. Leaving
+    the scope closes every pipe and reaps every worker, error or not."""
+
+    def __init__(self, count, init_args):
+        if not count:
+            _init_worker(*init_args)
+        self.workers = []  # (pid, to_child, from_child) of each
+        for _ in range(count):
+            inherited = [fh for _pid, *files in self.workers for fh in files]
+            self.workers.append(fork(partial(_serve, init_args), inherited))
+
+    def __exit__(self, *_):
         _SHARED.clear()
+        for pid, *files in self.workers:
+            for fh in files:
+                with suppress(BrokenPipeError):  # bytes unsent to a worker that ended
+                    fh.close()
+            with suppress(ChildProcessError):  # reaped as it ended without its results
+                os.waitpid(pid, 0)
+
+    def imap(self, fn, tasks, chunksize=1):
+        """fn of each task in task order: here as each result is read, or in
+        batches of `chunksize`, two in flight per worker and the first sent
+        at once. A worker's error is raised here as itself."""
+        if not self.workers:
+            return map(fn, tasks)
+        tasks, pending = iter(tasks), []  # the worker of each batch in flight
+
+        def send(worker):
+            if batch := list(islice(tasks, chunksize)):
+                with suppress(BrokenPipeError):  # a worker that ended; its read says how
+                    pickle.dump((fn, batch), worker[1])
+                    worker[1].flush()
+                pending.append(worker)
+
+        def results():
+            while pending:
+                pid, _to_child, from_child = worker = pending.pop(0)
+                try:
+                    ok, value = pickle.load(from_child)
+                except (EOFError, pickle.UnpicklingError):
+                    status = os.waitpid(pid, 0)[1]
+                    raise RuntimeError(
+                        f"worker {pid} ended without its results (waitpid status {status})"
+                    ) from None
+                if not ok:
+                    raise value
+                send(worker)
+                yield from value
+
+        for worker in self.workers * 2:
+            send(worker)
+        return results()
 
 
 def _eval_task(task):
@@ -296,8 +342,6 @@ def _eval_task(task):
     """
     t, rows, destination = task
     s = _SHARED
-    if "error" in s:
-        raise s["error"]
     G, index = s["G"], np.array(rows)
     sizes = s["set_sizes"][np.concatenate((index, index))]
     drops, ports = G.base.shape[1], len(G.coupling) * G.base.shape[2]
@@ -417,21 +461,11 @@ def optimize(
         with suppress(FileNotFoundError):
             os.remove(f"{precoders_path}.part")
 
-    # Every evaluation runs in the pool, forked before the count fills the
-    # memo, which the workers do not need; each worker assembles its own
-    # channel stack while the parent counts. Without a pool the stack is
-    # assembled here, and the same tasks run here, each when its result is
-    # read.
+    # The workers fork before the count fills the memo, which they do not
+    # need, and each assembles its own channel stack while the parent counts.
+    # With one worker the same tasks run here, each when its result is read.
     workers = cfg.workers or os.cpu_count() or 1
-    init_args = (cfg, drops, cells, drops_key)
-    if workers > 1:
-        from multiprocessing import get_context  # here, so that enumerate never loads it
-
-        pool_scope = get_context("fork").Pool(workers, _init_pool_worker, init_args)
-    else:
-        pool_scope = _in_process(init_args)
-
-    with pool_scope as pool:
+    with _Workers(workers if workers > 1 else 0, (cfg, drops, cells, drops_key)) as pool:
         baseline_result = pool.imap(_eval_task, baseline_tasks)
         total = search.count()
         # the ledger header records the baseline capacity, None when the
@@ -541,7 +575,7 @@ def optimize(
 
 def _usage() -> dict:
     """`getrusage` of this process ("parent") and of its joined children
-    ("workers": the pool's workers once the pool has closed)."""
+    ("workers": the run's workers once they are reaped)."""
     import resource  # here, so that enumerate never loads it
 
     return {

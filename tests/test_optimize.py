@@ -5,7 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -271,9 +271,9 @@ def test_worker_count_does_not_change_results(tmp_path):
 
 
 def test_pool_workers_take_the_default_sigterm_action(tmp_path, monkeypatch):
-    # a Python SIGTERM handler in the caller must not reach the fork workers,
-    # which Pool.terminate stops with SIGTERM, and the serial path must leave
-    # the caller's handler in place
+    # a Python SIGTERM handler in the caller must not reach the forked
+    # workers, which a SIGTERM to the run's process group must end, and the
+    # serial path must leave the caller's handler in place
     log = tmp_path / "handlers.txt"
     real_init = opt._init_worker
 
@@ -381,7 +381,7 @@ def test_resume_of_strided_ledger_continues_by_position(tmp_path):
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def launch_optimize(config, out_dir, *flags):
+def launch_optimize(config, out_dir, *flags, stderr=subprocess.DEVNULL):
     """`apertile optimize` in a new session, its log unbuffered on a pipe."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.Popen(
@@ -389,7 +389,7 @@ def launch_optimize(config, out_dir, *flags):
          "--output-dir", str(out_dir), *flags],
         env=dict(os.environ, PYTHONPATH=path, PYTHONUNBUFFERED="1"),
         stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL,
+        stderr=stderr,
         text=True,
         start_new_session=True,
     )
@@ -460,6 +460,90 @@ def test_a_killed_cli_run_resumes_to_the_uninterrupted_ledger(tmp_path):
             assert sorted(got.files) == sorted(want.files)
             for name in want.files:
                 assert same_bytes(got[name], want[name]), name
+
+
+def raise_timeout(*_):
+    raise TimeoutError("the run did not end")
+
+
+@pytest.mark.skipif(
+    not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+    reason="needs /proc/<pid>/task/<tid>/children",
+)
+def test_a_killed_worker_ends_the_run_and_resume_completes_it(tmp_path):
+    # the config above; one worker is SIGKILLed, as the OOM killer would,
+    # once the first rows are on disk. The run must end at once, name the
+    # worker and leave no process behind. The alarm ends the test if the
+    # run waits for the worker instead.
+    cfg = RunConfig(
+        scenario=ScenarioParams(
+            kind="uma", isd_m=500.0, bs_height_m=25.0, drops=4, users=16, seed=3
+        ),
+        alphabet="P",
+        tiling_stride=32,
+        workers=2,
+    )
+    config = tmp_path / "config.json"
+    cfg.save(config)
+    full, out = tmp_path / "full", tmp_path / "killed"
+    code = finish(launch_optimize(config, full))
+    full_ledger = (full / "ledger.csv").read_bytes()
+    ledger = out / "ledger.csv"
+    previous = signal.signal(signal.SIGALRM, raise_timeout)
+    signal.alarm(60)
+    proc = launch_optimize(config, out, stderr=subprocess.PIPE)
+    try:
+        while not (ledger.exists() and LEDGER_COLUMNS.encode() + b"\n1," in ledger.read_bytes()):
+            assert proc.poll() is None, "the run ended before its kill point"
+            time.sleep(0.002)
+        with open(f"/proc/{proc.pid}/task/{proc.pid}/children") as fh:
+            workers = fh.read().split()
+        assert len(workers) == 2
+        killed = time.monotonic()
+        os.kill(int(workers[0]), signal.SIGKILL)
+        _, err = proc.communicate(timeout=10)
+        assert time.monotonic() - killed < 10
+        assert proc.returncode != 0
+        assert f"worker {workers[0]} ended without its results" in err
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+        with suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+    assert len(ledger.read_bytes()) < len(full_ledger)
+    assert finish(launch_optimize(config, out, "--resume")) == code
+    assert ledger.read_bytes() == full_ledger
+
+
+def test_records_larger_than_a_pipe_buffer_reach_the_parent(tmp_path):
+    # 4x6 P at 4096 drops: the per-UE capacities of the baseline's and the
+    # best tiling's records are 4096 x 4 float64 each, 128 KiB, twice a
+    # pipe's buffer; the alarm ends the test if the processes deadlock
+    scenario = ScenarioParams(
+        kind="uma", isd_m=500.0, bs_height_m=25.0, drops=4096, users=4, seed=5
+    )
+    results = {}
+    previous = signal.signal(signal.SIGALRM, raise_timeout)
+    signal.alarm(60)
+    try:
+        for workers in (1, 2):
+            cfg = toy_config(
+                aperture=ApertureConfig(4, 6), scenario=scenario, alphabet="P", workers=workers
+            )
+            results[workers] = optimize(cfg, ledger_path=tmp_path / f"w{workers}.csv")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
+    for name in ("best", "best_unconstrained", "baseline"):
+        want, got = getattr(results[1], name), getattr(results[2], name)
+        assert want.per_ue_capacities.nbytes == 128 * 2**10
+        assert got.tiling_index == want.tiling_index
+        assert got.average_sum_rate == want.average_sum_rate
+        for field in ("per_drop_sum_rates", "eta_desired_w", "per_ue_capacities"):
+            assert same_bytes(getattr(got, field), getattr(want, field)), (name, field)
 
 
 def test_resume_refuses_ledger_with_gap(tmp_path):
@@ -755,7 +839,7 @@ def evaluations_in_blocks(monkeypatch, cfg, stack, block_drops, out=None):
         out.mkdir()
     monkeypatch.setattr(ChannelStack, "assemble", lambda *args: stack)
     monkeypatch.setattr(opt, "DROP_BLOCK_BYTES", block_drops * 2**10)
-    with opt._in_process((cfg, sample_drops(cfg.scenario), cells, "key")):
+    with opt._Workers(0, (cfg, sample_drops(cfg.scenario), cells, "key")):
         results = [opt._eval_task(task) for task in tasks]
     covers = [_cover_from_rows(rows, cells, aperture.size) for _, rows, _ in tasks]
     return results, covers
@@ -893,7 +977,7 @@ def task_peaks(monkeypatch, run):
     drops = sample_drops(cfg.scenario)
     peaks = {}
     for count in (32, 256):
-        with opt._in_process((cfg, drops[:count], cells, None)):
+        with opt._Workers(0, (cfg, drops[:count], cells, None)):
             run(task)
             tracemalloc.start()
             try:
@@ -1337,9 +1421,10 @@ def test_the_precoders_are_made_and_written_in_a_worker(tmp_path, monkeypatch):
 
 
 def test_no_pool_worker_imports_a_module(tmp_path):
-    # `apertile optimize` imports every module its workers use before the
-    # pool forks: a module a worker imported would be compiled, and cost
-    # CPU, in every worker of every run
+    # `apertile optimize` imports every module its workers use before they
+    # fork: a module a worker imported would be compiled, and cost CPU, in
+    # every worker of every run; and neither the parent nor a worker loads
+    # multiprocessing
     config = tmp_path / "config.json"
     p_config(workers=2).save(config)
     code = (
@@ -1353,11 +1438,14 @@ def test_no_pool_worker_imports_a_module(tmp_path):
         "def first_task(*args):\n"
         "    result = task(*args)\n"
         "    if at_fork:\n"
-        "        print('worker', os.getpid(), *sorted(set(sys.modules) ^ at_fork), flush=True)\n"
+        "        print('worker', os.getpid(), 'multiprocessing' in sys.modules,\n"
+        "              *sorted(set(sys.modules) ^ at_fork), flush=True)\n"
         "        at_fork.clear()\n"
         "    return result\n"
         "opt._eval_task = first_task\n"
-        f"sys.exit(main(['optimize', '--config', {str(config)!r}, '--output-dir', {str(tmp_path)!r}]))\n"
+        f"code = main(['optimize', '--config', {str(config)!r}, '--output-dir', {str(tmp_path)!r}])\n"
+        "print('parent', 'multiprocessing' in sys.modules)\n"
+        "sys.exit(code)\n"
     )
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
@@ -1367,7 +1455,8 @@ def test_no_pool_worker_imports_a_module(tmp_path):
     assert out.returncode == 0, out.stderr
     workers = [line.split()[1:] for line in out.stdout.splitlines() if line.startswith("worker ")]
     assert workers
-    assert [imported for _pid, *imported in workers] == [[]] * len(workers)
+    assert [imported for _pid, *imported in workers] == [["False"]] * len(workers)
+    assert out.stdout.splitlines()[-1] == "parent False"
 
 
 @pytest.mark.parametrize("budget", [opt.TABLE_BUDGET_BYTES, 0])
