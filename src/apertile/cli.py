@@ -135,7 +135,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    # all before the pool forks, so that no worker imports a module
+    # all before the workers fork, so that no worker imports a module
     from .metrics import distribution
     from .optimizer import optimize, result_to_json
     from .reports import render_svg, write_distribution_csv
@@ -275,7 +275,7 @@ def cmd_report(args) -> int:
     meta, summary = summarize_ledger_file(args.ledger)
     print(f"ledger: {args.ledger}")
     shown = "config_hash seed channel_mode aperture alphabet stride apertile_version numpy_version"
-    for key in shown.split():
+    for key in shown.split() + ["blas_core"]:
         if key in meta:
             print(f"  {key}: {meta[key]}")
     print(f"  rows: {summary['rows']} (feasible {summary['feasible_rows']})")

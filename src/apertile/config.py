@@ -62,6 +62,9 @@ class ScenarioParams:
             raise ValueError("need at least one drop and one user")
         if self.ue_height_mode not in ("fixed", "floor"):
             raise ValueError(f"unknown UE height mode {self.ue_height_mode!r}")
+        # an integer, numpy's too, but not a bool (JSON's true would run as 1)
+        if type(self.seed) is bool or not hasattr(type(self.seed), "__index__") or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     @property
     def hex_edge_m(self) -> float:

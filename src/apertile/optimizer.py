@@ -242,6 +242,19 @@ def _pin_heap() -> None:
     mallopt(_M_TRIM_THRESHOLD, 2 * HEAP_BLOCK_BYTES)
 
 
+def _blas_core() -> str:
+    """The kernel that numpy's bundled OpenBLAS chose for this CPU, which the
+    numpy version does not fix; "unknown" without that library or its answer."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    try:
+        name = next(n for n in os.listdir(libs) if n.startswith("libscipy_openblas64_"))
+        corename = ctypes.CDLL(os.path.join(libs, name)).scipy_openblas_get_corename64_
+    except (OSError, StopIteration, AttributeError):
+        return "unknown"
+    corename.argtypes, corename.restype = (), ctypes.c_char_p
+    return corename().decode()
+
+
 def _init_worker(cfg, drops, cells, drops_key):
     """Set up an evaluating process: its own channel stack of `drops`,
     and the placement table of `cells` when it fits TABLE_BUDGET_BYTES."""
@@ -455,6 +468,7 @@ def optimize(
     from . import __version__
 
     versions = {"apertile_version": __version__, "numpy_version": np.__version__}
+    versions["blas_core"] = _blas_core()
     meta = {"config_hash": cfg.config_hash(), "seed": cfg.scenario.seed}
     stride = cfg.tiling_stride
     if precoders_path:  # a killed run's part file, which a new file may never replace

@@ -690,6 +690,18 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
     assert main(["enumerate", "--config", str(bad)]) == 1
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", True])
+def test_cli_optimize_refuses_a_seed_that_is_not_a_non_negative_integer(tmp_path, capsys, seed):
+    # a config error before any work: no output directory is made
+    doc = tiny_config(output_dir=str(tmp_path / "out")).to_dict()
+    doc["scenario"]["seed"] = seed
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["optimize", "--config", str(path)]) == 1
+    assert f"seed must be a non-negative integer, got {seed!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_render_rejects_mismatched_cover(tmp_path, capsys):
     cfg = tiny_config()
     path = write_config(tmp_path, cfg)

@@ -380,6 +380,13 @@ def test_resume_of_strided_ledger_continues_by_position(tmp_path):
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
+# the versions that this process writes into a ledger header, in their order
+RUNNING = {
+    "apertile_version": apertile.__version__,
+    "numpy_version": np.__version__,
+    "blas_core": opt._blas_core(),
+}
+
 
 def launch_optimize(config, out_dir, *flags, stderr=subprocess.DEVNULL):
     """`apertile optimize` in a new session, its log unbuffered on a pipe."""
@@ -691,16 +698,28 @@ def test_resume_writes_an_empty_ledger_or_a_cut_header_again(tmp_path):
 
 
 def test_ledger_header_records_the_package_and_numpy_versions(tmp_path):
+    # and the BLAS kernel, which numpy's OpenBLAS picks for the CPU it runs on
     path = tmp_path / "ledger.csv"
     optimize(toy_config(), ledger_path=path)
     meta, _ = read_ledger(path)
-    assert meta["apertile_version"] == apertile.__version__
-    assert meta["numpy_version"] == np.__version__
+    assert [key for key in meta if key in RUNNING] == list(RUNNING)
+    assert {key: meta[key] for key in RUNNING} == RUNNING
+
+
+def test_the_blas_core_is_unknown_without_the_library_or_its_symbol(monkeypatch):
+    def missing(name):
+        raise OSError(f"{name}: cannot open shared object file")
+
+    monkeypatch.setattr(opt.ctypes, "CDLL", missing)
+    assert opt._blas_core() == "unknown"
+    monkeypatch.setattr(opt.ctypes, "CDLL", lambda _name: SimpleNamespace())
+    assert opt._blas_core() == "unknown"
 
 
 def test_resume_logs_a_ledger_written_under_other_versions(tmp_path):
-    # another numpy or apertile build may change rows in their last bits;
-    # the resume goes on and says so
+    # another numpy or apertile build, or another BLAS kernel, may change
+    # rows in their last bits; the resume goes on and says so. A ledger
+    # written before the header named the kernel (None) resumes so too
     cfg = resume_config()
     full_path = tmp_path / "full.csv"
     full = optimize(cfg, ledger_path=full_path)
@@ -710,19 +729,21 @@ def test_resume_logs_a_ledger_written_under_other_versions(tmp_path):
     optimize(cfg, ledger_path=path, resume=True, log=messages.append)
     assert not [m for m in messages if "last bits" in m]
 
-    write_partial_ledger(full_path, path, 4)
-    current = f"# numpy_version={np.__version__}\n"
-    path.write_text(path.read_text().replace(current, "# numpy_version=1.0.0\n"))
-    messages = []
-    resumed = optimize(cfg, ledger_path=path, resume=True, log=messages.append)
-    assert [m for m in messages if "last bits" in m] == [
-        f"{path} was written with numpy_version 1.0.0 (running {np.__version__}); "
-        "resumed and new rows may differ in their last bits"
-    ]
-    meta, rows = read_ledger(path)
-    assert meta["numpy_version"] == "1.0.0"
-    assert rows == read_ledger(full_path)[1]
-    assert resumed.evaluated_tilings == full.evaluated_tilings == len(rows)
+    for key, recorded in ("numpy_version", "1.0.0"), ("blas_core", "Atom"), ("blas_core", None):
+        write_partial_ledger(full_path, path, 4)
+        current = f"# {key}={RUNNING[key]}\n"
+        written = "" if recorded is None else f"# {key}={recorded}\n"
+        path.write_text(path.read_text().replace(current, written))
+        messages = []
+        resumed = optimize(cfg, ledger_path=path, resume=True, log=messages.append)
+        assert [m for m in messages if "last bits" in m] == [
+            f"{path} was written with {key} {recorded or 'unrecorded'} "
+            f"(running {RUNNING[key]}); resumed and new rows may differ in their last bits"
+        ]
+        meta, rows = read_ledger(path)
+        assert meta.get(key) == recorded
+        assert rows == read_ledger(full_path)[1]
+        assert resumed.evaluated_tilings == full.evaluated_tilings == len(rows)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -1423,14 +1444,19 @@ def test_the_precoders_are_made_and_written_in_a_worker(tmp_path, monkeypatch):
 def test_no_pool_worker_imports_a_module(tmp_path):
     # `apertile optimize` imports every module its workers use before they
     # fork: a module a worker imported would be compiled, and cost CPU, in
-    # every worker of every run; and neither the parent nor a worker loads
-    # multiprocessing
+    # every worker of every run. Neither the parent nor a worker loads
+    # multiprocessing; nor, since the drops come from apertile's own PCG64
+    # stream, numpy.random and the OpenSSL it brings (secrets, _hashlib),
+    # and neither does `apertile evaluate`
     config = tmp_path / "config.json"
     p_config(workers=2).save(config)
     code = (
         "import functools, os, sys\n"
         "import apertile.optimizer as opt\n"
         "from apertile.cli import main\n"
+        "def loaded():\n"
+        "    names = ('multiprocessing', 'numpy.random', 'secrets', '_hashlib')\n"
+        "    return [name in sys.modules for name in names]\n"
         "at_fork = set()\n"
         "os.register_at_fork(after_in_child=lambda: at_fork.update(sys.modules))\n"
         "task = opt._eval_task\n"
@@ -1438,13 +1464,15 @@ def test_no_pool_worker_imports_a_module(tmp_path):
         "def first_task(*args):\n"
         "    result = task(*args)\n"
         "    if at_fork:\n"
-        "        print('worker', os.getpid(), 'multiprocessing' in sys.modules,\n"
+        "        print('worker', os.getpid(), *loaded(),\n"
         "              *sorted(set(sys.modules) ^ at_fork), flush=True)\n"
         "        at_fork.clear()\n"
         "    return result\n"
         "opt._eval_task = first_task\n"
         f"code = main(['optimize', '--config', {str(config)!r}, '--output-dir', {str(tmp_path)!r}])\n"
-        "print('parent', 'multiprocessing' in sys.modules)\n"
+        "print('parent', *loaded(), flush=True)\n"
+        f"main(['evaluate', '--config', {str(config)!r}, '--tiling', 'baseline'])\n"
+        "print('evaluate', *loaded())\n"
         "sys.exit(code)\n"
     )
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
@@ -1455,8 +1483,10 @@ def test_no_pool_worker_imports_a_module(tmp_path):
     assert out.returncode == 0, out.stderr
     workers = [line.split()[1:] for line in out.stdout.splitlines() if line.startswith("worker ")]
     assert workers
-    assert [imported for _pid, *imported in workers] == [["False"]] * len(workers)
-    assert out.stdout.splitlines()[-1] == "parent False"
+    assert [imported for _pid, *imported in workers] == [["False"] * 4] * len(workers)
+    lines = out.stdout.splitlines()
+    assert "parent False False False False" in lines
+    assert lines[-1] == "evaluate False False False False"
 
 
 @pytest.mark.parametrize("budget", [opt.TABLE_BUDGET_BYTES, 0])

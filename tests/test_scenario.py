@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from apertile.scenario import (
     ScenarioParams,
     UEDrop,
+    _PCG64,
     drops_fingerprint,
     floor_height,
     point_in_hexagon,
@@ -93,6 +95,10 @@ def test_params_validation():
         uma(drops=0)
     with pytest.raises(ValueError):
         uma(ue_height_mode="roof")
+    for seed in (-1, 1.5, "3", True, np.True_, None):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            uma(seed=seed)
+    assert uma(seed=np.uint32(7)).seed == 7
 
 
 # --- drops ----------------------------------------------------------------------
@@ -118,6 +124,39 @@ def test_same_seed_is_bit_identical():
     # CPython's own SHA-256 gives OpenSSL's digest
     digest = hashlib.sha256(b"".join(d.positions.tobytes() for d in a)).hexdigest()
     assert drops_fingerprint(a) == digest[:16]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 11])
+def test_the_drop_stream_is_numpys_default_rng(seed):
+    # interleaved as sample_drop draws: a radius and an angle, and at times
+    # a building height and a floor, whose 32-bit draws share 64-bit words;
+    # a one-value range draws nothing, and a 2**32 - 1 range often redraws
+    ours, numpys = _PCG64(seed), np.random.default_rng(seed)
+    edge = 500.0 / 3.0
+    for i in range(300):
+        assert ours.uniform(0.0, edge) == numpys.uniform(0.0, edge)
+        assert ours.uniform(0.0, 2.0 * np.pi) == numpys.uniform(0.0, 2.0 * np.pi)
+        if i % 3:
+            omega = ours.integers(4, 9)
+            assert omega == numpys.integers(4, 9)
+            assert ours.integers(1, omega + 1) == numpys.integers(1, omega + 1)
+        if i % 5 == 0:
+            assert ours.integers(3, 4) == numpys.integers(3, 4) == 3
+        if i % 7 == 0:
+            assert ours.integers(-5, 2**32 - 6) == numpys.integers(-5, 2**32 - 6)
+
+
+@pytest.mark.parametrize("mode", ["fixed", "floor"])
+def test_sample_drops_keeps_the_drops_of_numpys_generator(mode):
+    params = scenario_defaults("umi", ue_height_mode=mode, drops=20, users=16, seed=11)
+    rng = np.random.default_rng(params.seed)
+    expected = [sample_drop(params, p, rng) for p in range(1, params.drops + 1)]
+    for seed in (11, np.int64(11)):
+        drops = sample_drops(replace(params, seed=seed))
+        assert [d.index for d in drops] == list(range(1, 21))
+        assert b"".join(d.positions.tobytes() for d in drops) == b"".join(
+            d.positions.tobytes() for d in expected
+        )
 
 
 def test_floor_heights_hit_exact_support(rng):
