@@ -26,7 +26,7 @@ _EXPORTS = {
         ),
         ("precoding", "ChannelRankError PrecodingMatrix zero_forcing"),
         ("scenario", "UEDrop floor_height point_in_hexagon sample_drop sample_drops"),
-        ("search", "Aperture IncidenceMatrix Placement build_incidence_matrix"),
+        ("search", "Aperture IncidenceMatrix build_incidence_matrix"),
         ("search", "count_exact_covers generate_placements"),
         ("shapes", "PolyominoShape alphabet builtin_shape load_alphabet"),
         ("tiling", "AggregationVector baseline_tiling enumerate_exact_covers"),

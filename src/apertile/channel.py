@@ -120,29 +120,20 @@ class ChannelStack:
     coupling: np.ndarray = field(default_factory=lambda: np.ones((1, 1)))
 
     @classmethod
-    def fill(cls, channels, drops: int, coupling=None) -> "ChannelStack":
-        """Stack `drops` channels (ChannelMatrix or (2U, 2MN) arrays), or
-        with `coupling` their (U, MN) base factors, taken one at a time
-        from an iterable, so a generator never holds more than one matrix."""
-        base = None
-        for p, channel in enumerate(channels):
-            matrix = channel.matrix if isinstance(channel, ChannelMatrix) else channel
-            if base is None:
-                base = np.empty((matrix.shape[1], drops, matrix.shape[0]), complex)
-            base[:, p, :] = matrix.T
-        if base is None or p != drops - 1:
-            raise ValueError(f"expected {drops} channels")
-        return cls(base) if coupling is None else cls(base, coupling)
-
-    @classmethod
     def assemble(
         cls, geometry: ArrayGeometry, pattern: ElementPattern, drops, model: ChannelModel
     ) -> "ChannelStack":
         """The factored stack of `drops`: the base factors and the coupling
         whose products `assemble_channel` forms, so the stack describes the
-        same channels bit for bit."""
-        bases = (_channel_base(geometry, pattern, d, model) for d in drops)
-        return cls.fill(bases, len(drops), _polarization_coupling(pattern))
+        same channels bit for bit. Each drop's base is written into the
+        column-major base as it is formed, so no more than one is held."""
+        if not drops:
+            raise ValueError("no drops given")
+        users = len(drops[0].positions)
+        base = np.empty((geometry.columns * geometry.rows, len(drops), users), complex)
+        for p, drop in enumerate(drops):
+            base[:, p, :] = _channel_base(geometry, pattern, drop, model).T
+        return cls(base, _polarization_coupling(pattern))
 
 
 def _pairwise_sum(items: list, floats: int) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass, field, fields
 
 from .search import Aperture
@@ -25,12 +26,27 @@ except ImportError:
         from hashlib import sha256
 
 
+def _integer(section, name: str, key: str, least: int) -> None:
+    """Check that field `name` of `section` is an integer >= `least` (0 or
+    1), numpy's too but not a bool (JSON's true would run as 1), and store
+    it as an int; the ValueError names its config `key`."""
+    value = getattr(section, name)
+    if type(value) is bool or not hasattr(type(value), "__index__") or value < least:
+        kind = "non-negative" if least == 0 else "positive"
+        raise ValueError(f"{key} must be a {kind} integer, got {value!r}")
+    object.__setattr__(section, name, operator.index(value))
+
+
 @dataclass(frozen=True)
 class ApertureConfig:
     columns: int = 8
     rows: int = 12
     spacing_y_wavelengths: float = 0.5
     spacing_z_wavelengths: float = 0.7
+
+    def __post_init__(self):
+        _integer(self, "columns", "aperture.columns", 1)
+        _integer(self, "rows", "aperture.rows", 1)
 
 
 @dataclass(frozen=True)
@@ -58,13 +74,11 @@ class ScenarioParams:
     def __post_init__(self):
         if self.isd_m <= 0:
             raise ValueError("ISD must be positive")
-        if self.drops < 1 or self.users < 1:
-            raise ValueError("need at least one drop and one user")
+        _integer(self, "drops", "scenario.drops", 1)
+        _integer(self, "users", "scenario.users", 1)
+        _integer(self, "seed", "scenario.seed", 0)
         if self.ue_height_mode not in ("fixed", "floor"):
             raise ValueError(f"unknown UE height mode {self.ue_height_mode!r}")
-        # an integer, numpy's too, but not a bool (JSON's true would run as 1)
-        if type(self.seed) is bool or not hasattr(type(self.seed), "__index__") or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     @property
     def hex_edge_m(self) -> float:
@@ -205,6 +219,10 @@ class RunConfig:
     tiling_stride: int = 1
     output_dir: str = "out"
 
+    def __post_init__(self):
+        _integer(self, "workers", "workers", 0)
+        _integer(self, "tiling_stride", "tiling_stride", 1)
+
     # --- construction of the working objects ---
 
     def aperture_grid(self) -> Aperture:
@@ -254,10 +272,6 @@ class RunConfig:
                 f"{min_tiles} (= {elements} elements / {max_size}-cell tiles); "
                 "zero forcing needs users <= tiles"
             )
-        if self.tiling_stride < 1:
-            raise ValueError("tiling stride must be >= 1")
-        if self.workers < 0:
-            raise ValueError("workers must be >= 0")
         if not self.zf_condition_cap >= 1.0:  # NaN too: every cond(H) >= 1 would fail it
             raise ValueError(f"zf_condition_cap must be >= 1, got {self.zf_condition_cap}")
 

@@ -40,13 +40,14 @@ from typing import Callable
 
 import numpy as np
 
+from . import __version__
 from .channel import (
     ChannelStack, LinkBudget, aggregate_channel, effective_channels, placement_table
 )
 from .config import RunConfig
 from .forked import fork
 from .ledger import _ROW_FORMAT, _Fold, _resume, write_ledger_header
-from .ledger import read_ledger, summarize_ledger  # re-exported
+from .ledger import read_ledger  # re-exported
 from .metrics import EvaluationRecord, eta_statistics
 from .precoding import ChannelRankError, PrecodingMatrix, _precoder_file, _precoders, _zero_force
 from .scenario import UEDrop, drops_fingerprint, sample_drops
@@ -463,10 +464,7 @@ def optimize(
         f"{len(drops)} drops sampled ({cfg.channel.tag})"
     )
 
-    # read here: the package __init__ imports this module before it sets
-    # __version__. ZF results depend bit for bit on the numpy/LAPACK build.
-    from . import __version__
-
+    # ZF results depend bit for bit on the numpy/LAPACK build
     versions = {"apertile_version": __version__, "numpy_version": np.__version__}
     versions["blas_core"] = _blas_core()
     meta = {"config_hash": cfg.config_hash(), "seed": cfg.scenario.seed}

@@ -22,7 +22,7 @@ def classify_tiles(
     """
     lookup: dict[tuple, tuple[int, int]] = {}
     for shape in shapes:
-        for idx, (_tag, cells) in enumerate(orientations(shape)):
+        for idx, cells in enumerate(orientations(shape)):
             lookup.setdefault(cells, (shape.shape_id, idx))
     values = np.asarray(cover.values)
     out: list[tuple[int, int] | None] = []

@@ -53,32 +53,17 @@ class Aperture:
         return ((i - 1) % self.columns + 1, (i - 1) // self.columns + 1)
 
 
-@dataclass(frozen=True)
-class Placement:
-    """One admissible positioned/oriented tile instance."""
-
-    placement_id: int
-    shape_id: int
-    orientation: tuple[int, bool]  # (rotation_deg, flipped)
-    anchor: int  # pixel index of the bounding-box origin cell position
-    covered: tuple[int, ...]  # sorted 1-based pixel indices
-
-
 @dataclass
 class IncidenceMatrix:
     """Sparse binary placement-by-pixel matrix (row k covers its pixel set)."""
 
     aperture: Aperture
-    placements: list[Placement]
     rows: tuple[tuple[int, ...], ...]  # per placement, sorted 1-based pixel ids
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.rows), self.aperture.size)
 
-
-def generate_placements(aperture: Aperture, shapes: list[PolyominoShape]) -> list[Placement]:
-    """All distinct placements of the shapes fully inside the aperture.
+def generate_placements(aperture: Aperture, shapes: list[PolyominoShape]) -> list[tuple[int, ...]]:
+    """All distinct placements of the shapes fully inside the aperture, each
+    as its sorted 1-based pixel indices.
 
     Ordering is deterministic: shape id, then orientation variant, then
     anchor in row-major order (rows outer, columns inner). Shapes too large
@@ -90,10 +75,10 @@ def generate_placements(aperture: Aperture, shapes: list[PolyominoShape]) -> lis
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate shape ids: {ids}")
 
-    out: list[Placement] = []
+    out: list[tuple[int, ...]] = []
     seen: set[tuple[int, tuple[int, ...]]] = set()
     for shape in shapes:
-        for tag, cells in orientations(shape):
+        for cells in orientations(shape):
             height = 1 + max(r for r, _ in cells)
             width = 1 + max(c for _, c in cells)
             for n0 in range(1, aperture.rows - height + 2):
@@ -102,38 +87,23 @@ def generate_placements(aperture: Aperture, shapes: list[PolyominoShape]) -> lis
                         sorted(aperture.pixel_index(m0 + c, n0 + r) for r, c in cells)
                     )
                     key = (shape.shape_id, covered)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    out.append(
-                        Placement(
-                            placement_id=len(out) + 1,
-                            shape_id=shape.shape_id,
-                            orientation=tag,
-                            anchor=aperture.pixel_index(m0, n0),
-                            covered=covered,
-                        )
-                    )
+                    if key not in seen:
+                        seen.add(key)
+                        out.append(covered)
     return out
 
 
-def build_incidence_matrix(
-    placements: list[Placement], aperture: Aperture
-) -> IncidenceMatrix:
-    """Binary matrix with one row per placement, in placement order."""
+def build_incidence_matrix(placements, aperture: Aperture) -> IncidenceMatrix:
+    """Binary matrix with one row per placement, in placement order; each
+    placement is a sequence of 1-based pixel indices."""
     if not placements:
         raise ValueError("no placements given")
-    for p in placements:
-        for i in p.covered:
+    rows = tuple(tuple(p) for p in placements)
+    for k, pixels in enumerate(rows, start=1):
+        for i in pixels:
             if not (1 <= i <= aperture.size):
-                raise ValueError(
-                    f"placement {p.placement_id} covers pixel {i} outside [1, {aperture.size}]"
-                )
-    return IncidenceMatrix(
-        aperture=aperture,
-        placements=list(placements),
-        rows=tuple(p.covered for p in placements),
-    )
+                raise ValueError(f"placement {k} covers pixel {i} outside [1, {aperture.size}]")
+    return IncidenceMatrix(aperture=aperture, rows=rows)
 
 
 class _CoverSearch:

@@ -71,29 +71,25 @@ class PolyominoShape:
         return len(self.cells)
 
 
-# (rotation_deg, flipped) tag attached to each distinct variant
-OrientationTag = tuple[int, bool]
-
-
-def orientations(shape: PolyominoShape) -> list[tuple[OrientationTag, tuple[Cell, ...]]]:
+def orientations(shape: PolyominoShape) -> list[tuple[Cell, ...]]:
     """Distinct cell sets of a shape under the transforms it permits.
 
     Variants are generated in a fixed order (no flip then flip, rotations
-    0/90/180/270 within each) and deduplicated keeping the first tag, so
-    symmetric shapes contribute each geometry once.
+    0/90/180/270 within each) and deduplicated keeping the first occurrence,
+    so symmetric shapes contribute each geometry once.
     """
-    out: list[tuple[OrientationTag, tuple[Cell, ...]]] = []
+    out: list[tuple[Cell, ...]] = []
     seen: set[tuple[Cell, ...]] = set()
     for flipped in (False, True) if shape.allow_flips else (False,):
         cells = list(_flip(shape.cells)) if flipped else list(shape.cells)
-        for quarter in range(4) if shape.allow_rotations else range(1):
+        for _ in range(4) if shape.allow_rotations else range(1):
             variant = normalize_cells(cells)
             if variant not in seen:
                 seen.add(variant)
                 height = 1 + max(r for r, _ in variant)
                 width = 1 + max(c for _, c in variant)
                 if not shape.vertical_only or height > width:
-                    out.append(((quarter * 90, flipped), variant))
+                    out.append(variant)
             cells = _rotate90(cells)
     return out
 

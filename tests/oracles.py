@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from apertile.channel import ChannelModel
+from apertile.channel import ChannelModel, ChannelStack
 from apertile.geometry import expand_weights_dual
 from apertile.scenario import ScenarioParams, UEDrop
 from apertile.shapes import PolyominoShape, normalize_cells
@@ -177,6 +177,13 @@ def reduceat_aggregate(G, s):
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
     cols = np.concatenate((order, mn + order))
     return np.add.reduceat(mat[..., cols], np.concatenate((starts, mn + starts)), axis=-1)
+
+
+def column_major_stack(channels) -> ChannelStack:
+    """Whole (2U, 2MN) channels, arrays or ChannelMatrix, as a ChannelStack
+    with a 1x1 coupling: base[c, p, a] = G_p[a, c], copied column-major."""
+    matrices = np.array([getattr(G, "matrix", G) for G in channels], dtype=complex)
+    return ChannelStack(np.ascontiguousarray(np.moveaxis(matrices, -1, 0)))
 
 
 def eigvalsh_cap_decision(H, condition_cap):

@@ -25,7 +25,9 @@ from apertile.tiling import (
 )
 from apertile.units import watts_to_dbm
 
-from oracles import element_position, linear_to_db, los_green, reduceat_aggregate
+from oracles import (
+    column_major_stack, element_position, linear_to_db, los_green, reduceat_aggregate
+)
 from test_geometry import reference_geometry
 
 
@@ -266,7 +268,7 @@ def complex_stack(rng, drops, ports, columns):
 def assert_bit_identical(G, cover):
     """Row-major and column-major inputs both give the reduceat bytes."""
     expected = reduceat_aggregate(G, cover)
-    for channels in (G, ChannelStack.fill(G, len(G))):
+    for channels in (G, column_major_stack(G)):
         got = aggregate_channel(channels, cover)
         assert got.flags.c_contiguous
         assert got.shape == expected.shape
@@ -338,7 +340,7 @@ def mixed_alphabet(tmp_path):
 )
 def test_placement_table_rows_are_aggregated_columns_bit_for_bit(rng, tmp_path, shapes, aperture):
     G = complex_stack(rng, 3, 4, 2 * aperture.size)
-    stack = ChannelStack.fill(G, len(G))
+    stack = column_major_stack(G)
     chosen = mixed_alphabet(tmp_path) if shapes == "mixed" else alphabet(shapes)
     matrix = build_incidence_matrix(generate_placements(aperture, chosen), aperture)
     table = placement_table(stack, [np.asarray(p) - 1 for p in matrix.rows])
@@ -367,18 +369,6 @@ def test_placement_table_rows_are_aggregated_columns_bit_for_bit(rng, tmp_path, 
         if covers == 200:
             break
     assert covers > 0
-
-
-def test_channel_stack_fill_checks_the_drop_count(rng):
-    # a whole channel is its own base, column-major, with a 1x1 coupling
-    G = complex_stack(rng, 3, 2, 8)
-    stack = ChannelStack.fill(G, 3)
-    assert stack.base.shape == (8, 3, 2)
-    assert stack.coupling.tolist() == [[1.0]]
-    for p in range(3):
-        assert stack.base[:, p, :].T.tobytes() == G[p].tobytes()
-    with pytest.raises(ValueError, match="expected 4 channels"):
-        ChannelStack.fill(G, 4)
 
 
 SLANTS = {"+-45": (-45.0, 45.0), "0/30": (0.0, 30.0)}
@@ -411,13 +401,16 @@ def test_assembled_stack_holds_the_factors_of_every_channel(slants):
                 block = G[chi::2, psi * 24 : (psi + 1) * 24]
                 product = stack.base[:, p, :].T * stack.coupling[chi, psi]
                 assert product.tobytes() == block.tobytes()
+    geom = reference_geometry(columns=4, rows=6, h=10.0)
+    with pytest.raises(ValueError, match="no drops given"):
+        ChannelStack.assemble(geom, pattern, [], ChannelModel())
 
 
 @pytest.mark.parametrize("slants", SLANTS.values(), ids=SLANTS.keys())
 def test_factored_tables_equal_the_expanded_ones_bit_for_bit(rng, slants):
     pattern = ElementPattern(slant_v_deg=slants[0], slant_h_deg=slants[1])
     stack, matrices = assembled(pattern)
-    expanded = ChannelStack.fill(matrices, len(matrices))
+    expanded = column_major_stack(matrices)
     aperture = Aperture(4, 6)
     matrix = build_incidence_matrix(generate_placements(aperture, alphabet("P+L")), aperture)
     cells = [np.asarray(p) - 1 for p in matrix.rows]
@@ -444,9 +437,9 @@ def test_factored_tables_equal_the_expanded_ones_bit_for_bit(rng, slants):
 
 
 def test_a_raw_channel_is_a_stack_with_a_unit_coupling(rng):
-    # a non-separable array: the same tables whether filled or passed raw
+    # a non-separable array: the same tables whether copied column-major or passed raw
     G = complex_stack(rng, 3, 6, 48)
-    stack = ChannelStack.fill(G, len(G))
+    stack = column_major_stack(G)
     aperture = Aperture(4, 6)
     matrix = build_incidence_matrix(generate_placements(aperture, alphabet("P+L")), aperture)
     cells = [np.asarray(p) - 1 for p in matrix.rows]

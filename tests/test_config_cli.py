@@ -702,6 +702,43 @@ def test_cli_optimize_refuses_a_seed_that_is_not_a_non_negative_integer(tmp_path
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("aperture.columns", 4.0), ("scenario.drops", 2.0), ("workers", 1.5), ("tiling_stride", True)],
+)
+def test_cli_refuses_an_integer_field_that_is_not_an_integer(tmp_path, capsys, key, value):
+    # a config error (exit 1) before any work, not an internal one, and true is no 1
+    doc = tiny_config(output_dir=str(tmp_path / "out")).to_dict()
+    *sections, name = key.split(".")
+    section = doc
+    for part in sections:
+        section = section[part]
+    section[name] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    for command in (["optimize"], ["render", "--tiling", "baseline"]):
+        assert main([*command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {key} must be a " in err and f" integer, got {value!r}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_numpy_integer_seed_is_the_same_config_as_its_int(tmp_path):
+    from apertile.optimizer import optimize
+
+    plain = tiny_config()
+    numpy_seed = tiny_config(
+        scenario=ScenarioParams(
+            kind="uma", isd_m=500.0, bs_height_m=25.0, drops=2, users=3, seed=np.int64(5)
+        )
+    )
+    assert type(numpy_seed.scenario.seed) is int
+    assert numpy_seed.config_hash() == plain.config_hash()
+    optimize(plain, ledger_path=tmp_path / "plain.csv")
+    optimize(numpy_seed, ledger_path=tmp_path / "numpy.csv")
+    assert (tmp_path / "numpy.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+
 def test_cli_render_rejects_mismatched_cover(tmp_path, capsys):
     cfg = tiny_config()
     path = write_config(tmp_path, cfg)

@@ -86,3 +86,31 @@ def test_every_public_method_has_a_caller_outside_the_tests():
     ]
     assert len(methods) > 20
     assert [name for name in methods if name.split(".")[2] not in used] == []
+
+
+def attributes_read(path: Path) -> set[str]:
+    """Names a module reads as attributes, `x.name` in a load context."""
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_field_is_read_by_the_program():
+    # config.py's sections are read whole too, by `asdict` in `config_hash`
+    # and `to_dict`; the acceptance criteria are fixed, so what they read stays
+    readers = [*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    readers += [*(ROOT / "perfbench").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
+    read = set().union(*(attributes_read(p) for p in readers))
+    fields = [
+        f"{path.stem}.{cls.name}.{node.target.id}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "config.py"
+        for cls in ast.walk(ast.parse(path.read_text()))
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+    ]
+    assert len(fields) > 20
+    assert [name for name in fields if name.split(".")[2] not in read] == []

@@ -48,7 +48,7 @@ from apertile.tiling import (
 )
 from apertile.shapes import alphabet, builtin_shape, save_alphabet
 
-from oracles import same_npz_members, savez_precoders, summarize_ledger_rows
+from oracles import column_major_stack, same_npz_members, savez_precoders, summarize_ledger_rows
 from test_acceptance import PINNED_SCENARIOS
 
 
@@ -184,7 +184,7 @@ def test_posterior_precoders_zero_force_each_drop():
         generate_placements(cfg.aperture_grid(), cfg.shapes()), cfg.aperture_grid()
     )
     cover = next(enumerate_exact_covers(matrix))
-    precoders = tiling_precoders(cover, ChannelStack.fill(channels, len(drops)))
+    precoders = tiling_precoders(cover, column_major_stack(channels))
     assert len(precoders) == len(drops)
     for channel, precoder in zip(channels, precoders):
         H = aggregate_channel(channel, cover)
@@ -203,7 +203,7 @@ def test_channels_must_be_a_stack_or_a_3d_array(rng):
         with pytest.raises(ValueError, match=r"ChannelStack or a \(P, 2U, 2MN\) array"):
             tiling_precoders(cover, channels)
     assert evaluate_tiling(cover, G[None], budget, beams=4).feasible
-    assert len(tiling_precoders(cover, ChannelStack.fill([G], 1))) == 1
+    assert len(tiling_precoders(cover, column_major_stack([G]))) == 1
 
 
 # --- optimize ------------------------------------------------------------------
@@ -1344,7 +1344,7 @@ def test_each_best_tiling_is_evaluated_once(tmp_path, monkeypatch):
         assemble_channel(geometry, cfg.pattern, d, cfg.channel)
         for d in sample_drops(cfg.scenario)
     ]
-    expected = tiling_precoders(result.best_cover, ChannelStack.fill(channels, len(channels)))
+    expected = tiling_precoders(result.best_cover, column_major_stack(channels))
     assert len(expected) == cfg.scenario.drops
     with np.load(tmp_path / "best_precoders.npz") as data:
         np.testing.assert_array_equal(data["coefficients"], [p.coefficients for p in expected])

@@ -14,7 +14,6 @@ from apertile.shapes import alphabet, builtin_shape
 from apertile.tiling import (
     AggregationVector,
     Aperture,
-    Placement,
     _cover_json_line,
     _CoverSearch,
     baseline_tiling,
@@ -76,12 +75,10 @@ def test_pixel_index_rejects_out_of_range():
 def test_domino_3x2_has_seven_placements_in_reference_order():
     aperture = Aperture(3, 2)
     placements = generate_placements(aperture, alphabet("domino"))
-    covered = [p.covered for p in placements]
-    assert covered == [
+    assert placements == [
         (1, 2), (2, 3), (4, 5), (5, 6),  # horizontal, row-major anchors
         (1, 4), (2, 5), (3, 6),  # vertical
     ]
-    assert [p.placement_id for p in placements] == list(range(1, 8))
 
 
 def test_domino_does_not_fit_1x1():
@@ -92,7 +89,7 @@ def test_domino_does_not_fit_1x1():
 def test_placements_match_brute_force_scan():
     aperture = Aperture(8, 12)
     shape = builtin_shape("hexomino_p", 1)
-    fast = {frozenset(p.covered) for p in generate_placements(aperture, [shape])}
+    fast = {frozenset(p) for p in generate_placements(aperture, [shape])}
     assert fast == brute_force_placements(aperture, shape)
     # distinctness: one placement per covered set
     assert len(fast) == len(generate_placements(aperture, [shape]))
@@ -113,7 +110,7 @@ def test_empty_shape_list_rejected():
 
 def test_incidence_matrix_matches_reference_figure():
     matrix, _ = matrix_for(3, 2, "domino")
-    assert matrix.shape == (7, 6)
+    assert (len(matrix.rows), matrix.aperture.size) == (7, 6)
     assert sum(len(pixels) for pixels in matrix.rows) == 14  # two ones per row
     assert matrix.rows[0] == (1, 2)
     assert matrix.rows[2] == (4, 5)
@@ -122,24 +119,34 @@ def test_incidence_matrix_matches_reference_figure():
 
 def test_incidence_entries_equal_membership():
     matrix, aperture = matrix_for(4, 3, "tromino_l")
-    for pixels, placement in zip(matrix.rows, matrix.placements, strict=True):
+    placements = generate_placements(aperture, alphabet("tromino_l"))
+    for pixels, placement in zip(matrix.rows, placements, strict=True):
         for i in range(1, aperture.size + 1):
-            assert (i in pixels) == (i in placement.covered)
+            assert (i in pixels) == (i in placement)
 
 
 def test_single_full_cover_placement_gives_all_ones_row():
     aperture = Aperture(2, 1)
     placements = generate_placements(aperture, alphabet("domino"))
     matrix = build_incidence_matrix(placements, aperture)
-    assert matrix.shape == (1, 2)
+    assert (len(matrix.rows), matrix.aperture.size) == (1, 2)
     assert matrix.rows == ((1, 2),)
 
 
 def test_incidence_rejects_out_of_aperture_pixels():
     aperture = Aperture(2, 2)
-    bogus = Placement(1, 1, (0, False), 1, (1, 5))
+    bogus = (1, 5)
     with pytest.raises(ValueError, match="outside"):
         build_incidence_matrix([bogus], aperture)
+
+
+def test_incidence_takes_pixel_lists_and_names_a_bad_placement_by_position():
+    aperture = Aperture(2, 2)
+    matrix = build_incidence_matrix([[1, 2], (3, 4)], aperture)
+    assert matrix.rows == ((1, 2), (3, 4))
+    assert matrix.rows == build_incidence_matrix([(1, 2), (3, 4)], aperture).rows
+    with pytest.raises(ValueError, match=r"^placement 2 covers pixel 5 outside \[1, 4\]$"):
+        build_incidence_matrix([[1, 2], [1, 5]], aperture)
 
 
 def test_incidence_rejects_empty_placements():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import apertile.precoding as precoding
-from apertile.channel import ChannelStack, LinkBudget, aggregate_channel, assemble_channel
+from apertile.channel import LinkBudget, aggregate_channel, assemble_channel
 from apertile.config import ApertureConfig, RunConfig
 from apertile.optimizer import _cover_from_rows, _evaluate, evaluate_tiling, tiling_precoders
 from apertile.precoding import ChannelRankError, _zero_force, normalize_beams, zero_forcing
@@ -16,6 +16,7 @@ from apertile.scenario import ScenarioParams, sample_drops
 from apertile.tiling import _CoverSearch, build_incidence_matrix, generate_placements
 
 from oracles import (
+    column_major_stack,
     eigvalsh_cap_decision,
     eigvalsh_first_capacities,
     normal_equations_record,
@@ -218,7 +219,7 @@ def study200():
         _cover_from_rows(rows, cells, aperture.size)
         for _, rows in _CoverSearch(L).stream(1, 3000)
     ]
-    return cfg, G, ChannelStack.fill(G, len(G)), covers
+    return cfg, G, column_major_stack(G), covers
 
 
 def test_study_sample_records_equal_the_eigvalsh_first_evaluation(study200):
@@ -252,7 +253,7 @@ def test_low_cap_records_equal_the_eigvalsh_first_evaluation(study200, monkeypat
     seen = counting_cap_decision(monkeypatch)
     outcomes = set()
     for p in range(0, 60, 2):
-        pair = ChannelStack.fill(G[p : p + 2], 2)
+        pair = column_major_stack(G[p : p + 2])
         for cover in covers[:4]:
             H = aggregate_channel(pair, cover)
             passes = bool(eigvalsh_cap_decision(H, cap).all())
