@@ -28,9 +28,12 @@ DUMP_BATCH = 512  # most covers per pickle sent from the walk to the dump writer
 
 
 def _load_config(path: str) -> RunConfig:
-    if not os.path.exists(path):
-        raise ValueError(f"config file not found: {path}")
-    return RunConfig.load(path)
+    """The config at `path`, validated, so a command refuses a bad one before any work."""
+    if not os.path.isfile(path):
+        raise ValueError(f"no config file at {path}")
+    cfg = RunConfig.load(path)
+    cfg.validate()
+    return cfg
 
 
 def _resolve_cover(cfg: RunConfig, spec: str):
@@ -109,7 +112,6 @@ def _feed_writer(covers, write) -> None:
 
 def cmd_enumerate(args) -> int:
     cfg = _load_config(args.config)
-    cfg.validate()
     aperture = cfg.aperture_grid()
     placements = generate_placements(aperture, cfg.shapes())
     matrix = build_incidence_matrix(placements, aperture)
@@ -212,11 +214,10 @@ def cmd_evaluate(args) -> int:
     from .channel import ChannelStack
     from .metrics import eta_statistics
     from .optimizer import evaluate_tiling
-    from .scenario import drops_fingerprint, sample_drops
+    from .scenario import sample_drops
     from .units import watts_to_dbm
 
     cfg = _load_config(args.config)
-    cfg.validate()
     cover, _aperture = _resolve_cover(cfg, args.tiling)
     drops = sample_drops(cfg.scenario)
     record = evaluate_tiling(
@@ -224,7 +225,6 @@ def cmd_evaluate(args) -> int:
         ChannelStack.assemble(cfg.geometry(), cfg.pattern, drops, cfg.channel),
         cfg.link_budget(),
         condition_cap=cfg.zf_condition_cap,
-        drops_key=drops_fingerprint(drops),
     )
     doc = {
         "config_hash": cfg.config_hash(),

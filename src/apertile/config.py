@@ -10,9 +10,9 @@ builds is defined here, without numpy; their few array methods import it.
 from __future__ import annotations
 
 import json
-import math
 import operator
-from dataclasses import asdict, dataclass, field, fields
+import sys
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .search import Aperture
 from .shapes import PolyominoShape, alphabet, load_alphabet
@@ -26,15 +26,33 @@ except ImportError:
         from hashlib import sha256
 
 
-def _integer(section, name: str, key: str, least: int) -> None:
-    """Check that field `name` of `section` is an integer >= `least` (0 or
-    1), numpy's too but not a bool (JSON's true would run as 1), and store
-    it as an int; the ValueError names its config `key`."""
-    value = getattr(section, name)
-    if type(value) is bool or not hasattr(type(value), "__index__") or value < least:
-        kind = "non-negative" if least == 0 else "positive"
-        raise ValueError(f"{key} must be a {kind} integer, got {value!r}")
-    object.__setattr__(section, name, operator.index(value))
+def _checked(section) -> None:
+    """Check each field of a config section against its annotation, naming
+    its dotted key: an int is >= 1 (>= 0 for seed and workers), a float is a
+    finite number (zf_condition_cap may be inf or NaN), neither is a bool, a
+    str or section field holds one, `| None` admits None; numpy ints -> int."""
+    prefix = next((f"{f.name}." for f in fields(RunConfig) if f.type == type(section).__name__), "")
+    for f in fields(section):
+        key, value = prefix + f.name, getattr(section, f.name)
+        kind = f.type.removesuffix(" | None")
+        if value is None and kind != f.type:
+            continue
+        integer = type(value) is not bool and hasattr(type(value), "__index__")
+        if kind == "int":
+            least = 0 if f.name in ("seed", "workers") else 1
+            if not integer or value < least:
+                sign = "non-negative" if least == 0 else "positive"
+                raise ValueError(f"{key} must be a {sign} integer, got {value!r}")
+        elif kind == "float":
+            if not (integer or isinstance(value, float)):
+                raise ValueError(f"{key} must be a number, got {value!r}")
+            # an integer too large for a float is no more finite than inf
+            if not abs(value) <= sys.float_info.max and (integer or f.name != "zf_condition_cap"):
+                raise ValueError(f"{key} must be finite, got {value}")
+        elif not isinstance(value, str if kind == "str" else globals()[kind]):
+            raise ValueError(f"{key} must be of type {kind}, got {value!r}")
+        if integer:
+            object.__setattr__(section, f.name, operator.index(value))
 
 
 @dataclass(frozen=True)
@@ -45,8 +63,7 @@ class ApertureConfig:
     spacing_z_wavelengths: float = 0.7
 
     def __post_init__(self):
-        _integer(self, "columns", "aperture.columns", 1)
-        _integer(self, "rows", "aperture.rows", 1)
+        _checked(self)
 
 
 @dataclass(frozen=True)
@@ -55,6 +72,9 @@ class BudgetConfig:
     tx_power_dbm: float = 43.0
     noise_power_dbm: float = -92.0
     coverage_threshold_dbm: float = -120.0
+
+    def __post_init__(self):
+        _checked(self)
 
 
 @dataclass(frozen=True)
@@ -72,11 +92,9 @@ class ScenarioParams:
     centroid_y_m: float | None = None
 
     def __post_init__(self):
+        _checked(self)
         if self.isd_m <= 0:
             raise ValueError("ISD must be positive")
-        _integer(self, "drops", "scenario.drops", 1)
-        _integer(self, "users", "scenario.users", 1)
-        _integer(self, "seed", "scenario.seed", 0)
         if self.ue_height_mode not in ("fixed", "floor"):
             raise ValueError(f"unknown UE height mode {self.ue_height_mode!r}")
 
@@ -110,6 +128,7 @@ class ElementPattern:
     slant_h_deg: float = 45.0
 
     def __post_init__(self):
+        _checked(self)
         for bw in (self.azimuth_beamwidth_deg, self.elevation_beamwidth_deg):
             if not (0.0 < bw < 180.0):
                 raise ValueError(f"beamwidth {bw} outside (0, 180) deg")
@@ -153,12 +172,11 @@ class ChannelModel:
     penetration_loss_db: float = 0.0
 
     def __post_init__(self):
+        _checked(self)
         if self.mode not in ("fspl", "ploss_exp"):
             raise ValueError(f"unknown channel mode {self.mode!r}")
-        if not 0 < self.path_loss_exponent < math.inf:
-            raise ValueError("path-loss exponent must be positive and finite")
-        if not math.isfinite(self.penetration_loss_db):
-            raise ValueError("penetration loss must be finite")
+        if not self.path_loss_exponent > 0:
+            raise ValueError("path-loss exponent must be positive")
 
     @property
     def tag(self) -> str:
@@ -183,30 +201,31 @@ class ChannelModel:
         return amp * 10.0 ** (-self.penetration_loss_db / 20.0)
 
 
-def _numbers(doc: dict, prefix: str = ""):
-    """(dotted key, value) of every float in a nested config document."""
-    for key, value in doc.items():
-        if isinstance(value, dict):
-            yield from _numbers(value, f"{prefix}{key}.")
-        elif isinstance(value, float):
-            yield prefix + key, value
-
-
-def _from_mapping(cls, doc: dict):
-    known = {f.name for f in fields(cls)}
-    unknown = set(doc) - known
+def _read(cls, doc, key: str):
+    """Build config section `cls`, each section field from its own object, from
+    the JSON object `doc` at dotted `key` ("" at the top); refuse unknown and missing keys."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{key or 'config'} must be a JSON object, got {doc!r}")
+    known = {f.name: f for f in fields(cls)}
+    prefix = key and f"{key}."
+    unknown = sorted(f"{prefix}{name}" for name in set(doc) - set(known))
     if unknown:
-        raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    return cls(**doc)
+        raise ValueError(f"unknown {cls.__name__ if key else 'config'} keys: {unknown}")
+    missing = [prefix + name for name, f in known.items()
+               if name not in doc and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"missing {key or 'config'} keys: {missing}")
+    # a section field is annotated with its class's name; int, float and str name none here
+    sections = {name: globals().get(f.type) for name, f in known.items()}
+    return cls(**{name: _read(sections[name], value, prefix + name) if sections[name] else value
+                  for name, value in doc.items()})
 
 
 @dataclass
 class RunConfig:
     aperture: ApertureConfig = field(default_factory=ApertureConfig)
     scenario: ScenarioParams = field(
-        default_factory=lambda: ScenarioParams(
-            kind="uma", isd_m=500.0, bs_height_m=25.0, drops=200, users=16, seed=1
-        )
+        default_factory=lambda: ScenarioParams(kind="uma", isd_m=500.0, bs_height_m=25.0)
     )
     pattern: ElementPattern = field(default_factory=ElementPattern)
     budget: BudgetConfig = field(default_factory=BudgetConfig)
@@ -220,8 +239,7 @@ class RunConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
-        _integer(self, "workers", "workers", 0)
-        _integer(self, "tiling_stride", "tiling_stride", 1)
+        _checked(self)
 
     # --- construction of the working objects ---
 
@@ -258,10 +276,6 @@ class RunConfig:
         return alphabet(self.alphabet)
 
     def validate(self) -> None:
-        # an infinite cap turns the cap off; NaN is refused with the cap below
-        for name, value in _numbers(self.to_dict()):
-            if not math.isfinite(value) and name != "zf_condition_cap":
-                raise ValueError(f"{name} must be finite, got {value}")
         shapes = self.shapes()
         elements = self.aperture.columns * self.aperture.rows
         max_size = max(s.size for s in shapes)
@@ -272,7 +286,8 @@ class RunConfig:
                 f"{min_tiles} (= {elements} elements / {max_size}-cell tiles); "
                 "zero forcing needs users <= tiles"
             )
-        if not self.zf_condition_cap >= 1.0:  # NaN too: every cond(H) >= 1 would fail it
+        # inf turns the cap off; NaN or < 1 would fail every cond(H) >= 1
+        if not self.zf_condition_cap >= 1.0:
             raise ValueError(f"zf_condition_cap must be >= 1, got {self.zf_condition_cap}")
 
     # --- serialization ---
@@ -282,22 +297,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        doc = dict(doc)
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        nested = {
-            "aperture": ApertureConfig,
-            "scenario": ScenarioParams,
-            "pattern": ElementPattern,
-            "budget": BudgetConfig,
-            "channel": ChannelModel,
-        }
-        for key, sub in nested.items():
-            if key in doc and isinstance(doc[key], dict):
-                doc[key] = _from_mapping(sub, doc[key])
-        return cls(**doc)
+        return _read(cls, doc, "")
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)

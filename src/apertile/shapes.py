@@ -157,10 +157,17 @@ def load_alphabet(path) -> list[PolyominoShape]:
                      "rotations": true, "flips": true,
                      "vertical_only": false}, ...]}
     """
-    with open(path) as fh:
-        doc = json.load(fh)
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as err:
+        raise ValueError(f"cannot read alphabet file {path}: {err}") from None
+    if not isinstance(doc, dict) or not isinstance(doc.get("shapes"), list):
+        raise ValueError(f"alphabet file {path} has no 'shapes' list")
     shapes = []
     for f, entry in enumerate(doc["shapes"], start=1):
+        if not isinstance(entry, dict) or not {"name", "cells"} <= entry.keys():
+            raise ValueError(f"alphabet file {path}: shape {f} needs a name and cells")
         cells = normalize_cells(tuple((int(r), int(c)) for r, c in entry["cells"]))
         shapes.append(
             PolyominoShape(

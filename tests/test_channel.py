@@ -66,11 +66,13 @@ def test_budget_rejects_nan_and_infinite_powers(index, bad):
 
 
 def test_channel_model_rejects_nan():
-    for exponent in (float("nan"), float("inf"), 0.0):
-        with pytest.raises(ValueError, match="exponent must be positive and finite"):
-            ChannelModel("ploss_exp", exponent)
-    with pytest.raises(ValueError, match="penetration loss must be finite"):
-        ChannelModel(penetration_loss_db=float("nan"))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="channel.path_loss_exponent must be finite"):
+            ChannelModel("ploss_exp", bad)
+        with pytest.raises(ValueError, match="channel.penetration_loss_db must be finite"):
+            ChannelModel(penetration_loss_db=bad)
+    with pytest.raises(ValueError, match="exponent must be positive"):
+        ChannelModel("ploss_exp", 0.0)
 
 
 # --- single coupling --------------------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields, is_dataclass, replace
 from itertools import islice
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 
 import apertile
 from apertile.cli import main
-from apertile.config import ApertureConfig, BudgetConfig, RunConfig
+from apertile.config import ApertureConfig, BudgetConfig, ChannelModel, RunConfig
 from apertile.geometry import BeamWeights, ElementPattern
 from apertile.metrics import distribution
 from apertile.ledger import read_ledger
@@ -23,7 +24,7 @@ from apertile.reports import (
     write_far_field_csv,
 )
 from apertile.scenario import ScenarioParams
-from apertile.shapes import alphabet
+from apertile.shapes import alphabet, save_alphabet
 from apertile.tiling import (
     Aperture,
     baseline_tiling,
@@ -159,6 +160,109 @@ def test_unknown_keys_rejected():
         RunConfig.from_dict({"scenario": {"kind": "uma", "isd": 1.0}})
 
 
+@pytest.mark.parametrize(
+    "probe, named",
+    [
+        ({"aperture": 5}, "aperture must be a JSON object"),
+        ({"scenario": {"seed": 1}}, "missing scenario keys: ['scenario.kind'"),
+        ({"zf_condition_cap": "1e8"}, "zf_condition_cap must be a number"),
+        ({"scenario": {"kind": "uma", "isd_m": "500", "bs_height_m": 25}}, "scenario.isd_m must be a number"),
+        ({"alphabet_file": 7}, "alphabet_file must be of type str"),
+        ({"channel": []}, "channel must be a JSON object"),
+        ({"frequency_ghz": None}, "frequency_ghz must be a number"),
+        ({"frequency_ghz": 10**400}, "frequency_ghz must be finite"),
+        ({"zf_condition_cap": 10**400}, "zf_condition_cap must be finite"),
+        ({"output_dir": 3}, "output_dir must be of type str"),
+        ({"aperture": {"spacing_y_wavelengths": "0.5"}}, "aperture.spacing_y_wavelengths must be a number"),
+        ({"pattern": {"slant_v_deg": True}}, "pattern.slant_v_deg must be a number"),
+        ([], "config must be a JSON object"),
+        ({"alphabet_file": "absent.json"}, "absent.json"),
+        ({"alphabet_file": {"alphabet": "P"}}, "alphabet.json has no 'shapes' list"),
+        ({"alphabet_file": {"shapes": [{"name": "bar"}]}}, "alphabet.json: shape 1 needs a name and cells"),
+        (None, "no config file at"),
+    ],
+    ids=[
+        "aperture-number", "scenario-without-kind", "cap-string", "isd-string",
+        "alphabet-file-number", "channel-list", "frequency-null", "frequency-beyond-float",
+        "cap-beyond-float", "output-dir-number", "spacing-string", "slant-bool", "document-list",
+        "alphabet-file-absent", "alphabet-without-shapes", "shape-without-cells", "config-directory",
+    ],
+)
+def test_cli_refuses_a_malformed_config_before_any_work(tmp_path, monkeypatch, capsys, probe, named):
+    # a config error (exit 1) that names its key, not an internal error or a run
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "config.json"
+    if probe is None:
+        path.mkdir()  # --config names a directory
+    else:
+        doc = probe
+        if isinstance(probe, dict):  # over a 4x6 P, 2-drop study writing under tmp_path/out
+            study = RunConfig(
+                aperture=ApertureConfig(columns=4, rows=6),
+                scenario=ScenarioParams(kind="uma", isd_m=500.0, bs_height_m=25.0, drops=2, users=4),
+                workers=1,
+                output_dir=str(tmp_path / "out"),
+            )
+            doc = {**study.to_dict(), **probe}
+            if isinstance(probe.get("alphabet_file"), dict):
+                (tmp_path / "alphabet.json").write_text(json.dumps(probe["alphabet_file"]))
+                doc["alphabet_file"] = str(tmp_path / "alphabet.json")
+        path.write_text(json.dumps(doc))
+    written = sorted(os.listdir(tmp_path))
+    for command in (
+        ["enumerate"], ["optimize"], ["evaluate", "--tiling", "baseline"], ["render", "--tiling", "baseline"]
+    ):
+        assert main([*command, "--config", str(path)]) == 1, command
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and named in captured.err, command
+        assert captured.out == ""
+    assert sorted(os.listdir(tmp_path)) == written  # no output directory, ledger or dump
+
+
+def test_a_config_section_refuses_a_value_of_the_wrong_kind():
+    with pytest.raises(ValueError, match="aperture must be of type ApertureConfig, got 5"):
+        RunConfig(aperture=5)
+    with pytest.raises(ValueError, match="scenario.kind must be of type str, got 3"):
+        ScenarioParams(kind=3, isd_m=500.0, bs_height_m=25.0)
+    with pytest.raises(ValueError, match="pattern.slant_v_deg must be a number, got True"):
+        ElementPattern(slant_v_deg=True)
+
+
+def test_every_config_field_is_of_a_kind_that_is_checked():
+    # a field of another kind would go unchecked, so it must fail here first;
+    # and each section's __post_init__ must refuse a wrong value in each field
+    top = RunConfig()
+    sections = [getattr(top, f.name) for f in fields(top) if is_dataclass(getattr(top, f.name))]
+    kinds = {"int", "float", "str", *(type(section).__name__ for section in sections)}
+    for cfg in (top, *sections):
+        prefix = next((f"{f.name}." for f in fields(RunConfig) if f.type == type(cfg).__name__), "")
+        for f in fields(cfg):
+            assert f.type.removesuffix(" | None") in kinds, f"{prefix}{f.name}: {f.type}"
+            with pytest.raises(ValueError, match=rf"^{prefix}{f.name} must be "):
+                replace(cfg, **{f.name: object()})
+
+
+def test_config_hash_of_every_field_set(tmp_path):
+    # every optional field set, the alphabet file's shapes included: the pin
+    # keeps the hash, and so the resume of old ledgers, of such a config
+    path = tmp_path / "shapes.json"
+    save_alphabet(alphabet("P+L"), path)
+    cfg = RunConfig(
+        aperture=ApertureConfig(columns=4, rows=6, spacing_y_wavelengths=0.45, spacing_z_wavelengths=0.6),
+        scenario=ScenarioParams(
+            kind="umi", isd_m=200.0, bs_height_m=10.0, ue_height_mode="floor", ue_height_m=2.0,
+            drops=3, users=4, seed=9, centroid_x_m=20.0, centroid_y_m=-5.0,
+        ),
+        pattern=ElementPattern(6.0, 60.0, 50.0, 25.0, -40.0, 40.0),
+        budget=BudgetConfig(40.0, -95.0, -115.0),
+        channel=ChannelModel("ploss_exp", 3.0, 10.0),
+        frequency_ghz=2.6, alphabet="L", alphabet_file=str(path), zf_condition_cap=1e6,
+        workers=2, tiling_stride=3, output_dir="elsewhere",
+    )
+    assert cfg.config_hash() == "6783bd114e63bc9a"
+    assert RunConfig.from_dict(json.loads(cfg.to_json())).config_hash() == "6783bd114e63bc9a"
+
+
 def test_validation_flags_too_many_users():
     cfg = tiny_config(scenario=ScenarioParams(
         kind="uma", isd_m=500.0, bs_height_m=25.0, drops=1, users=4, seed=1
@@ -245,11 +349,12 @@ def test_validation_refuses_a_number_that_is_not_finite(tmp_path, capsys, field,
     for parent in parents:
         target = target[parent]
     target[key] = value
-    cfg = RunConfig.from_dict(doc)
     with pytest.raises(ValueError, match=f"{field} must be finite"):
-        cfg.validate()
+        RunConfig.from_dict(doc)
     # the same refusal from a JSON config, before anything is written
-    assert main(["optimize", "--config", write_config(tmp_path, cfg)]) == 1
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["optimize", "--config", str(path)]) == 1
     assert f"{field} must be finite" in capsys.readouterr().err
     assert not (tmp_path / "ledger.csv").exists()
 
