@@ -12,10 +12,9 @@ import sys
 
 import numpy as np
 
-from apertile.config import RunConfig
+from apertile.cli import _load_config, _resolve_cover
 from apertile.geometry import BeamWeights
 from apertile.reports import far_field_cut, write_far_field_csv
-from apertile.tiling import baseline_tiling, load_cover
 
 
 def main() -> int:
@@ -26,14 +25,14 @@ def main() -> int:
     parser.add_argument("--points", type=int, default=361)
     args = parser.parse_args()
 
-    cfg = RunConfig.load(args.config)
-    if args.tiling == "baseline":
-        cover = baseline_tiling(cfg.aperture_grid())
-    else:
-        cover, _ = load_cover(args.tiling)
+    try:  # the config and the tiling are checked as the CLI checks them
+        cfg = _load_config(args.config)
+        cover, _aperture = _resolve_cover(cfg, args.tiling)
+    except ValueError as err:
+        sys.exit(f"error: {err}")
     geometry = cfg.geometry()
     weights = BeamWeights(cover, np.ones((1, 2, cover.tile_count), dtype=complex))
-    meta = {"config_hash": cfg.config_hash(), "seed": cfg.scenario.seed, "tiling": args.tiling}
+    meta = {**cfg.stamp(), "tiling": args.tiling}
 
     os.makedirs(args.out, exist_ok=True)
     for cut in ("azimuth", "elevation"):

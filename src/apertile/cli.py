@@ -14,7 +14,7 @@ import pickle
 import sys
 from itertools import islice
 
-from .config import RunConfig
+from .config import RunConfig, stamp_text
 from .search import (
     _cover_ascii, _cover_json_line, _CoverSearch, build_incidence_matrix, generate_placements,
 )
@@ -63,7 +63,7 @@ def _write_dumps(source, matrix, meta: dict, dump_json, dump_ascii) -> None:
             dump_json.write(json.dumps(meta) + "\n")
             json_line = _cover_json_line(matrix)
         if dump_ascii:
-            dump_ascii.write(f"# config_hash={meta['config_hash']} seed={meta['seed']}\n")
+            dump_ascii.write(f"# {stamp_text(meta)}\n")
             grid = _cover_ascii(matrix)
         while True:
             try:
@@ -124,7 +124,7 @@ def cmd_enumerate(args) -> int:
     # before anything is counted, and once the writer has exited the count
     # reads the memo the stream left behind (complete subtrees only)
     if dump_json or dump_ascii:
-        meta = {"config_hash": cfg.config_hash(), "seed": cfg.scenario.seed}
+        meta = cfg.stamp()
         covers = islice(search.stream(), max(args.limit, 0))
         try:
             _feed_writer(covers, lambda source: _write_dumps(source, matrix, meta, dump_json, dump_ascii))
@@ -155,7 +155,7 @@ def cmd_optimize(args) -> int:
         cfg, ledger_path=ledger_path, precoders_path=precoders_path, resume=args.resume, log=print
     )
 
-    meta = {"config_hash": cfg.config_hash(), "seed": cfg.scenario.seed}
+    meta = cfg.stamp()
     save_drops(result.drops, os.path.join(out_dir, "drops.json"), meta)
     # its resources include the peak of the worker that wrote the precoders
     with open(os.path.join(out_dir, "result.json"), "w") as fh:
@@ -171,14 +171,9 @@ def cmd_optimize(args) -> int:
         if cover is None:
             continue
         with open(os.path.join(out_dir, f"{tag}_tiling.txt"), "w") as fh:
-            fh.write(f"# config_hash={meta['config_hash']} seed={meta['seed']}\n")
+            fh.write(f"# {stamp_text(meta)}\n")
             fh.write(cover_to_ascii(cover, aperture) + "\n")
-        svg = render_svg(
-            cover,
-            aperture,
-            shapes,
-            comment=f"config_hash={meta['config_hash']} seed={meta['seed']}",
-        )
+        svg = render_svg(cover, aperture, shapes, comment=stamp_text(meta))
         with open(os.path.join(out_dir, f"{tag}_tiling.svg"), "w") as fh:
             fh.write(svg + "\n")
         if record is not None and record.per_ue_capacities is not None:
@@ -209,26 +204,19 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    import numpy as np
-
-    from .channel import ChannelStack
     from .metrics import eta_statistics
-    from .optimizer import evaluate_tiling
+    from .optimizer import _eval_task, _Workers
     from .scenario import sample_drops
     from .units import watts_to_dbm
 
     cfg = _load_config(args.config)
     cover, _aperture = _resolve_cover(cfg, args.tiling)
     drops = sample_drops(cfg.scenario)
-    record = evaluate_tiling(
-        cover,
-        ChannelStack.assemble(cfg.geometry(), cfg.pattern, drops, cfg.channel),
-        cfg.link_budget(),
-        condition_cap=cfg.zf_condition_cap,
-    )
+    # the task that optimize runs for a ledger row, here over the cover's tiles
+    with _Workers(0, (cfg, drops, cover.tile_cells(), None)):
+        record = _eval_task((0, tuple(range(cover.tile_count)), None))
     doc = {
-        "config_hash": cfg.config_hash(),
-        "seed": cfg.scenario.seed,
+        **cfg.stamp(),
         "channel_mode": cfg.channel.tag,
         "tiling": args.tiling,
         "feasible": record.feasible,
@@ -238,7 +226,7 @@ def cmd_evaluate(args) -> int:
     }
     if record.feasible:
         doc["capacity_bps_hz"] = record.average_sum_rate
-        doc["per_drop_sum_rates"] = np.asarray(record.per_drop_sum_rates).tolist()
+        doc["per_drop_sum_rates"] = record.per_drop_sum_rates.tolist()
         doc["min_power_dbm"] = float(watts_to_dbm(record.min_desired_power_w))
         doc["eta_dbm"] = eta_statistics(record.eta_desired_dbm())
     if args.output:
@@ -323,12 +311,7 @@ def cmd_render(args) -> int:
     if args.ascii or not args.svg:
         print(cover_to_ascii(cover, aperture))
     if args.svg:
-        svg = render_svg(
-            cover,
-            aperture,
-            cfg.shapes(),
-            comment=f"config_hash={cfg.config_hash()} seed={cfg.scenario.seed}",
-        )
+        svg = render_svg(cover, aperture, cfg.shapes(), comment=stamp_text(cfg.stamp()))
         with open(args.svg, "w") as fh:
             fh.write(svg + "\n")
     return EXIT_OK

@@ -29,8 +29,9 @@ except ImportError:
 def _checked(section) -> None:
     """Check each field of a config section against its annotation, naming
     its dotted key: an int is >= 1 (>= 0 for seed and workers), a float is a
-    finite number (zf_condition_cap may be inf or NaN), neither is a bool, a
-    str or section field holds one, `| None` admits None; numpy ints -> int."""
+    finite number (zf_condition_cap may be inf or NaN; the frequency, the
+    spacings and the ISD are > 0), neither is a bool, a str or section field
+    holds one, `| None` admits None; numpy ints -> int."""
     prefix = next((f"{f.name}." for f in fields(RunConfig) if f.type == type(section).__name__), "")
     for f in fields(section):
         key, value = prefix + f.name, getattr(section, f.name)
@@ -49,6 +50,9 @@ def _checked(section) -> None:
             # an integer too large for a float is no more finite than inf
             if not abs(value) <= sys.float_info.max and (integer or f.name != "zf_condition_cap"):
                 raise ValueError(f"{key} must be finite, got {value}")
+            positive = f.name in ("frequency_ghz", "isd_m") or f.name.startswith("spacing_")
+            if positive and not value > 0:
+                raise ValueError(f"{key} must be positive, got {value}")
         elif not isinstance(value, str if kind == "str" else globals()[kind]):
             raise ValueError(f"{key} must be of type {kind}, got {value!r}")
         if integer:
@@ -93,8 +97,6 @@ class ScenarioParams:
 
     def __post_init__(self):
         _checked(self)
-        if self.isd_m <= 0:
-            raise ValueError("ISD must be positive")
         if self.ue_height_mode not in ("fixed", "floor"):
             raise ValueError(f"unknown UE height mode {self.ue_height_mode!r}")
 
@@ -134,9 +136,8 @@ class ElementPattern:
                 raise ValueError(f"beamwidth {bw} outside (0, 180) deg")
 
     def slant_deg(self, pol: str) -> float:
-        from .geometry import port_offset
-
-        port_offset(pol)
+        if pol not in ("V", "H"):
+            raise ValueError(f"polarization must be one of ('V', 'H'), got {pol!r}")
         return self.slant_v_deg if pol == "V" else self.slant_h_deg
 
     def power_gain_db(self, theta, phi):
@@ -199,6 +200,11 @@ class ChannelModel:
         else:
             amp = lam / (4.0 * np.pi) * d ** (-self.path_loss_exponent / 2.0)
         return amp * 10.0 ** (-self.penetration_loss_db / 20.0)
+
+
+def stamp_text(stamp: dict) -> str:
+    """A run stamp as text, for the headers of the ASCII and SVG files."""
+    return f"config_hash={stamp['config_hash']} seed={stamp['seed']}"
 
 
 def _read(cls, doc, key: str):
@@ -301,6 +307,10 @@ class RunConfig:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+
+    def stamp(self) -> dict:
+        """The run stamp that heads every output file: config hash and seed."""
+        return {"config_hash": self.config_hash(), "seed": self.scenario.seed}
 
     def config_hash(self) -> str:
         """Hash of every field that can change a result; `workers` and

@@ -63,12 +63,6 @@ class ArrayGeometry:
 POLARIZATIONS = ("V", "H")
 
 
-def port_offset(pol: str) -> int:
-    if pol not in POLARIZATIONS:
-        raise ValueError(f"polarization must be one of {POLARIZATIONS}, got {pol!r}")
-    return POLARIZATIONS.index(pol) + 1
-
-
 def element_field(pattern: ElementPattern, theta, phi, pol: str) -> np.ndarray:
     """Complex (theta-hat, phi-hat) field components of one element port.
 

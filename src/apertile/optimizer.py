@@ -467,7 +467,7 @@ def optimize(
     # ZF results depend bit for bit on the numpy/LAPACK build
     versions = {"apertile_version": __version__, "numpy_version": np.__version__}
     versions["blas_core"] = _blas_core()
-    meta = {"config_hash": cfg.config_hash(), "seed": cfg.scenario.seed}
+    meta = cfg.stamp()
     stride = cfg.tiling_stride
     if precoders_path:  # a killed run's part file, which a new file may never replace
         with suppress(FileNotFoundError):
@@ -637,8 +637,7 @@ def result_to_json(result: OptimizationResult, cfg: RunConfig) -> dict:
         return doc
 
     return {
-        "config_hash": cfg.config_hash(),
-        "seed": cfg.scenario.seed,
+        **cfg.stamp(),
         "channel_mode": cfg.channel.tag,
         "aperture": {"columns": cfg.aperture.columns, "rows": cfg.aperture.rows},
         "alphabet": cfg.alphabet_file or cfg.alphabet,

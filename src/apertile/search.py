@@ -62,8 +62,8 @@ class IncidenceMatrix:
 
 
 def generate_placements(aperture: Aperture, shapes: list[PolyominoShape]) -> list[tuple[int, ...]]:
-    """All distinct placements of the shapes fully inside the aperture, each
-    as its sorted 1-based pixel indices.
+    """All placements of the shapes fully inside the aperture, each as its
+    sorted 1-based pixel indices, distinct within a shape by construction.
 
     Ordering is deterministic: shape id, then orientation variant, then
     anchor in row-major order (rows outer, columns inner). Shapes too large
@@ -76,20 +76,15 @@ def generate_placements(aperture: Aperture, shapes: list[PolyominoShape]) -> lis
         raise ValueError(f"duplicate shape ids: {ids}")
 
     out: list[tuple[int, ...]] = []
-    seen: set[tuple[int, tuple[int, ...]]] = set()
     for shape in shapes:
         for cells in orientations(shape):
             height = 1 + max(r for r, _ in cells)
             width = 1 + max(c for _, c in cells)
             for n0 in range(1, aperture.rows - height + 2):
                 for m0 in range(1, aperture.columns - width + 2):
-                    covered = tuple(
-                        sorted(aperture.pixel_index(m0 + c, n0 + r) for r, c in cells)
+                    out.append(
+                        tuple(sorted(aperture.pixel_index(m0 + c, n0 + r) for r, c in cells))
                     )
-                    key = (shape.shape_id, covered)
-                    if key not in seen:
-                        seen.add(key)
-                        out.append(covered)
     return out
 
 

@@ -12,8 +12,8 @@ from typing import Iterator
 import numpy as np
 
 from .search import (  # re-exported, but for _ASCII_SYMBOLS
-    _ASCII_SYMBOLS, Aperture, IncidenceMatrix, _cover_json_line, _CoverSearch,
-    build_incidence_matrix, count_exact_covers, generate_placements,
+    _ASCII_SYMBOLS, Aperture, IncidenceMatrix, _CoverSearch, build_incidence_matrix,
+    count_exact_covers, generate_placements,
 )
 
 

@@ -171,6 +171,11 @@ def test_unknown_keys_rejected():
         ({"channel": []}, "channel must be a JSON object"),
         ({"frequency_ghz": None}, "frequency_ghz must be a number"),
         ({"frequency_ghz": 10**400}, "frequency_ghz must be finite"),
+        ({"frequency_ghz": 0}, "frequency_ghz must be positive, got 0"),
+        ({"frequency_ghz": -3.5}, "frequency_ghz must be positive, got -3.5"),
+        ({"aperture": {"spacing_y_wavelengths": 0.0}}, "aperture.spacing_y_wavelengths must be positive"),
+        ({"aperture": {"spacing_z_wavelengths": -0.7}}, "aperture.spacing_z_wavelengths must be positive"),
+        ({"scenario": {"kind": "uma", "isd_m": 0, "bs_height_m": 25}}, "scenario.isd_m must be positive"),
         ({"zf_condition_cap": 10**400}, "zf_condition_cap must be finite"),
         ({"output_dir": 3}, "output_dir must be of type str"),
         ({"aperture": {"spacing_y_wavelengths": "0.5"}}, "aperture.spacing_y_wavelengths must be a number"),
@@ -184,6 +189,7 @@ def test_unknown_keys_rejected():
     ids=[
         "aperture-number", "scenario-without-kind", "cap-string", "isd-string",
         "alphabet-file-number", "channel-list", "frequency-null", "frequency-beyond-float",
+        "frequency-zero", "frequency-negative", "spacing-y-zero", "spacing-z-negative", "isd-zero",
         "cap-beyond-float", "output-dir-number", "spacing-string", "slant-bool", "document-list",
         "alphabet-file-absent", "alphabet-without-shapes", "shape-without-cells", "config-directory",
     ],

@@ -11,7 +11,6 @@ from apertile.geometry import (
     expand_weights,
     expand_weights_dual,
     far_field,
-    port_offset,
 )
 from apertile.tiling import AggregationVector, Aperture, baseline_tiling
 from apertile.units import SPEED_OF_LIGHT_M_S
@@ -86,6 +85,10 @@ def test_boresight_power_independent_of_slant_sign():
     pv = np.sum(np.abs(element_field(pattern, np.pi / 2, 0.0, "V")) ** 2)
     ph = np.sum(np.abs(element_field(pattern, np.pi / 2, 0.0, "H")) ** 2)
     assert pv == pytest.approx(ph)
+    # each port's slant by its name; a name outside V/H is refused
+    assert (pattern.slant_deg("V"), pattern.slant_deg("H")) == (-45.0, 45.0)
+    with pytest.raises(ValueError, match=r"polarization must be one of \('V', 'H'\), got 'X'"):
+        pattern.slant_deg("X")
 
 
 def test_gain_drops_3db_at_half_beamwidth():
@@ -113,13 +116,6 @@ def test_pattern_finite_everywhere(theta, phi):
 def test_pattern_rejects_bad_beamwidth():
     with pytest.raises(ValueError):
         ElementPattern(azimuth_beamwidth_deg=0.0)
-
-
-def test_port_offset():
-    assert port_offset("V") == 1
-    assert port_offset("H") == 2
-    with pytest.raises(ValueError):
-        port_offset("X")
 
 
 # --- weight expansion -----------------------------------------------------------

@@ -1,5 +1,6 @@
 """The scripts under scripts/ run end to end, each as its own process."""
 
+import ast
 import json
 import os
 import subprocess
@@ -13,9 +14,9 @@ from apertile.ledger import read_ledger
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args, cwd):
-    """Run scripts/`name` with the package from src/ and one BLAS thread;
-    its stdout."""
+def run_script(name, *args, cwd, code=0):
+    """Run scripts/`name` with the package from src/ and one BLAS thread,
+    which must exit with `code`; its stdout, or its stderr on a failure."""
     src = str(ROOT / "src")
     env = dict(
         os.environ,
@@ -28,8 +29,8 @@ def run_script(name, *args, cwd):
         [sys.executable, str(ROOT / "scripts" / name), *args],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
     )
-    assert out.returncode == 0, out.stderr
-    return out.stdout
+    assert out.returncode == code, out.stderr
+    return out.stderr if code else out.stdout
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +60,30 @@ def test_export_pattern_cuts_writes_both_cuts(demo, tmp_path):
         lines = (cuts / f"{cut}_cut.csv").read_text().splitlines()
         header = lines.index("angle_deg,power_db")
         assert len(lines[header + 1 :]) == 5
+
+
+def test_export_pattern_cuts_refuses_a_tiling_for_another_panel(demo, tmp_path):
+    out, _ = demo  # the demo's config is 4x6; this cover has one tile per row of a 6x4 panel
+    tiling = tmp_path / "rows_6x4.json"
+    values = [q for q in range(1, 5) for _ in range(6)]
+    tiling.write_text(json.dumps({"columns": 6, "rows": 4, "tile_count": 4, "values_row_major": values}))
+    stderr = run_script(
+        "export_pattern_cuts.py", "--config", str(out / "config.json"), "--tiling", str(tiling),
+        "--out", str(tmp_path / "cuts"), cwd=tmp_path, code=1,
+    )
+    assert "error: tiling is for 6x4, config uses 4x6" in stderr
+    assert not (tmp_path / "cuts").exists()
+
+
+def test_no_script_loads_a_config_or_a_tiling_itself():
+    # cli._load_config and cli._resolve_cover check what they load; a script
+    # that calls the readers under them skips those checks
+    for path in sorted((ROOT / "scripts").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                called = ast.unparse(node.func)
+                reader = called.endswith("RunConfig.load") or called.split(".")[-1] == "load_cover"
+                assert not reader, f"{path.name}:{node.lineno} calls {called}"
 
 
 def test_run_reference_study_writes_its_ledger_and_reports_it(tmp_path):

@@ -9,12 +9,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from apertile.search import _cover_ascii
-from apertile.shapes import alphabet, builtin_shape
+from apertile.search import _cover_ascii, _cover_json_line
+from apertile.shapes import _ALPHABETS, alphabet, builtin_shape
 from apertile.tiling import (
     AggregationVector,
     Aperture,
-    _cover_json_line,
     _CoverSearch,
     baseline_tiling,
     build_incidence_matrix,
@@ -93,6 +92,20 @@ def test_placements_match_brute_force_scan():
     assert fast == brute_force_placements(aperture, shape)
     # distinctness: one placement per covered set
     assert len(fast) == len(generate_placements(aperture, [shape]))
+
+
+@given(
+    st.sampled_from(sorted(_ALPHABETS)),
+    st.integers(1, 12),
+    st.integers(1, 12),
+)
+def test_no_two_placements_of_a_shape_share_a_pixel_set(selector, columns, rows):
+    aperture = Aperture(columns, rows)
+    shapes = alphabet(selector)
+    per_shape = [generate_placements(aperture, [shape]) for shape in shapes]
+    for placements in per_shape:
+        assert len(set(placements)) == len(placements)
+    assert generate_placements(aperture, shapes) == [p for ps in per_shape for p in ps]
 
 
 def test_duplicate_shape_ids_rejected():
