@@ -43,10 +43,7 @@ def _resolve_cover(cfg: RunConfig, spec: str):
     if spec == "baseline":
         return baseline_tiling(aperture), aperture
     cover, cover_aperture = load_cover(spec)
-    if (cover_aperture.columns, cover_aperture.rows) != (
-        aperture.columns,
-        aperture.rows,
-    ):
+    if cover_aperture != aperture:
         raise ValueError(
             f"tiling is for {cover_aperture.columns}x{cover_aperture.rows}, "
             f"config uses {aperture.columns}x{aperture.rows}"
@@ -64,7 +61,7 @@ def _write_dumps(source, matrix, meta: dict, dump_json, dump_ascii) -> None:
             json_line = _cover_json_line(matrix)
         if dump_ascii:
             dump_ascii.write(f"# {stamp_text(meta)}\n")
-            grid = _cover_ascii(matrix)
+            grid = _cover_ascii(matrix.aperture, [[i - 1 for i in p] for p in matrix.rows])
         while True:
             try:
                 batch = pickle.load(source)
@@ -74,7 +71,7 @@ def _write_dumps(source, matrix, meta: dict, dump_json, dump_ascii) -> None:
                 if dump_json:
                     dump_json.write(json_line(rows))
                 if dump_ascii:
-                    dump_ascii.write(grid(rows))
+                    dump_ascii.write(grid(rows) + "\n\n")
     finally:
         for fh in (dump_json, dump_ascii):
             if fh:
@@ -143,7 +140,6 @@ def cmd_optimize(args) -> int:
     from .reports import render_svg, write_distribution_csv
     from .scenario import save_drops
     from .tiling import cover_to_ascii
-    from .units import watts_to_dbm
 
     cfg = _load_config(args.config)
     out_dir = args.output_dir or cfg.output_dir
@@ -171,23 +167,19 @@ def cmd_optimize(args) -> int:
         if cover is None:
             continue
         with open(os.path.join(out_dir, f"{tag}_tiling.txt"), "w") as fh:
-            fh.write(f"# {stamp_text(meta)}\n")
-            fh.write(cover_to_ascii(cover, aperture) + "\n")
+            fh.write(f"# {stamp_text(meta)}\n{cover_to_ascii(cover, aperture)}\n")
         svg = render_svg(cover, aperture, shapes, comment=stamp_text(meta))
         with open(os.path.join(out_dir, f"{tag}_tiling.svg"), "w") as fh:
             fh.write(svg + "\n")
         if record is not None and record.per_ue_capacities is not None:
             dist = distribution(record.per_ue_capacities)
-            write_distribution_csv(
-                os.path.join(out_dir, f"distribution_{tag}.csv"), dist, meta
-            )
+            write_distribution_csv(os.path.join(out_dir, f"distribution_{tag}.csv"), dist, meta)
 
     if result.best is not None:
         best = result.best
         print(
-            f"best tiling t={best.tiling_index}: "
-            f"{best.average_sum_rate:.4f} bps/Hz, "
-            f"min power {float(watts_to_dbm(best.min_desired_power_w)):.2f} dBm"
+            f"best tiling t={best.tiling_index}: {best.average_sum_rate:.4f} bps/Hz, "
+            f"min power {best.min_power_dbm:.2f} dBm"
         )
         if result.comparison is not None:
             print(
@@ -207,13 +199,13 @@ def cmd_evaluate(args) -> int:
     from .metrics import eta_statistics
     from .optimizer import _eval_task, _Workers
     from .scenario import sample_drops
-    from .units import watts_to_dbm
 
     cfg = _load_config(args.config)
     cover, _aperture = _resolve_cover(cfg, args.tiling)
     drops = sample_drops(cfg.scenario)
-    # the task that optimize runs for a ledger row, here over the cover's tiles
-    with _Workers(0, (cfg, drops, cover.tile_cells(), None)):
+    # the task that optimize runs for a ledger row, here over the cover's
+    # tiles, without a placement table: this one task reads each tile once
+    with _Workers(0, (cfg, drops, cover.tile_cells(), None, False)):
         record = _eval_task((0, tuple(range(cover.tile_count)), None))
     doc = {
         **cfg.stamp(),
@@ -227,7 +219,7 @@ def cmd_evaluate(args) -> int:
     if record.feasible:
         doc["capacity_bps_hz"] = record.average_sum_rate
         doc["per_drop_sum_rates"] = record.per_drop_sum_rates.tolist()
-        doc["min_power_dbm"] = float(watts_to_dbm(record.min_desired_power_w))
+        doc["min_power_dbm"] = record.min_power_dbm
         doc["eta_dbm"] = eta_statistics(record.eta_desired_dbm())
     if args.output:
         with open(args.output, "w") as fh:

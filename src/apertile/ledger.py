@@ -2,10 +2,10 @@
 
 `optimize` writes the header and the rows as they merge, and resumes from
 the rows of a killed run; `apertile report` summarizes them. This module
-holds the format, its one reader and parser, the resume and the running
-fold of rows, and imports nothing of apertile: `report` reads a ledger
-without the evaluation modules, and numpy loads only when
-`summarize_ledger` runs.
+holds the format, the `# key=value` header that every CSV output shares,
+its one reader and parser, the resume and the running fold of rows, and
+imports nothing of apertile: `report` reads a ledger without the
+evaluation modules, and numpy loads only when `summarize_ledger` runs.
 """
 
 from __future__ import annotations
@@ -30,14 +30,21 @@ LEDGER_COLUMNS = "t,capacity_bps_hz,min_power_dbm,coverage,feasible"
 _ROW_FORMAT = "%d,%r,%r,%d,%d\n"
 
 
+def write_header(fh, meta: dict, columns: str) -> None:
+    """A CSV header: one `# key=value` line per item of `meta`, the lines
+    that `_parse_ledger` reads back, then the column names."""
+    for key, value in meta.items():
+        fh.write(f"# {key}={value}\n")
+    fh.write(columns + "\n")
+
+
 def write_ledger_header(fh, meta: dict, baseline: float | None, versions: dict) -> None:
     """The header: `meta`, the baseline capacity ("none" when the baseline
     is missing or infeasible), `versions`, then the column names."""
     fh.write("# apertile ledger v1\n")
     baseline_text = "none" if baseline is None else repr(baseline)
-    for key, value in {**meta, "baseline_capacity_bps_hz": baseline_text, **versions}.items():
-        fh.write(f"# {key}={value}\n")
-    fh.write(LEDGER_COLUMNS + "\n")
+    header = {**meta, "baseline_capacity_bps_hz": baseline_text, **versions}
+    write_header(fh, header, LEDGER_COLUMNS)
 
 
 def _ledger_lines(path, extent: dict) -> Iterator[str]:

@@ -80,6 +80,11 @@ class EvaluationRecord:
     def eta_desired_dbm(self) -> np.ndarray:
         return watts_to_dbm(self.eta_desired_w)
 
+    @property
+    def min_power_dbm(self) -> float:
+        """min_desired_power_w in dBm, as the ledger and every report give it."""
+        return float(watts_to_dbm(self.min_desired_power_w))
+
 
 @dataclass
 class CapacityDistribution:

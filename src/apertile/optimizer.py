@@ -59,7 +59,6 @@ from .tiling import (
     build_incidence_matrix,
     generate_placements,
 )
-from .units import watts_to_dbm
 
 
 def evaluate_tiling(
@@ -256,13 +255,14 @@ def _blas_core() -> str:
     return corename().decode()
 
 
-def _init_worker(cfg, drops, cells, drops_key):
-    """Set up an evaluating process: its own channel stack of `drops`,
-    and the placement table of `cells` when it fits TABLE_BUDGET_BYTES."""
+def _init_worker(cfg, drops, cells, drops_key, table):
+    """Set up an evaluating process: its own channel stack of `drops` and,
+    if `table` (for many tasks that share the sets), the placement table
+    of `cells` when it fits TABLE_BUDGET_BYTES."""
     _pin_heap()
     G = ChannelStack.assemble(cfg.geometry(), cfg.pattern, drops, cfg.channel)
     # the table holds a (P, A) V and H column sum for each set in cells
-    fits = 2 * len(cells) * len(G.coupling) * G.base[0].nbytes <= TABLE_BUDGET_BYTES
+    fits = table and 2 * len(cells) * len(G.coupling) * G.base[0].nbytes <= TABLE_BUDGET_BYTES
     _SHARED.update(
         G=G,
         table=placement_table(G, cells) if fits else None,
@@ -379,11 +379,10 @@ def _eval_task(task):
         )
 
 
-def _ledger_row(record: EvaluationRecord) -> tuple:
+def _ledger_row(r: EvaluationRecord) -> tuple:
     """A record's ledger row: the plain tuple of LedgerRow's fields, which
     pickles in half a LedgerRow's bytes."""
-    min_dbm = float(watts_to_dbm(record.min_desired_power_w))
-    return record.tiling_index, record.average_sum_rate, min_dbm, record.covered, record.feasible
+    return r.tiling_index, r.average_sum_rate, r.min_power_dbm, r.covered, r.feasible
 
 
 def _ledger_task(task) -> tuple:
@@ -477,7 +476,7 @@ def optimize(
     # need, and each assembles its own channel stack while the parent counts.
     # With one worker the same tasks run here, each when its result is read.
     workers = cfg.workers or os.cpu_count() or 1
-    with _Workers(workers if workers > 1 else 0, (cfg, drops, cells, drops_key)) as pool:
+    with _Workers(workers if workers > 1 else 0, (cfg, drops, cells, drops_key, True)) as pool:
         baseline_result = pool.imap(_eval_task, baseline_tasks)
         total = search.count()
         # the ledger header records the baseline capacity, None when the
@@ -623,9 +622,7 @@ def result_to_json(result: OptimizationResult, cfg: RunConfig) -> dict:
         doc = {
             "tiling_index": record.tiling_index,
             "capacity_bps_hz": record.average_sum_rate if record.feasible else None,
-            "min_power_dbm": float(watts_to_dbm(record.min_desired_power_w))
-            if record.feasible
-            else None,
+            "min_power_dbm": record.min_power_dbm if record.feasible else None,
             "covered": record.covered,
             "feasible": record.feasible,
         }

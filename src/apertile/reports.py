@@ -7,6 +7,7 @@ import colorsys
 import numpy as np
 
 from .geometry import ArrayGeometry, BeamWeights, ElementPattern, far_field
+from .ledger import write_header
 from .metrics import CapacityDistribution
 from .shapes import PolyominoShape, normalize_cells, orientations
 from .tiling import AggregationVector, Aperture, cover_to_ascii
@@ -140,20 +141,17 @@ def far_field_cut(
     return out
 
 
-def write_far_field_csv(path, rows, meta: dict | None = None) -> None:
+def _write_csv(path, meta: dict | None, columns: str, form: str, rows) -> None:
     with open(path, "w") as fh:
-        for key, value in (meta or {}).items():
-            fh.write(f"# {key}={value}\n")
-        fh.write("angle_deg,power_db\n")
-        for angle, power in rows:
-            fh.write(f"{angle:.6g},{power:.10g}\n")
+        write_header(fh, meta or {}, columns)
+        fh.writelines(form % tuple(row) for row in rows)
+
+
+def write_far_field_csv(path, rows, meta: dict | None = None) -> None:
+    _write_csv(path, meta, "angle_deg,power_db", "%.6g,%.10g\n", rows)
 
 
 def write_distribution_csv(path, dist: CapacityDistribution, meta: dict | None = None) -> None:
     """One row per bin: lower edge, PDF mass, CDF value."""
-    with open(path, "w") as fh:
-        for key, value in (meta or {}).items():
-            fh.write(f"# {key}={value}\n")
-        fh.write("bin_lower_edge_bps_hz,pdf,cdf\n")
-        for lower, pdf, cdf in zip(dist.bin_edges[:-1], dist.pdf, dist.cdf):
-            fh.write(f"{lower:.12g},{pdf:.12g},{cdf:.12g}\n")
+    rows = zip(dist.bin_edges[:-1], dist.pdf, dist.cdf)
+    _write_csv(path, meta, "bin_lower_edge_bps_hz,pdf,cdf", "%.12g,%.12g,%.12g\n", rows)

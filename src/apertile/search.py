@@ -321,17 +321,17 @@ def _cover_json_line(L: IncidenceMatrix) -> Callable[[tuple[int, ...]], str]:
 _ASCII_SYMBOLS = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
 
 
-def _cover_ascii(L: IncidenceMatrix) -> Callable[[tuple[int, ...]], str]:
-    """Return grid(rows): `tiling.cover_to_ascii` of the cover with these
-    0-based rows of L and a blank line, byte for byte, filled into a template."""
-    M, N = L.aperture.columns, L.aperture.rows
-    # the grid's lines, top row (n = N) first, and the blank line; 0-based
-    # pixel i sits in column i % M of row n = i // M + 1
-    chars = ([""] * M + ["\n"]) * N + ["\n"]
+def _cover_ascii(aperture: Aperture, cells) -> Callable[[tuple[int, ...]], str]:
+    """Return grid(rows): the lines, top row (n = N) first, of the cover whose
+    tile q lies on the 0-based pixels cells[rows[q - 1]], each marked with q's
+    symbol; a call rewrites only the tiles from the first that differs from
+    the previous call's cover. The one writer of the ASCII grid."""
+    M, N = aperture.columns, aperture.rows
+    # the grid's lines; 0-based pixel i sits in column i % M of row n = i // M + 1
+    chars = (([""] * M + ["\n"]) * N)[:-1]
     where = [(N - 1 - i // M) * (M + 1) + i % M for i in range(M * N)]
-    cells = [[where[i - 1] for i in pixels] for pixels in L.rows]
     symbols = [_ASCII_SYMBOLS[q % len(_ASCII_SYMBOLS)] for q in range(M * N)]
-    relabel = _relabeller(cells, chars, symbols)
+    relabel = _relabeller([[where[i] for i in pixels] for pixels in cells], chars, symbols)
 
     def grid(rows: tuple[int, ...]) -> str:
         relabel(rows)

@@ -11,8 +11,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .search import (  # re-exported, but for _ASCII_SYMBOLS
-    _ASCII_SYMBOLS, Aperture, IncidenceMatrix, _CoverSearch, build_incidence_matrix,
+from .search import (  # re-exported, but for _cover_ascii
+    Aperture, IncidenceMatrix, _cover_ascii, _CoverSearch, build_incidence_matrix,
     count_exact_covers, generate_placements,
 )
 
@@ -109,7 +109,6 @@ def cover_to_json(cover: AggregationVector, aperture: Aperture) -> dict:
     }
 
 
-
 def cover_from_json(doc: dict) -> tuple[AggregationVector, Aperture]:
     aperture = Aperture(int(doc["columns"]), int(doc["rows"]))
     values = np.array(doc["values_row_major"], dtype=np.int32)
@@ -132,9 +131,5 @@ def load_cover(path) -> tuple[AggregationVector, Aperture]:
 
 def cover_to_ascii(cover: AggregationVector, aperture: Aperture) -> str:
     """Grid with one symbol per tile id, top row = highest n (panel top)."""
-    values = np.asarray(cover.values).reshape(aperture.rows, aperture.columns)
-    lines = []
-    for n in range(aperture.rows, 0, -1):
-        row = values[n - 1]
-        lines.append("".join(_ASCII_SYMBOLS[(q - 1) % len(_ASCII_SYMBOLS)] for q in row))
-    return "\n".join(lines)
+    cells = [pixels.tolist() for pixels in cover.tile_cells()]
+    return _cover_ascii(aperture, cells)(tuple(range(cover.tile_count)))

@@ -8,6 +8,7 @@ Helpers that only the tests need, such as `load_drops`, live here too.
 from __future__ import annotations
 
 import json
+import string
 from dataclasses import replace
 
 import numpy as np
@@ -270,6 +271,15 @@ def eigvalsh_first_capacities(H, sizes, condition_cap, budget, beams):
     p_des = budget.tx_power_w / beams * diagonal
     p_mui = budget.tx_power_w / beams * (power.sum(axis=2) - diagonal)
     return np.log2(1.0 + p_des / (p_mui + budget.noise_power_w)), p_des
+
+
+def ascii_grid(cover, aperture) -> str:
+    """A cover's ASCII grid read off its per-pixel tile ids, top row first:
+    tile q's symbol is the q-th of 0-9, A-Z, a-z, repeating past the last."""
+    symbols = string.digits + string.ascii_uppercase + string.ascii_lowercase
+    values = np.asarray(cover.values).reshape(aperture.rows, aperture.columns)
+    lines = ["".join(symbols[(q - 1) % len(symbols)] for q in row) for row in values[::-1]]
+    return "\n".join(lines)
 
 
 def summarize_ledger_rows(rows, baseline_capacity=None) -> dict:

@@ -577,6 +577,11 @@ def test_cli_optimize_writes_outputs_and_is_deterministic(tmp_path, capsys):
     result = json.loads((out1 / "result.json").read_text())
     assert result["total_tilings"] == 8
     assert result["best"]["covered"] is True
+    # the best row's power in the ledger, in result.json and on stdout
+    (row,) = [row for row in rows if row.tiling_index == result["best"]["tiling_index"]]
+    assert row.min_power_dbm == result["best"]["min_power_dbm"]
+    printed = f"best tiling t={row.tiling_index}: {row.capacity_bps_hz:.4f} bps/Hz, "
+    assert printed + f"min power {row.min_power_dbm:.2f} dBm" in capsys.readouterr().out.splitlines()
 
     assert main(["optimize", "--config", path, "--output-dir", str(tmp_path / "out2")]) == 0
     assert (out1 / "ledger.csv").read_bytes() == (tmp_path / "out2" / "ledger.csv").read_bytes()

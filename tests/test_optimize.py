@@ -23,6 +23,7 @@ from apertile.channel import (
     aggregate_channel,
     assemble_channel,
 )
+from apertile.cli import main
 from apertile.config import ApertureConfig, BudgetConfig, ChannelModel, RunConfig
 from apertile.ledger import LEDGER_COLUMNS, LedgerRow, read_ledger, summarize_ledger
 from apertile.metrics import EvaluationRecord, port_powers
@@ -860,7 +861,7 @@ def evaluations_in_blocks(monkeypatch, cfg, stack, block_drops, out=None):
         out.mkdir()
     monkeypatch.setattr(ChannelStack, "assemble", lambda *args: stack)
     monkeypatch.setattr(opt, "DROP_BLOCK_BYTES", block_drops * 2**10)
-    with opt._Workers(0, (cfg, sample_drops(cfg.scenario), cells, "key")):
+    with opt._Workers(0, (cfg, sample_drops(cfg.scenario), cells, "key", True)):
         results = [opt._eval_task(task) for task in tasks]
     covers = [_cover_from_rows(rows, cells, aperture.size) for _, rows, _ in tasks]
     return results, covers
@@ -979,11 +980,38 @@ def test_a_singular_block_makes_the_tiling_infeasible(monkeypatch):
             assert_same_record(record, evaluated)
 
 
-def task_peaks(monkeypatch, run):
+def test_evaluate_builds_no_placement_table(tmp_path, monkeypatch):
+    # evaluate runs one task, which reads each of its tiles once, so it
+    # sets up without the table that optimize's workers build where it
+    # fits, as it does on 4x6 P at 10 drops; the record keeps every bit
+    cfg = toy_config(
+        aperture=ApertureConfig(4, 6),
+        scenario=ScenarioParams(
+            kind="uma", isd_m=500.0, bs_height_m=25.0, drops=10, users=4, seed=5
+        ),
+        alphabet="P",
+    )
+    cfg.save(tmp_path / "config.json")
+    real, seen = opt._eval_task, []
+
+    def recording(task):
+        seen.append((opt._SHARED["table"], real(task)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(opt, "_eval_task", recording)
+    assert main(["evaluate", "--config", str(tmp_path / "config.json"), "--tiling", "baseline"]) == 0
+    ((table, record),) = seen
+    assert table is None and record.feasible
+    cover = baseline_tiling(cfg.aperture_grid())
+    with opt._Workers(0, (cfg, sample_drops(cfg.scenario), cover.tile_cells(), None, True)):
+        assert opt._SHARED["table"] is not None
+        assert_same_record(record, real((0, tuple(range(cover.tile_count)), None)))
+
+
+def task_peaks(run):
     """tracemalloc's peak during run((t, rows)), which must give a feasible
     result, for the first tiling of 8x12 P with 16 users on the no-table
     path, at 32 and at 256 drops; each run once untraced first."""
-    monkeypatch.setattr(opt, "TABLE_BUDGET_BYTES", 0)
     cfg = RunConfig(
         scenario=ScenarioParams(
             kind="uma", isd_m=500.0, bs_height_m=25.0, drops=256, users=16, seed=1
@@ -998,7 +1026,7 @@ def task_peaks(monkeypatch, run):
     drops = sample_drops(cfg.scenario)
     peaks = {}
     for count in (32, 256):
-        with opt._Workers(0, (cfg, drops[:count], cells, None)):
+        with opt._Workers(0, (cfg, drops[:count], cells, None, False)):
             run(task)
             tracemalloc.start()
             try:
@@ -1009,18 +1037,18 @@ def task_peaks(monkeypatch, run):
     return peaks
 
 
-def test_a_workers_working_set_does_not_grow_with_the_drops(monkeypatch):
+def test_a_workers_working_set_does_not_grow_with_the_drops():
     # one ledger task: a (b, 32, 32) drop block holds 25 drops, and one
     # pass over every drop held about 0.12 MB per drop
-    peaks = task_peaks(monkeypatch, lambda task: LedgerRow(*opt._ledger_task(task)))
+    peaks = task_peaks(lambda task: LedgerRow(*opt._ledger_task(task)))
     assert peaks[256] <= 1.3 * peaks[32], peaks
 
 
-def test_writing_the_precoders_does_not_grow_the_working_set(tmp_path, monkeypatch):
+def test_writing_the_precoders_does_not_grow_the_working_set(tmp_path):
     # the best tiling's task: its precoders, 16 KiB a drop, go to the file
     # one drop block at a time, and no step holds every drop's beams
     path = tmp_path / "best_precoders.npz"
-    peaks = task_peaks(monkeypatch, lambda task: opt._eval_task((*task, (path, {"seed": 1}))))
+    peaks = task_peaks(lambda task: opt._eval_task((*task, (path, {"seed": 1}))))
     assert peaks[256] <= 1.3 * peaks[32], peaks
     with np.load(path) as data:
         assert data["coefficients"].shape == (256, 32, 32)

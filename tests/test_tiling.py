@@ -25,7 +25,7 @@ from apertile.tiling import (
     generate_placements,
 )
 
-from oracles import brute_force_covers, brute_force_placements, reference_covers
+from oracles import ascii_grid, brute_force_covers, brute_force_placements, reference_covers
 
 
 def matrix_for(columns, rows, selector):
@@ -369,9 +369,13 @@ def test_cover_json_lines_equal_json_dumps(columns, rows, selector):
     "columns,rows,selector", [(6, 6, "P"), (6, 6, "P+L"), (6, 4, "domino")]
 )
 def test_cover_ascii_grids_equal_cover_to_ascii(columns, rows, selector):
+    # cover_to_ascii and the enumerate dump share one writer; both give the
+    # grid read off each cover's tile ids
     matrix, aperture = matrix_for(columns, rows, selector)
     covers = [r for _, r in _CoverSearch(matrix).stream()]
-    grids = [cover_to_ascii(cover, aperture) + "\n\n" for cover in enumerate_exact_covers(matrix)]
+    grids = [ascii_grid(cover, aperture) for cover in enumerate_exact_covers(matrix)]
+    assert [cover_to_ascii(cover, aperture) for cover in enumerate_exact_covers(matrix)] == grids
+    cells = [[i - 1 for i in pixels] for pixels in matrix.rows]
     # rewritten from the first tile that differs, like the JSON lines
     first = len(covers) // 2
     for order in (
@@ -380,7 +384,7 @@ def test_cover_ascii_grids_equal_cover_to_ascii(columns, rows, selector):
         range(len(covers) - 1, -1, -1),
         [0, first, first, 1, 1],
     ):
-        grid = _cover_ascii(matrix)
+        grid = _cover_ascii(aperture, cells)
         assert [grid(covers[t]) for t in order] == [grids[t] for t in order]
 
 
@@ -388,7 +392,11 @@ def test_cover_ascii_grid_reuses_symbols_past_the_last():
     matrix, aperture = matrix_for(1, 130, "domino")  # one cover: 65 tiles, 62 symbols
     ((_t, rows),) = _CoverSearch(matrix).stream()
     (cover,) = enumerate_exact_covers(matrix)
-    assert _cover_ascii(matrix)(rows) == cover_to_ascii(cover, aperture) + "\n\n"
+    cells = [[i - 1 for i in pixels] for pixels in matrix.rows]
+    grid = ascii_grid(cover, aperture)
+    # tiles 65, 64 and 63 (each two pixels tall, top first) wrap to 2, 1, 0
+    assert grid.split("\n")[:7] == ["2", "2", "1", "1", "0", "0", "z"]
+    assert _cover_ascii(aperture, cells)(rows) == cover_to_ascii(cover, aperture) == grid
 
 
 def test_stream_rejects_nonpositive_start_or_step():
