@@ -3,7 +3,9 @@
 
 Feeds every sub-array of the given tiling with a unit coefficient and
 exports (angle_deg, power_db) samples of both principal cuts, ready for
-any external plotting tool.
+any external plotting tool. A unit coefficient gives every element the
+weight 1 whatever the tiling, so every tiling of a panel gets the same CSV
+body; only the `# tiling=` line differs.
 """
 
 import argparse
@@ -13,7 +15,7 @@ import sys
 import numpy as np
 
 from apertile.cli import _load_config, _resolve_cover
-from apertile.geometry import BeamWeights
+from apertile.geometry import expand_weights
 from apertile.reports import far_field_cut, write_far_field_csv
 
 
@@ -31,7 +33,7 @@ def main() -> int:
     except ValueError as err:
         sys.exit(f"error: {err}")
     geometry = cfg.geometry()
-    weights = BeamWeights(cover, np.ones((1, 2, cover.tile_count), dtype=complex))
+    weights = expand_weights(cover, np.ones(cover.tile_count))
     meta = {**cfg.stamp(), "tiling": args.tiling}
 
     os.makedirs(args.out, exist_ok=True)

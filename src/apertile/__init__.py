@@ -18,7 +18,7 @@ _EXPORTS = {
     for module, names in (
         ("channel", "ChannelMatrix ChannelStack LinkBudget aggregate_channel assemble_channel"),
         ("config", "ChannelModel ElementPattern RunConfig ScenarioParams"),
-        ("geometry", "ArrayGeometry BeamWeights element_field expand_weights far_field"),
+        ("geometry", "ArrayGeometry element_field expand_weights far_field"),
         ("metrics", "CapacityDistribution EvaluationRecord distribution eta_statistics"),
         (
             "optimizer",

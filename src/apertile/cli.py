@@ -14,7 +14,7 @@ import pickle
 import sys
 from itertools import islice
 
-from .config import RunConfig, stamp_text
+from .config import RunConfig, stamp_line, stamp_text
 from .search import (
     _cover_ascii, _cover_json_line, _CoverSearch, build_incidence_matrix, generate_placements,
 )
@@ -60,7 +60,7 @@ def _write_dumps(source, matrix, meta: dict, dump_json, dump_ascii) -> None:
             dump_json.write(json.dumps(meta) + "\n")
             json_line = _cover_json_line(matrix)
         if dump_ascii:
-            dump_ascii.write(f"# {stamp_text(meta)}\n")
+            dump_ascii.write(stamp_line(meta))
             grid = _cover_ascii(matrix.aperture, [[i - 1 for i in p] for p in matrix.rows])
         while True:
             try:
@@ -167,7 +167,7 @@ def cmd_optimize(args) -> int:
         if cover is None:
             continue
         with open(os.path.join(out_dir, f"{tag}_tiling.txt"), "w") as fh:
-            fh.write(f"# {stamp_text(meta)}\n{cover_to_ascii(cover, aperture)}\n")
+            fh.write(stamp_line(meta) + cover_to_ascii(cover, aperture) + "\n")
         svg = render_svg(cover, aperture, shapes, comment=stamp_text(meta))
         with open(os.path.join(out_dir, f"{tag}_tiling.svg"), "w") as fh:
             fh.write(svg + "\n")

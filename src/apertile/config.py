@@ -207,6 +207,11 @@ def stamp_text(stamp: dict) -> str:
     return f"config_hash={stamp['config_hash']} seed={stamp['seed']}"
 
 
+def stamp_line(stamp: dict) -> str:
+    """The first line of every ASCII file: the stamp's text behind a "# "."""
+    return f"# {stamp_text(stamp)}\n"
+
+
 def _read(cls, doc, key: str):
     """Build config section `cls`, each section field from its own object, from
     the JSON object `doc` at dotted `key` ("" at the top); refuse unknown and missing keys."""

@@ -105,53 +105,22 @@ def expand_weights_dual(s: AggregationVector, v: np.ndarray) -> np.ndarray:
     return expanded.reshape(v.shape[:-1] + (2 * len(s.values),))
 
 
-@dataclass
-class BeamWeights:
-    """Sub-array coefficients per beam and TX polarization, plus expansion.
-
-    `coefficients[b - 1, p]` is the Q-vector driving beam b on polarization
-    p (0 = V, 1 = H); element weights follow by tile-membership lookup.
-    """
-
-    aggregation: AggregationVector
-    coefficients: np.ndarray  # (B, 2, Q) complex
-
-    def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=complex)
-        if c.ndim != 3 or c.shape[1] != 2 or c.shape[2] != self.aggregation.tile_count:
-            raise ValueError(
-                f"coefficients must be (B, 2, Q={self.aggregation.tile_count}), got {c.shape}"
-            )
-        self.coefficients = c
-
-    @property
-    def beam_count(self) -> int:
-        return self.coefficients.shape[0]
-
-    def element_weights(self) -> np.ndarray:
-        """(B, 2, M*N) per-element weights in pixel order."""
-        return expand_weights(self.aggregation, self.coefficients)
-
-
 def far_field(
     geometry: ArrayGeometry,
     pattern: ElementPattern,
-    weights: BeamWeights,
+    weights: np.ndarray,
     theta: float,
     phi: float,
-    beam: int,
     pol: str,
 ) -> np.ndarray:
-    """Radiated complex (theta-hat, phi-hat) field of one beam at one angle.
+    """Radiated complex (theta-hat, phi-hat) field at one angle of port `pol`
+    driven by the (M*N,) element weights in pixel order.
 
     Plane-wave phase kernel exp(j k (y_m sin(theta) sin(phi) + z_n cos(theta)))
     summed over all elements.
     """
-    if not (1 <= beam <= weights.beam_count):
-        raise ValueError(f"beam {beam} outside [1, {weights.beam_count}]")
-    w = weights.element_weights()[beam - 1, POLARIZATIONS.index(pol)]
     pos = geometry.element_positions()
     k = 2.0 * np.pi / geometry.wavelength_m
     phase = k * (pos[:, 1] * np.sin(theta) * np.sin(phi) + pos[:, 2] * np.cos(theta))
-    array_factor = np.sum(w * np.exp(1j * phase))
+    array_factor = np.sum(weights * np.exp(1j * phase))
     return element_field(pattern, theta, phi, pol) * array_factor

@@ -13,7 +13,7 @@ import pytest
 import apertile
 from apertile.cli import main
 from apertile.config import ApertureConfig, BudgetConfig, ChannelModel, RunConfig
-from apertile.geometry import BeamWeights, ElementPattern
+from apertile.geometry import ElementPattern, expand_weights
 from apertile.metrics import distribution
 from apertile.ledger import read_ledger
 from apertile.reports import (
@@ -388,7 +388,7 @@ def test_render_svg_contains_cells_and_comment():
 def test_far_field_cut_peaks_at_boresight():
     geometry = reference_geometry(columns=4, rows=6)
     cover = baseline_tiling(Aperture(4, 6))
-    weights = BeamWeights(cover, np.ones((1, 2, 4), dtype=complex))
+    weights = expand_weights(cover, np.ones(4))
     rows = far_field_cut(geometry, ElementPattern(), weights, cut="azimuth", points=181)
     angles = [a for a, _ in rows]
     powers = [p for _, p in rows]

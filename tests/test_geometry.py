@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from apertile.geometry import (
     ArrayGeometry,
-    BeamWeights,
     ElementPattern,
     element_field,
     expand_weights,
@@ -184,27 +183,14 @@ def test_expand_dual_stacks_polarizations(rng):
         expand_weights_dual(cover, np.ones(7))
 
 
-def test_beam_weights_validation(rng):
-    cover = baseline_tiling(Aperture(4, 6))
-    coeffs = rng.normal(size=(2, 2, 4))
-    weights = BeamWeights(cover, coeffs)
-    assert weights.beam_count == 2
-    assert weights.element_weights().shape == (2, 2, 24)
-    with pytest.raises(ValueError, match=r"\(B, 2, Q"):
-        BeamWeights(cover, rng.normal(size=(2, 2, 5)))
-
-
 # --- far field --------------------------------------------------------------------
-
-def uniform_weights(cover):
-    return BeamWeights(cover, np.ones((1, 2, cover.tile_count), dtype=complex))
-
 
 def test_uniform_broadside_sums_coherently():
     geom = reference_geometry()
     pattern = ElementPattern()
     cover = baseline_tiling(Aperture(8, 12))
-    field = far_field(geom, pattern, uniform_weights(cover), np.pi / 2, 0.0, 1, "V")
+    weights = expand_weights(cover, np.ones(cover.tile_count))
+    field = far_field(geom, pattern, weights, np.pi / 2, 0.0, "V")
     single = element_field(pattern, np.pi / 2, 0.0, "V")
     np.testing.assert_allclose(field, 96 * single, rtol=1e-12)
 
@@ -215,10 +201,9 @@ def test_single_active_element_reduces_to_element_phase():
     values = np.ones(12, dtype=int)
     values[5] = 2  # element (m=2, n=3) alone in tile 2
     cover = AggregationVector(values=values, tile_count=2)
-    coeffs = np.zeros((1, 2, 2), dtype=complex)
-    coeffs[0, :, 1] = 1.0
+    coeffs = np.array([0.0, 1.0], dtype=complex)
     theta, phi = 1.1, -0.4
-    field = far_field(geom, pattern, BeamWeights(cover, coeffs), theta, phi, 1, "H")
+    field = far_field(geom, pattern, expand_weights(cover, coeffs), theta, phi, "H")
     pos = element_position(geom, 2, 3)
     k = 2 * np.pi / geom.wavelength_m
     phase = np.exp(1j * k * (pos[1] * np.sin(theta) * np.sin(phi) + pos[2] * np.cos(theta)))
@@ -230,14 +215,14 @@ def test_far_field_matches_naive_double_loop(rng):
     pattern = ElementPattern()
     cover = baseline_tiling(Aperture(3, 6))
     coeffs = rng.normal(size=(2, 2, 3)) + 1j * rng.normal(size=(2, 2, 3))
-    weights = BeamWeights(cover, coeffs)
     for _ in range(5):
         theta = rng.uniform(0.2, np.pi - 0.2)
         phi = rng.uniform(-np.pi, np.pi)
-        beam = int(rng.integers(1, 3))
-        pol = ("V", "H")[int(rng.integers(0, 2))]
-        got = far_field(geom, pattern, weights, theta, phi, beam, pol)
-        w_elements = weights.element_weights()[beam - 1, ("V", "H").index(pol)]
+        beam = int(rng.integers(0, 2))
+        p = int(rng.integers(0, 2))
+        pol = ("V", "H")[p]
+        w_elements = expand_weights(cover, coeffs[beam, p])
+        got = far_field(geom, pattern, w_elements, theta, phi, pol)
         expected = naive_far_field(geom, pattern, w_elements, theta, phi, pol)
         np.testing.assert_allclose(got, expected, rtol=1e-10)
 
@@ -246,12 +231,14 @@ def test_far_field_linear_in_weights(rng):
     geom = reference_geometry(columns=2, rows=6)
     pattern = ElementPattern()
     cover = baseline_tiling(Aperture(2, 6))
-    c1 = rng.normal(size=(1, 2, 2)) + 1j * rng.normal(size=(1, 2, 2))
-    c2 = rng.normal(size=(1, 2, 2)) + 1j * rng.normal(size=(1, 2, 2))
+    c1 = rng.normal(size=2) + 1j * rng.normal(size=2)
+    c2 = rng.normal(size=2) + 1j * rng.normal(size=2)
     theta, phi = 1.3, 0.7
-    f1 = far_field(geom, pattern, BeamWeights(cover, c1), theta, phi, 1, "V")
-    f2 = far_field(geom, pattern, BeamWeights(cover, c2), theta, phi, 1, "V")
-    f12 = far_field(geom, pattern, BeamWeights(cover, c1 + c2), theta, phi, 1, "V")
+
+    def field(c):
+        return far_field(geom, pattern, expand_weights(cover, c), theta, phi, "V")
+
+    f1, f2, f12 = field(c1), field(c2), field(c1 + c2)
     np.testing.assert_allclose(f12, f1 + f2, rtol=1e-12)
 
 
@@ -263,10 +250,3 @@ def test_half_wavelength_neighbors_differ_by_pi():
         k * (element_position(geom, m, 1)[1] * np.sin(theta) * np.sin(phi)) for m in (1, 2)
     ]
     assert phases[1] - phases[0] == pytest.approx(np.pi)
-
-
-def test_far_field_rejects_bad_beam():
-    geom = reference_geometry(columns=2, rows=6)
-    cover = baseline_tiling(Aperture(2, 6))
-    with pytest.raises(ValueError, match="beam"):
-        far_field(geom, ElementPattern(), uniform_weights(cover), 1.0, 0.0, 2, "V")

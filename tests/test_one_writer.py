@@ -71,3 +71,24 @@ def test_one_function_reads_the_ascii_symbols():
         return isinstance(node, ast.Name) and node.id == "_ASCII_SYMBOLS"
 
     assert set(places(reads_symbols)) == {"search._cover_ascii"}
+
+
+def is_stamp_line(node) -> bool:
+    """An f-string that starts with "#" and formats a call of stamp_text."""
+    if not isinstance(node, ast.JoinedStr) or not node.values:
+        return False
+    head = node.values[0]
+    return (
+        isinstance(head, ast.Constant)
+        and head.value.startswith("#")
+        and any(
+            isinstance(part, ast.FormattedValue)
+            and isinstance(part.value, ast.Call)
+            and ast.unparse(part.value.func).split(".")[-1] == "stamp_text"
+            for part in node.values
+        )
+    )
+
+
+def test_one_function_writes_the_stamp_line_of_the_ascii_files():
+    assert places(is_stamp_line) == ["config.stamp_line"]

@@ -7,9 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from apertile.config import RunConfig
 from apertile.ledger import read_ledger
+
+from oracles import naive_far_field
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -56,10 +60,21 @@ def test_export_pattern_cuts_writes_both_cuts(demo, tmp_path):
         "export_pattern_cuts.py", "--config", str(out / "config.json"),
         "--points", "5", "--out", str(cuts), cwd=tmp_path,
     )
+    cfg = RunConfig.load(out / "config.json")
+    geometry = cfg.geometry()
+    ones = np.ones(geometry.element_count)
     for cut in ("azimuth", "elevation"):
         lines = (cuts / f"{cut}_cut.csv").read_text().splitlines()
         header = lines.index("angle_deg,power_db")
-        assert len(lines[header + 1 :]) == 5
+        rows = [tuple(map(float, line.split(","))) for line in lines[header + 1 :]]
+        assert [angle for angle, _ in rows] == [-90.0, -45.0, 0.0, 45.0, 90.0]
+        for angle, power_db in rows:
+            # unit coefficients drive every element with weight 1, on the V port
+            a = np.radians(angle)
+            theta, phi = (np.pi / 2, a) if cut == "azimuth" else (np.pi / 2 - a, 0.0)
+            field = naive_far_field(geometry, cfg.pattern, ones, theta, phi, "V")
+            expected = 10 * np.log10(np.sum(np.abs(field) ** 2))
+            assert power_db == pytest.approx(expected, rel=1e-9, abs=1e-9), (cut, angle)
 
 
 def test_export_pattern_cuts_refuses_a_tiling_for_another_panel(demo, tmp_path):
